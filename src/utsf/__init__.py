@@ -5,7 +5,7 @@ from .data import SamplerConfig, SeriesFrame, WindowSample
 from .errors import (CheckpointError, ConfigError, DimensionError,
                      IngestionError, NumericError, UsageError)
 from .model import (AttentionMap, LinearBaseline, ModelConfig, ParameterStore,
-                    PatchGrid, UShapedTransformer, patch_merge_naive, preset)
+                    UShapedTransformer, patch_merge_naive, preset)
 from .tensor import GradTape, Tensor, finite_diff_check
 from .training import (Adam, TrainerConfig, TrainReport, backbone_hash,
                        compute_metrics, evaluate, load_checkpoint,
@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam", "AttentionMap", "CheckpointError", "ConfigError", "DimensionError",
     "GradTape", "IngestionError", "LinearBaseline", "ModelConfig",
-    "NumericError", "ParameterStore", "PatchGrid", "SamplerConfig",
+    "NumericError", "ParameterStore", "SamplerConfig",
     "SeriesFrame", "Tensor", "TrainerConfig", "TrainReport", "UsageError",
     "UShapedTransformer", "WindowSample", "backbone_hash", "compute_metrics",
     "evaluate", "finite_diff_check", "load_checkpoint", "patch_merge_naive",

@@ -51,14 +51,20 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)} (allowed: {sorted(_RUN_KEYS)})")
         if "model" not in raw:
             raise ConfigError("config must define 'model'")
-        seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
-        sampler_raw = dict(raw.get("sampler", {}))
-        sampler_raw.setdefault("seed", seed)
+        for section in ("model", "sampler", "trainer"):
+            if not isinstance(raw.get(section, {}), dict):
+                raise ConfigError(f"config '{section}' must be a JSON object, got {raw[section]!r}")
+        registry = raw.get("registry")
+        if registry is not None and not isinstance(registry, str):
+            raise ConfigError(f"config 'registry' must be a path string, got {registry!r}")
+        seed = raw.get("seed", 0) if seed_override is None else seed_override
+        if type(seed) is not int or seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         return cls(
             model=ModelConfig.from_dict(raw["model"]),
-            sampler=D.SamplerConfig.from_dict(sampler_raw),
+            sampler=D.SamplerConfig.from_dict({"seed": seed, **raw.get("sampler", {})}),
             trainer=TR.TrainerConfig.from_dict(raw.get("trainer", {})),
-            registry=raw.get("registry"),
+            registry=registry,
             seed=seed,
             config_dir=path.parent,
         )
@@ -100,23 +106,34 @@ def _log(msg: str) -> None:
 # commands
 
 
+def _train(cfg: RunConfig, model: UShapedTransformer, frames: dict, phase: str, epoch_fn) -> TR.TrainReport:
+    """Run ``epoch_fn`` for each configured epoch from the run seed, logging
+    each epoch's mean loss."""
+    optimizer = TR.Adam.from_config(model.params, cfg.trainer)
+    rng = np.random.default_rng(cfg.seed)
+    report = TR.TrainReport()
+    for epoch in range(cfg.trainer.epochs):
+        epoch_fn(model, frames, cfg.sampler, optimizer, cfg.trainer.steps_per_epoch, rng, epoch, report)
+        _log(f"{phase} epoch {epoch}: mean loss {report.epoch_means[-1]:.6f} "
+             f"({report.wall_clock[-1]:.1f}s)")
+    return report
+
+
+def _write_training(cfg: RunConfig, out: Path, model: UShapedTransformer, checkpoint_name: str,
+                    report: TR.TrainReport) -> None:
+    TR.save_checkpoint(model, out / checkpoint_name, seed=cfg.seed)
+    _write(out / "loss.csv", report.loss_csv_text())
+    _write(out / "report.json", report.json_text())
+    _write_resolved(cfg, out)
+
+
 def cmd_pretrain(args) -> int:
     cfg = RunConfig.load(args.config, args.seed)
     out = _out_dir(args)
     frames = cfg.load_frames()
     model = UShapedTransformer(cfg.model, seed=cfg.seed)
-    optimizer = TR.Adam.from_config(model.params, cfg.trainer)
-    rng = np.random.default_rng(cfg.seed)
-    report = TR.TrainReport()
-    for epoch in range(cfg.trainer.epochs):
-        TR.pretrain_epoch(model, frames, cfg.sampler, optimizer,
-                          cfg.trainer.steps_per_epoch, rng, epoch, report)
-        _log(f"pretrain epoch {epoch}: mean loss {report.epoch_means[-1]:.6f} "
-             f"({report.wall_clock[-1]:.1f}s)")
-    TR.save_checkpoint(model, out / "checkpoint.bin", seed=cfg.seed)
-    _write(out / "loss.csv", report.loss_csv_text())
-    _write(out / "report.json", report.json_text())
-    _write_resolved(cfg, out)
+    report = _train(cfg, model, frames, "pretrain", TR.pretrain_epoch)
+    _write_training(cfg, out, model, "checkpoint.bin", report)
     return 0
 
 
@@ -128,21 +145,11 @@ def cmd_finetune(args) -> int:
     TR.apply_checkpoint(model, args.checkpoint)
     pre_hash = TR.backbone_hash(model)
     model.freeze_backbone()
-    optimizer = TR.Adam.from_config(model.params, cfg.trainer)
-    rng = np.random.default_rng(cfg.seed)
-    report = TR.TrainReport()
-    for epoch in range(cfg.trainer.epochs):
-        TR.finetune_epoch(model, frames, cfg.sampler, optimizer,
-                          cfg.trainer.steps_per_epoch, rng, epoch, report)
-        _log(f"finetune epoch {epoch}: mean loss {report.epoch_means[-1]:.6f} "
-             f"({report.wall_clock[-1]:.1f}s)")
+    report = _train(cfg, model, frames, "finetune", TR.finetune_epoch)
     if TR.backbone_hash(model) != pre_hash:
         raise RuntimeError("backbone changed during finetune; freeze contract broken")
     _log("backbone hash unchanged by finetune")
-    TR.save_checkpoint(model, out / "finetuned.bin", seed=cfg.seed)
-    _write(out / "loss.csv", report.loss_csv_text())
-    _write(out / "report.json", report.json_text())
-    _write_resolved(cfg, out)
+    _write_training(cfg, out, model, "finetuned.bin", report)
     return 0
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, IngestionError, NumericError, UsageError
-from .model import ModelConfig
+from .model import ModelConfig, config_from_dict
 from .tensor import Tensor
 
 # below this the window is treated as flat and only centered, never scaled
@@ -178,11 +178,8 @@ class SamplerConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "SamplerConfig":
-        unknown = set(raw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown sampler config keys: {sorted(unknown)}")
-        return cls(**raw)
+    def from_dict(cls, raw) -> "SamplerConfig":
+        return config_from_dict(cls, raw, "sampler")
 
 
 def window_starts(usable_len: int, window_len: int, sampler: SamplerConfig,

@@ -12,7 +12,7 @@ levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterator
 
 import numpy as np
@@ -22,6 +22,30 @@ from .errors import ConfigError, DimensionError, UsageError
 from .tensor import Tensor
 
 
+# JSON value types each config field annotation accepts (annotations are strings
+# under ``from __future__ import annotations``); a bool is not a number
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+
+
+def config_from_dict(cls, raw, section: str, base=None):
+    """Build the config dataclass ``cls`` from a JSON object.
+
+    Unknown keys and values whose JSON type does not match the field's
+    annotation raise ``ConfigError``; the dataclass then checks ranges.
+    With ``base``, the given keys override that instance's fields.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section} config must be a JSON object, got {type(raw).__name__}")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(raw) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown {section} config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        if type(value) not in _FIELD_TYPES[types[key]]:
+            raise ConfigError(f"{section} config '{key}' must be {types[key]}, got {value!r}")
+    return replace(base, **raw) if base is not None else cls(**raw)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters; token count N = (L + T) / patch_size."""
@@ -29,23 +53,17 @@ class ModelConfig:
     lookback_len: int
     horizon_len: int
     patch_size: int
-    patch_stride: int | None = None
     d_model: int = 64
     n_levels: int = 3
     n_layers_per_group: int = 1
     n_heads: int = 4
     mask_ratio: float = 0.4
     ffn_mult: int = 4
-    dropout: float = 0.0
 
     def __post_init__(self):
-        if self.patch_stride is None:
-            object.__setattr__(self, "patch_stride", self.patch_size)
         if min(self.lookback_len, self.horizon_len, self.patch_size, self.d_model,
                self.n_levels, self.n_layers_per_group, self.n_heads, self.ffn_mult) < 1:
             raise ConfigError("model dimensions must be positive")
-        if self.patch_stride != self.patch_size:
-            raise ConfigError("patch_stride must equal patch_size (non-overlapping patches only)")
         total = self.lookback_len + self.horizon_len
         if total % self.patch_size != 0:
             raise ConfigError(f"L + T = {total} is not divisible by patch_size {self.patch_size}")
@@ -56,8 +74,6 @@ class ModelConfig:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.mask_ratio <= 1.0:
             raise ConfigError(f"mask_ratio must be in [0, 1], got {self.mask_ratio}")
-        if self.dropout != 0.0:
-            raise ConfigError("dropout is accepted for form but only rate 0 is implemented")
 
     @property
     def n_patches(self) -> int:
@@ -77,16 +93,20 @@ class ModelConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ModelConfig":
+    def from_dict(cls, raw) -> "ModelConfig":
+        """Explicit fields over an optional ``preset``. Patches never overlap
+        and there is no dropout: the keys ``patch_stride`` and ``dropout``,
+        which older configs and checkpoints carry, load only at that value."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"model config must be a JSON object, got {type(raw).__name__}")
         raw = dict(raw)
-        preset_name = raw.pop("preset", None)
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        if preset_name is not None:
-            return replace(preset(preset_name), **raw)
-        return cls(**raw)
+        name, stride, dropout = raw.pop("preset", None), raw.pop("patch_stride", None), raw.pop("dropout", 0)
+        config = config_from_dict(cls, raw, "model", None if name is None else preset(name))
+        if stride is not None and not (type(stride) is int and stride == config.patch_size):
+            raise ConfigError("patch_stride must equal patch_size (non-overlapping patches only)")
+        if type(dropout) not in (int, float) or dropout != 0:
+            raise ConfigError("dropout is not implemented; only rate 0 is accepted")
+        return config
 
 
 _PRESETS = {
@@ -101,17 +121,9 @@ _PRESETS = {
 
 
 def preset(name: str) -> ModelConfig:
-    if name not in _PRESETS:
-        raise ConfigError(f"unknown preset '{name}' (have {sorted(_PRESETS)})")
+    if not isinstance(name, str) or name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r} (have {sorted(_PRESETS)})")
     return ModelConfig(**_PRESETS[name])
-
-
-@dataclass
-class PatchGrid:
-    """Token tensor at one resolution level (tokens: P_level x D_level)."""
-
-    tokens: Tensor
-    level: int
 
 
 @dataclass
@@ -262,7 +274,7 @@ class UShapedTransformer:
 
     # -- forward pieces ------------------------------------------------------
 
-    def patch_embed(self, series: Tensor) -> PatchGrid:
+    def patch_embed(self, series: Tensor) -> Tensor:
         """Cut a (1, N*patch_size) series into N patches, project, add positions."""
         cfg = self.config
         if series.ndim != 2 or series.shape[0] != 1:
@@ -275,8 +287,7 @@ class UShapedTransformer:
                                  "pad and pool the window first")
         patches = T.transpose(T.reshape(series, (cfg.n_patches, cfg.patch_size)), (1, 0))
         embedded = T.transpose(T.pointwise_conv(patches, self.params["embed.w"], self.params["embed.b"]), (1, 0))
-        tokens = T.add(embedded, self.params["pos"])
-        return PatchGrid(tokens, level=1)
+        return T.add(embedded, self.params["pos"])
 
     def _attention(self, x: Tensor, prefix: str) -> tuple[Tensor, np.ndarray]:
         p, heads = self.params, self.config.n_heads
@@ -303,46 +314,37 @@ class UShapedTransformer:
         h = T.add(T.matmul(T.gelu(h), p[f"{prefix}.ffn.fc2.w"]), p[f"{prefix}.ffn.fc2.b"])
         return T.add(x, h), attn_weights
 
-    def _group(self, x: Tensor, prefix: str) -> tuple[Tensor, np.ndarray]:
-        first_weights = None
-        for j in range(self.config.n_layers_per_group):
-            x, w = self._layer(x, f"{prefix}.layer{j}")
-            if first_weights is None:
-                first_weights = w
-        return x, first_weights
-
-    def group_ids(self) -> list[str]:
-        n = self.config.n_levels
-        return [f"enc{i}" for i in range(1, n)] + ["mid"] + [f"dec{i}" for i in range(n - 1, 0, -1)]
-
-    def transformer_group_forward(self, grid: PatchGrid, group_id: str) -> tuple[PatchGrid, AttentionMap]:
-        """Run one named group; the map is the first layer's head average."""
-        if group_id not in self.group_ids():
-            raise UsageError(f"unknown group '{group_id}' (have {self.group_ids()})")
+    def transformer_group(self, x: Tensor, group_id: str) -> tuple[Tensor, AttentionMap]:
+        """Run the group ``enc<i>``, ``mid`` or ``dec<i>`` over its level's
+        tokens; the map is the first layer's head average."""
+        if f"{group_id}.layer0.ln1.g" not in self.params:
+            raise UsageError(f"unknown group '{group_id}'")
         level = self.config.n_levels if group_id == "mid" else int(group_id[3:])
         side = "dec" if group_id.startswith("dec") else "enc"
-        out, weights = self._group(grid.tokens, group_id)
-        return PatchGrid(out, grid.level), AttentionMap(level=level, side=side, weights=weights)
+        x, weights = self._layer(x, f"{group_id}.layer0")
+        for j in range(1, self.config.n_layers_per_group):
+            x, _ = self._layer(x, f"{group_id}.layer{j}")
+        return x, AttentionMap(level=level, side=side, weights=weights)
 
-    def patch_merge(self, grid: PatchGrid) -> PatchGrid:
-        """Halve tokens / double dimension with a learned stride-2 conv."""
-        if grid.level >= self.config.n_levels:
-            raise UsageError(f"no merge below level {grid.level}")
+    def patch_merge(self, tokens: Tensor, level: int) -> Tensor:
+        """Halve tokens / double dimension with a learned stride-2 conv: level -> level + 1."""
+        if not 1 <= level < self.config.n_levels:
+            raise UsageError(f"no merge from level {level} (levels 1..{self.config.n_levels})")
         p = self.params
-        x = T.transpose(grid.tokens, (1, 0))  # channels = token dim
-        x = T.conv1d_k2s2(x, p[f"merge{grid.level}.w"], p[f"merge{grid.level}.b"])
-        return PatchGrid(T.transpose(x, (1, 0)), grid.level + 1)
+        x = T.transpose(tokens, (1, 0))  # channels = token dim
+        x = T.conv1d_k2s2(x, p[f"merge{level}.w"], p[f"merge{level}.b"])
+        return T.transpose(x, (1, 0))
 
-    def patch_split(self, grid: PatchGrid) -> PatchGrid:
-        """Double tokens / halve dimension with a learned transpose conv."""
-        if grid.level <= 1:
-            raise UsageError("no split above level 1")
+    def patch_split(self, tokens: Tensor, level: int) -> Tensor:
+        """Double tokens / halve dimension with a learned transpose conv: level -> level - 1."""
+        if not 1 < level <= self.config.n_levels:
+            raise UsageError(f"no split from level {level} (levels 1..{self.config.n_levels})")
         p = self.params
-        x = T.transpose(grid.tokens, (1, 0))
-        x = T.conv_transpose1d_k2s2(x, p[f"split{grid.level - 1}.w"], p[f"split{grid.level - 1}.b"])
-        return PatchGrid(T.transpose(x, (1, 0)), grid.level - 1)
+        x = T.transpose(tokens, (1, 0))
+        x = T.conv_transpose1d_k2s2(x, p[f"split{level - 1}.w"], p[f"split{level - 1}.b"])
+        return T.transpose(x, (1, 0))
 
-    def backbone_forward(self, grid: PatchGrid, zero_decoder: bool = False) -> tuple[PatchGrid, list[AttentionMap]]:
+    def backbone_forward(self, tokens: Tensor, zero_decoder: bool = False) -> tuple[Tensor, list[AttentionMap]]:
         """Encoder tower, bottleneck, decoder tower with summed skips.
 
         ``zero_decoder`` replaces the whole decoder path with a zero
@@ -350,70 +352,66 @@ class UShapedTransformer:
         encoder group's input exactly.
         """
         cfg = self.config
+        if tokens.shape != cfg.level_shape(1):
+            raise DimensionError(f"backbone_forward takes level-1 tokens {cfg.level_shape(1)}, got {tokens.shape}")
         maps: list[AttentionMap] = []
-        first_input = grid.tokens
         skips: list[Tensor] = []
-        x = grid.tokens
-        level = grid.level
-        if level != 1:
-            raise UsageError(f"backbone_forward starts at level 1, got {level}")
+        x = tokens
         for i in range(1, cfg.n_levels):
-            out, w = self._group(x, f"enc{i}")
-            maps.append(AttentionMap(level=i, side="enc", weights=w))
+            out, amap = self.transformer_group(x, f"enc{i}")
+            maps.append(amap)
             skips.append(out)
-            x = self.patch_merge(PatchGrid(out, i)).tokens
-        x, w = self._group(x, "mid")
-        maps.append(AttentionMap(level=cfg.n_levels, side="enc", weights=w))
+            x = self.patch_merge(out, i)
+        x, amap = self.transformer_group(x, "mid")
+        maps.append(amap)
         if zero_decoder:
-            x = Tensor(np.zeros_like(first_input.data))
+            x = Tensor(np.zeros_like(tokens.data))
         else:
             for i in range(cfg.n_levels - 1, 0, -1):
-                x = self.patch_split(PatchGrid(x, i + 1)).tokens
-                x = T.add(x, skips[i - 1])
-                x, w = self._group(x, f"dec{i}")
-                maps.append(AttentionMap(level=i, side="dec", weights=w))
-        out_tokens = T.add(x, first_input)
-        return PatchGrid(out_tokens, level=1), maps
+                x = T.add(self.patch_split(x, i + 1), skips[i - 1])
+                x, amap = self.transformer_group(x, f"dec{i}")
+                maps.append(amap)
+        return T.add(x, tokens), maps
 
-    def reconstruction_head(self, grid: PatchGrid) -> Tensor:
+    def reconstruction_head(self, tokens: Tensor) -> Tensor:
         """Map each token back to patch_size values and restitch the sequence."""
         p = self.params
-        vals = T.add(T.matmul(grid.tokens, p["head.recon.w"]), p["head.recon.b"])
+        vals = T.add(T.matmul(tokens, p["head.recon.w"]), p["head.recon.b"])
         return T.reshape(vals, (1, self.config.model_len))
 
-    def forecast_head(self, grid: PatchGrid) -> Tensor:
+    def forecast_head(self, tokens: Tensor) -> Tensor:
         """De-embed to the full model length, return the final T values."""
         cfg = self.config
         p = self.params
-        vals = T.add(T.matmul(grid.tokens, p["head.forecast.w"]), p["head.forecast.b"])
+        vals = T.add(T.matmul(tokens, p["head.forecast.w"]), p["head.forecast.b"])
         seq = T.reshape(vals, (1, cfg.model_len))
         return T.narrow(seq, 1, cfg.model_len - cfg.horizon_len, cfg.horizon_len)
 
     # -- end-to-end passes ---------------------------------------------------
 
     def reconstruct(self, series: Tensor) -> tuple[Tensor, list[AttentionMap]]:
-        grid, maps = self.backbone_forward(self.patch_embed(series))
-        return self.reconstruction_head(grid), maps
+        tokens, maps = self.backbone_forward(self.patch_embed(series))
+        return self.reconstruction_head(tokens), maps
 
     def forecast(self, series: Tensor) -> tuple[Tensor, list[AttentionMap]]:
-        grid, maps = self.backbone_forward(self.patch_embed(series))
-        return self.forecast_head(grid), maps
+        tokens, maps = self.backbone_forward(self.patch_embed(series))
+        return self.forecast_head(tokens), maps
 
 
-def patch_merge_naive(grid: PatchGrid) -> PatchGrid:
+def patch_merge_naive(tokens: Tensor) -> Tensor:
     """Parameter-free merge: stack the sequence halves as channel blocks.
 
     Output token t is token_t next to token_{t + P/2} -- tokens that are
     not temporal neighbours, which is the weakness the learnable merge
     exists to fix.
     """
-    n_tok = grid.tokens.shape[0]
+    n_tok = tokens.shape[0]
     if n_tok % 2 != 0:
         raise DimensionError(f"naive merge needs an even token count, got {n_tok}")
     half = n_tok // 2
-    first = T.narrow(grid.tokens, 0, 0, half)
-    second = T.narrow(grid.tokens, 0, half, half)
-    return PatchGrid(T.concat([first, second], axis=1), grid.level + 1)
+    first = T.narrow(tokens, 0, 0, half)
+    second = T.narrow(tokens, 0, half, half)
+    return T.concat([first, second], axis=1)
 
 
 class LinearBaseline:

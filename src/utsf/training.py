@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, fields
@@ -15,7 +16,7 @@ import numpy as np
 from . import data as D
 from . import tensor as T
 from .errors import CheckpointError, ConfigError, NumericError, UsageError
-from .model import LinearBaseline, ModelConfig, UShapedTransformer
+from .model import LinearBaseline, ModelConfig, UShapedTransformer, config_from_dict
 from .tensor import GradTape, Tensor
 
 MAPE_FLOOR = 0.1
@@ -43,11 +44,8 @@ class TrainerConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "TrainerConfig":
-        unknown = set(raw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown trainer config keys: {sorted(unknown)}")
-        return cls(**raw)
+    def from_dict(cls, raw) -> "TrainerConfig":
+        return config_from_dict(cls, raw, "trainer")
 
 
 def compute_metrics(pred, truth, mape_floor: float = MAPE_FLOOR) -> dict:
@@ -152,15 +150,14 @@ class TrainReport:
 # epoch loops
 
 
-def _window_table(frames: dict, window_len: int, sampler: D.SamplerConfig,
-                  split: str, epoch: int) -> dict:
+def _window_table(frames: dict, window_len: int, sampler: D.SamplerConfig, epoch: int) -> dict:
     table = {}
     for ds_id in sorted(frames):
-        starts = D.jittered_windows(frames[ds_id], window_len, sampler, split, epoch)
+        starts = D.jittered_windows(frames[ds_id], window_len, sampler, "train", epoch)
         if len(starts):
             table[ds_id] = starts
     if not table:
-        raise ConfigError(f"no '{split}' windows of length {window_len} in any dataset")
+        raise ConfigError(f"no 'train' windows of length {window_len} in any dataset")
     return table
 
 
@@ -169,15 +166,15 @@ def _mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     return T.mean_all(T.mul(diff, diff))
 
 
-def pretrain_epoch(model: UShapedTransformer, frames: dict, sampler: D.SamplerConfig,
-                   optimizer: Adam, steps: int, rng: np.random.Generator,
-                   epoch: int = 0, report: TrainReport | None = None,
-                   split: str = "train") -> TrainReport:
-    """Masked-reconstruction epoch: full-length windows, zero-masked patches,
-    MSE against the unmasked source over all patches, updates to everything."""
+def _draw_window_epoch(phase: str, step_loss, optimizer: Adam, frames: dict,
+                       sampler: D.SamplerConfig, window_len: int, steps: int,
+                       rng: np.random.Generator, epoch: int,
+                       report: TrainReport | None) -> TrainReport:
+    """One epoch over train-split windows: each step draws a dataset
+    uniformly, then a start and a channel, and minimizes
+    ``step_loss(frame, channel, start)``, which may draw further from ``rng``."""
     report = report if report is not None else TrainReport()
-    cfg = model.config
-    table = _window_table(frames, cfg.model_len, sampler, split, epoch)
+    table = _window_table(frames, window_len, sampler, epoch)
     counts = [(ds_id, len(table[ds_id])) for ds_id in sorted(table)]
     t0 = time.perf_counter()
     for step in range(steps):
@@ -187,57 +184,70 @@ def pretrain_epoch(model: UShapedTransformer, frames: dict, sampler: D.SamplerCo
             starts = table[ds_id]
             start = int(starts[int(rng.integers(len(starts)))])
             channel = int(rng.integers(frame.n_channels))
-            raw = frame.values[channel, start:start + cfg.model_len].reshape(1, -1)
-            source, _, _ = D.normalize_sample(raw)
-            mask = D.zero_mask_patches(cfg.n_patches, cfg.mask_ratio, rng)
-            masked = D.mask_series(source, mask, cfg.patch_size)
-            model.params.zero_grads()
+            optimizer.params.zero_grads()
             with GradTape() as tape:
-                pred, _ = model.reconstruct(Tensor(masked))
-                loss = _mse_loss(pred, Tensor(source))
+                loss = step_loss(frame, channel, start)
             tape.backward(loss)
             optimizer.step()
             report.add_step(loss.item())
         except NumericError as e:
-            raise NumericError(f"pretrain aborted at epoch {epoch}, step {step}: {e}") from e
+            raise NumericError(f"{phase} aborted at epoch {epoch}, step {step}: {e}") from e
     report.close_epoch(steps, time.perf_counter() - t0)
     return report
 
 
+def pretrain_epoch(model: UShapedTransformer, frames: dict, sampler: D.SamplerConfig,
+                   optimizer: Adam, steps: int, rng: np.random.Generator,
+                   epoch: int = 0, report: TrainReport | None = None) -> TrainReport:
+    """Masked-reconstruction epoch: full-length windows, zero-masked patches,
+    MSE against the unmasked source over all patches, updates to everything."""
+    cfg = model.config
+
+    def step_loss(frame, channel, start):
+        raw = frame.values[channel, start:start + cfg.model_len].reshape(1, -1)
+        source, _, _ = D.normalize_sample(raw)
+        mask = D.zero_mask_patches(cfg.n_patches, cfg.mask_ratio, rng)
+        pred, _ = model.reconstruct(Tensor(D.mask_series(source, mask, cfg.patch_size)))
+        return _mse_loss(pred, Tensor(source))
+
+    return _draw_window_epoch("pretrain", step_loss, optimizer, frames, sampler,
+                              cfg.model_len, steps, rng, epoch, report)
+
+
 def finetune_epoch(model: UShapedTransformer, frames: dict, sampler: D.SamplerConfig,
                    optimizer: Adam, steps: int, rng: np.random.Generator,
-                   epoch: int = 0, report: TrainReport | None = None,
-                   split: str = "train") -> TrainReport:
+                   epoch: int = 0, report: TrainReport | None = None) -> TrainReport:
     """Forecast epoch over a frozen backbone: lookback windows padded with
     last-value repeats, MSE against the normalized horizon, head-only updates."""
     unfrozen = [n for n in model.backbone_names() if not model.params.frozen(n)]
     if unfrozen:
         raise ConfigError(f"finetune requires a frozen backbone; unfrozen: {unfrozen[:4]}")
-    report = report if report is not None else TrainReport()
     cfg = model.config
-    total = cfg.lookback_len + cfg.horizon_len
-    table = _window_table(frames, total, sampler, split, epoch)
-    counts = [(ds_id, len(table[ds_id])) for ds_id in sorted(table)]
-    t0 = time.perf_counter()
-    for step in range(steps):
-        try:
-            ds_id = D.weighted_sample(counts, rng)
-            frame = frames[ds_id]
-            starts = table[ds_id]
-            start = int(starts[int(rng.integers(len(starts)))])
-            channel = int(rng.integers(frame.n_channels))
-            sample = D.make_window_sample(frame, channel, start, cfg.lookback_len, cfg.horizon_len)
-            model_input = D.build_model_input(sample.input, cfg)
-            model.params.zero_grads()
-            with GradTape() as tape:
-                pred, _ = model.forecast(Tensor(model_input))
-                loss = _mse_loss(pred, Tensor(sample.target))
-            tape.backward(loss)
-            optimizer.step()
-            report.add_step(loss.item())
-        except NumericError as e:
-            raise NumericError(f"finetune aborted at epoch {epoch}, step {step}: {e}") from e
-    report.close_epoch(steps, time.perf_counter() - t0)
+
+    def step_loss(frame, channel, start):
+        sample = D.make_window_sample(frame, channel, start, cfg.lookback_len, cfg.horizon_len)
+        pred, _ = model.forecast(Tensor(D.build_model_input(sample.input, cfg)))
+        return _mse_loss(pred, Tensor(sample.target))
+
+    return _draw_window_epoch("finetune", step_loss, optimizer, frames, sampler,
+                              cfg.lookback_len + cfg.horizon_len, steps, rng, epoch, report)
+
+
+def train_linear_baseline(baseline: LinearBaseline, frames: dict, sampler: D.SamplerConfig,
+                          trainer_cfg: TrainerConfig, rng: np.random.Generator) -> TrainReport:
+    """Fit the affine baseline with the same sampling scheme and step budget
+    the model's head gets, for a like-for-like comparison row."""
+    optimizer = Adam.from_config(baseline.params, trainer_cfg)
+    L, H = baseline.lookback_len, baseline.horizon_len
+
+    def step_loss(frame, channel, start):
+        sample = D.make_window_sample(frame, channel, start, L, H)
+        return _mse_loss(baseline.forward(Tensor(sample.input)), Tensor(sample.target))
+
+    report = TrainReport()
+    for epoch in range(trainer_cfg.epochs):
+        _draw_window_epoch("baseline", step_loss, optimizer, frames, sampler,
+                           L + H, trainer_cfg.steps_per_epoch, rng, epoch, report)
     return report
 
 
@@ -323,36 +333,6 @@ def evaluate(predict, frame: D.SeriesFrame, lookback_len: int, horizon_len: int,
     return out
 
 
-def train_linear_baseline(baseline: LinearBaseline, frames: dict, sampler: D.SamplerConfig,
-                          trainer_cfg: TrainerConfig, rng: np.random.Generator,
-                          split: str = "train") -> TrainReport:
-    """Fit the affine baseline with the same sampling scheme and step budget
-    the model's head gets, for a like-for-like comparison row."""
-    optimizer = Adam.from_config(baseline.params, trainer_cfg)
-    report = TrainReport()
-    L, H = baseline.lookback_len, baseline.horizon_len
-    for epoch in range(trainer_cfg.epochs):
-        table = _window_table(frames, L + H, sampler, split, epoch)
-        counts = [(ds_id, len(table[ds_id])) for ds_id in sorted(table)]
-        t0 = time.perf_counter()
-        for step in range(trainer_cfg.steps_per_epoch):
-            ds_id = D.weighted_sample(counts, rng)
-            frame = frames[ds_id]
-            starts = table[ds_id]
-            start = int(starts[int(rng.integers(len(starts)))])
-            channel = int(rng.integers(frame.n_channels))
-            sample = D.make_window_sample(frame, channel, start, L, H)
-            baseline.params.zero_grads()
-            with GradTape() as tape:
-                pred = baseline.forward(Tensor(sample.input))
-                loss = _mse_loss(pred, Tensor(sample.target))
-            tape.backward(loss)
-            optimizer.step()
-            report.add_step(loss.item())
-        report.close_epoch(trainer_cfg.steps_per_epoch, time.perf_counter() - t0)
-    return report
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -386,6 +366,8 @@ def _parse_checkpoint(path) -> tuple[dict, bytes]:
         manifest = json.loads(blob[8:8 + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: manifest is not valid JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: manifest is not a JSON object")
     for field in ("format_version", "config", "params", "seed"):
         if field not in manifest:
             raise CheckpointError(f"{path}: manifest is missing field '{field}'")
@@ -393,8 +375,19 @@ def _parse_checkpoint(path) -> tuple[dict, bytes]:
         raise CheckpointError(
             f"{path}: format_version {manifest['format_version']} unsupported (expected {CHECKPOINT_VERSION})"
         )
+    if not (type(manifest["seed"]) is int and manifest["seed"] >= 0):
+        raise CheckpointError(f"{path}: manifest field 'seed' must be a non-negative integer, "
+                              f"got {manifest['seed']!r}")
+    if not isinstance(manifest["params"], list):
+        raise CheckpointError(f"{path}: manifest field 'params' must be a list, got {manifest['params']!r}")
+    for i, e in enumerate(manifest["params"]):
+        if not (isinstance(e, dict) and isinstance(e.get("name"), str)
+                and isinstance(e.get("shape"), list) and all(type(n) is int and n >= 0 for n in e["shape"])
+                and isinstance(e.get("frozen"), bool)):
+            raise CheckpointError(f"{path}: manifest params[{i}] needs a string 'name', a 'shape' list "
+                                  f"of non-negative ints and a bool 'frozen', got {e!r}")
     payload = blob[8 + mlen:]
-    expected = sum(4 * int(np.prod(e["shape"], dtype=np.int64)) for e in manifest["params"])
+    expected = sum(4 * math.prod(e["shape"]) for e in manifest["params"])
     if len(payload) != expected:
         raise CheckpointError(f"{path}: payload is {len(payload)} bytes, manifest implies {expected}")
     return manifest, payload
@@ -430,7 +423,7 @@ def load_checkpoint(path) -> tuple[UShapedTransformer, dict]:
         config = ModelConfig.from_dict(manifest["config"])
     except ConfigError as e:
         raise CheckpointError(f"{path}: manifest field 'config': {e}") from None
-    model = UShapedTransformer(config, seed=int(manifest["seed"]))
+    model = UShapedTransformer(config, seed=manifest["seed"])
     _fill_params(model, manifest, payload, path)
     return model, manifest
 

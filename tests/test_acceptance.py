@@ -19,7 +19,7 @@ from utsf.cli import main, run_gradient_suite
 from utsf.data import (SamplerConfig, SeriesFrame, make_sine_frame,
                        normalize_sample, denormalize, save_csv_dataset,
                        weighted_sample, window_starts, zero_mask_patches)
-from utsf.model import PatchGrid, UShapedTransformer, patch_merge_naive, preset
+from utsf.model import UShapedTransformer, patch_merge_naive, preset
 from utsf.tensor import GradTape, Tensor
 from utsf.training import (Adam, LastValuePredictor, ModelPredictor, evaluate,
                            backbone_hash, finetune_epoch, load_checkpoint,
@@ -73,11 +73,11 @@ def test_criterion_02_preset_shape_towers():
             for lvl in range(1, cfg.n_levels + 1):
                 assert cfg.level_shape(lvl) == (n >> (lvl - 1), d << (lvl - 1))
         m = UShapedTransformer(small, seed=0)
-        grid = m.patch_embed(Tensor(np.zeros((1, 1536), dtype=np.float32)))
-        assert grid.tokens.shape == (48, 64)
+        tokens = m.patch_embed(Tensor(np.zeros((1, 1536), dtype=np.float32)))
+        assert tokens.shape == (48, 64)
         m = UShapedTransformer(base, seed=0)
-        grid = m.patch_embed(Tensor(np.zeros((1, 4096), dtype=np.float32)))
-        assert grid.tokens.shape == (128, 64)
+        tokens = m.patch_embed(Tensor(np.zeros((1, 4096), dtype=np.float32)))
+        assert tokens.shape == (128, 64)
         detail["note"] = "small 48x64, base 128x64, doubling towers intact"
 
 
@@ -88,9 +88,9 @@ def test_criterion_03_zeroed_decoder_identity():
         for name, seed in (("tiny", 0), ("small", 3)):
             m = UShapedTransformer(preset(name), seed=seed)
             x = np.random.default_rng(seed).standard_normal((1, m.config.model_len))
-            grid = m.patch_embed(Tensor(x.astype(np.float32)))
-            out, _ = m.backbone_forward(grid, zero_decoder=True)
-            assert out.tokens.data.tobytes() == grid.tokens.data.tobytes(), name
+            tokens = m.patch_embed(Tensor(x.astype(np.float32)))
+            out, _ = m.backbone_forward(tokens, zero_decoder=True)
+            assert out.data.tobytes() == tokens.data.tobytes(), name
         detail["note"] = "bitwise on tiny and small"
 
 
@@ -99,13 +99,13 @@ def test_criterion_04_merge_locality():
         m = UShapedTransformer(preset("tiny"), seed=5)
         rng = np.random.default_rng(6)
         x = rng.standard_normal((8, 8)).astype(np.float32)
-        learn_base = m.patch_merge(PatchGrid(Tensor(x), 1)).tokens.data
-        naive_base = patch_merge_naive(PatchGrid(Tensor(x), 1)).tokens.data
+        learn_base = m.patch_merge(Tensor(x), 1).data
+        naive_base = patch_merge_naive(Tensor(x)).data
         for src in range(8):
             bumped = x.copy()
             bumped[src] += 1.0
-            learn = m.patch_merge(PatchGrid(Tensor(bumped), 1)).tokens.data
-            naive = patch_merge_naive(PatchGrid(Tensor(bumped), 1)).tokens.data
+            learn = m.patch_merge(Tensor(bumped), 1).data
+            naive = patch_merge_naive(Tensor(bumped)).data
             learn_hits = set(np.where(np.any(learn != learn_base, axis=1))[0])
             naive_hits = set(np.where(np.any(naive != naive_base, axis=1))[0])
             assert learn_hits == {src // 2}, f"learnable: token {src} -> {learn_hits}"

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from utsf.cli import main
 from utsf.data import (load_csv_dataset, make_sine_frame, normalize_sample,
                        save_csv_dataset)
+from utsf.model import UShapedTransformer, preset
+from utsf.training import save_checkpoint
 
 
 @pytest.fixture()
@@ -184,6 +187,32 @@ def test_config_errors_exit_2(workspace, capsys):
     bad.write_text(json.dumps(reg))
     assert run_cli("pretrain", "--config", bad, "--out", workspace / "x4") == 2
     capsys.readouterr()
+
+    # wrong-typed values are named like unknown keys, never a traceback
+    wrong = [({"trainer": {"lr": "0.1"}}, "lr"), ({"model": {"preset": "tiny", "d_model": "8"}}, "d_model"),
+             ({"sampler": {"stride": "8"}}, "stride"), ({"sampler": {"jitter": 1}}, "jitter"),
+             ({"seed": "abc"}, "seed"), ({"seed": True}, "seed"), ({"model": [1]}, "model"),
+             ({"trainer": [1]}, "trainer"), ({"registry": 5}, "registry"),
+             ({"model": {"preset": "tiny", "patch_stride": 4}}, "patch_stride"),
+             ({"model": {"preset": "tiny", "dropout": 0.1}}, "dropout")]
+    for override, name in wrong:
+        bad.write_text(json.dumps({"model": {"preset": "tiny"}, **override}))
+        assert run_cli("pretrain", "--config", bad, "--out", workspace / "x5") == 2, override
+        assert name in capsys.readouterr().err, override
+
+
+def test_malformed_checkpoint_manifest_exits_2(workspace, capsys):
+    m = UShapedTransformer(preset("tiny"), seed=0)
+    save_checkpoint(m, workspace / "ck.bin")
+    blob = (workspace / "ck.bin").read_bytes()
+    n = struct.unpack("<Q", blob[:8])[0]
+    manifest = json.loads(blob[8:8 + n])
+    del manifest["params"][0]["shape"]
+    doctored = json.dumps(manifest).encode()
+    (workspace / "bad.bin").write_bytes(struct.pack("<Q", len(doctored)) + doctored + blob[8 + n:])
+    assert run_cli("forecast", "--config", workspace / "run.json", "--out", workspace / "fc",
+                   "--checkpoint", workspace / "bad.bin", "--input", workspace / "probe.csv") == 2
+    assert "params[0]" in capsys.readouterr().err
 
 
 def test_missing_dataset_file_names_the_dataset(workspace, capsys):

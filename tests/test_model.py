@@ -5,7 +5,7 @@ import pytest
 
 from utsf import tensor as T
 from utsf.errors import ConfigError, DimensionError, UsageError
-from utsf.model import (LinearBaseline, ModelConfig, ParameterStore, PatchGrid,
+from utsf.model import (LinearBaseline, ModelConfig, ParameterStore,
                         UShapedTransformer, patch_merge_naive, preset)
 from utsf.tensor import GradTape, Tensor
 
@@ -25,7 +25,7 @@ def test_preset_token_counts():
     base = preset("base")
     assert small.n_patches == 48 and small.model_len == 1536
     assert base.n_patches == 128 and base.model_len == 4096
-    assert small.patch_stride == small.patch_size == 32
+    assert small.patch_size == 32
 
 
 def test_level_shapes_follow_halving_tower():
@@ -48,8 +48,13 @@ def test_config_validation():
         ModelConfig(lookback_len=32, horizon_len=32, patch_size=8, d_model=10, n_heads=4)
     with pytest.raises(ConfigError):
         ModelConfig(lookback_len=32, horizon_len=32, patch_size=8, d_model=8, n_heads=2, mask_ratio=1.5)
-    with pytest.raises(ConfigError):  # only the non-overlapping stride is supported
-        ModelConfig(lookback_len=32, horizon_len=32, patch_size=8, patch_stride=4, d_model=8, n_heads=2)
+    # legacy keys load at their one implemented value and are never written back
+    for legacy in ({"patch_stride": 8, "dropout": 0.0}, {"patch_stride": None, "dropout": 0}):
+        assert ModelConfig.from_dict({"preset": "tiny", **legacy}) == preset("tiny")
+    assert set(preset("tiny").to_dict()).isdisjoint({"patch_stride", "dropout"})
+    for legacy in ({"patch_stride": 4}, {"patch_stride": True}, {"dropout": 0.1}, {"dropout": False}):
+        with pytest.raises(ConfigError):
+            ModelConfig.from_dict({"preset": "tiny", **legacy})
 
 
 def test_config_dict_round_trip_and_unknown_keys():
@@ -58,6 +63,14 @@ def test_config_dict_round_trip_and_unknown_keys():
     assert ModelConfig.from_dict({"preset": "tiny", "mask_ratio": 0.25}).mask_ratio == 0.25
     with pytest.raises(ConfigError):
         ModelConfig.from_dict({"preset": "tiny", "n_tokens": 8})
+    # values must carry the field's JSON type; an int is a float, a bool is neither
+    assert ModelConfig.from_dict({"preset": "tiny", "mask_ratio": 0}).mask_ratio == 0
+    for bad in ({"d_model": "8"}, {"d_model": 8.0}, {"n_heads": True}, {"mask_ratio": "0.4"},
+                {"preset": ["tiny"]}):
+        with pytest.raises(ConfigError):
+            ModelConfig.from_dict({"preset": "tiny", **bad})
+    with pytest.raises(ConfigError):
+        ModelConfig.from_dict([1])
     with pytest.raises(ConfigError):
         preset("huge")
 
@@ -88,17 +101,16 @@ def test_parameter_store_contracts():
 def test_patch_embed_token_count_and_level():
     m = tiny_model()
     x = Tensor(np.random.default_rng(0).standard_normal((1, 64)).astype(np.float32))
-    grid = m.patch_embed(x)
-    assert grid.level == 1
-    assert grid.tokens.shape == (8, 8)
+    tokens = m.patch_embed(x)
+    assert tokens.shape == (8, 8) == m.config.level_shape(1)
 
 
 def test_patch_embed_zero_weights_leaves_position_table():
     m = tiny_model()
     m.params["embed.w"].data[:] = 0.0
     m.params["embed.b"].data[:] = 0.0
-    grid = m.patch_embed(Tensor(np.ones((1, 64), dtype=np.float32)))
-    assert np.array_equal(grid.tokens.data, m.params["pos"].data)
+    tokens = m.patch_embed(Tensor(np.ones((1, 64), dtype=np.float32)))
+    assert np.array_equal(tokens.data, m.params["pos"].data)
 
 
 def test_patch_embed_length_validation():
@@ -115,17 +127,18 @@ def test_patch_embed_length_validation():
 
 def test_group_preserves_shape_at_every_level():
     m = tiny_model()
-    for group_id, (p, d) in (("enc1", (8, 8)), ("mid", (4, 16)), ("dec1", (8, 8))):
+    for group_id, side, level in (("enc1", "enc", 1), ("mid", "enc", 2), ("dec1", "dec", 1)):
+        p, d = m.config.level_shape(level)
         tokens = Tensor(np.random.default_rng(1).standard_normal((p, d)).astype(np.float32))
-        out, amap = m.transformer_group_forward(PatchGrid(tokens, 1 if group_id != "mid" else 2), group_id)
-        assert out.tokens.shape == (p, d)
-        assert amap.weights.shape == (p, p)
+        out, amap = m.transformer_group(tokens, group_id)
+        assert out.shape == (p, d)
+        assert (amap.side, amap.level, amap.weights.shape) == (side, level, (p, p))
 
 
 def test_single_token_attention_is_identity():
     m = tiny_model()
     tokens = Tensor(np.random.default_rng(2).standard_normal((1, 8)).astype(np.float32))
-    _, amap = m.transformer_group_forward(PatchGrid(tokens, 1), "enc1")
+    _, amap = m.transformer_group(tokens, "enc1")
     assert np.array_equal(amap.weights, np.array([[1.0]], dtype=np.float32))
 
 
@@ -136,15 +149,16 @@ def test_group_permutation_equivariance():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((8, 8)).astype(np.float32)
     perm = rng.permutation(8)
-    out, _ = m.transformer_group_forward(PatchGrid(Tensor(x), 1), "enc1")
-    out_p, _ = m.transformer_group_forward(PatchGrid(Tensor(x[perm]), 1), "enc1")
-    assert np.allclose(out.tokens.data[perm], out_p.tokens.data, atol=1e-5)
+    out, _ = m.transformer_group(Tensor(x), "enc1")
+    out_p, _ = m.transformer_group(Tensor(x[perm]), "enc1")
+    assert np.allclose(out.data[perm], out_p.data, atol=1e-5)
 
 
 def test_unknown_group_rejected():
     m = tiny_model()
-    with pytest.raises(UsageError):
-        m.transformer_group_forward(PatchGrid(Tensor(np.ones((8, 8))), 1), "enc9")
+    for group_id in ("enc9", "dec2", "head"):
+        with pytest.raises(UsageError):
+            m.transformer_group(Tensor(np.ones((8, 8))), group_id)
 
 
 # ---------------------------------------------------------------------------
@@ -153,23 +167,24 @@ def test_unknown_group_rejected():
 
 def test_merge_shape_and_zero_case():
     m = tiny_model()
-    grid = PatchGrid(Tensor(np.random.default_rng(0).standard_normal((8, 8)).astype(np.float32)), 1)
-    out = m.patch_merge(grid)
-    assert out.level == 2 and out.tokens.shape == (4, 16)
+    tokens = Tensor(np.random.default_rng(0).standard_normal((8, 8)).astype(np.float32))
+    assert m.patch_merge(tokens, 1).shape == (4, 16) == m.config.level_shape(2)
+    with pytest.raises(UsageError):  # tiny has two levels: nothing merges below level 2
+        m.patch_merge(tokens, 2)
     m.params["merge1.w"].data[:] = 0.0
     m.params["merge1.b"].data[:] = 0.0
-    assert np.all(m.patch_merge(grid).tokens.data == 0.0)
+    assert np.all(m.patch_merge(tokens, 1).data == 0.0)
 
 
 def test_merge_couples_only_adjacent_token_pairs():
     m = tiny_model(seed=5)
     rng = np.random.default_rng(6)
     x = rng.standard_normal((8, 8)).astype(np.float32)
-    base = m.patch_merge(PatchGrid(Tensor(x), 1)).tokens.data
+    base = m.patch_merge(Tensor(x), 1).data
     for src in range(8):
         bumped = x.copy()
         bumped[src] += 1.0
-        out = m.patch_merge(PatchGrid(Tensor(bumped), 1)).tokens.data
+        out = m.patch_merge(Tensor(bumped), 1).data
         changed = np.where(np.any(out != base, axis=1))[0]
         assert list(changed) == [src // 2], f"token {src} leaked into {changed}"
 
@@ -181,7 +196,7 @@ def test_merge_gradient_locality():
     for out_tok in (0, 3):
         x.zero_grad()
         with GradTape() as tape:
-            merged = m64.patch_merge(PatchGrid(x, 1)).tokens
+            merged = m64.patch_merge(x, 1)
             loss = T.sum_all(T.narrow(merged, 0, out_tok, 1))
         tape.backward(loss)
         nonzero_rows = set(np.where(np.any(x.grad != 0.0, axis=1))[0])
@@ -192,26 +207,24 @@ def test_naive_merge_channel_assignment():
     # tokens [a, b, c, d] -> [(a||c), (b||d)]
     d = 3
     tokens = np.stack([np.full(d, float(i)) for i in range(4)])
-    out = patch_merge_naive(PatchGrid(Tensor(tokens), 1))
-    assert out.level == 2 and out.tokens.shape == (2, 2 * d)
-    assert np.array_equal(out.tokens.data[0], np.concatenate([np.full(d, 0.0), np.full(d, 2.0)]))
-    assert np.array_equal(out.tokens.data[1], np.concatenate([np.full(d, 1.0), np.full(d, 3.0)]))
+    out = patch_merge_naive(Tensor(tokens))
+    assert out.shape == (2, 2 * d)
+    assert np.array_equal(out.data[0], np.concatenate([np.full(d, 0.0), np.full(d, 2.0)]))
+    assert np.array_equal(out.data[1], np.concatenate([np.full(d, 1.0), np.full(d, 3.0)]))
 
 
 def test_naive_merge_shape_contract_matches_learnable():
-    grid = PatchGrid(Tensor(np.zeros((48, 64))), 1)
-    assert patch_merge_naive(grid).tokens.shape == (24, 128)
+    assert patch_merge_naive(Tensor(np.zeros((48, 64)))).shape == (24, 128)
     with pytest.raises(DimensionError):
-        patch_merge_naive(PatchGrid(Tensor(np.zeros((5, 4))), 1))
+        patch_merge_naive(Tensor(np.zeros((5, 4))))
 
 
 def test_naive_merge_twice_never_groups_adjacent_tokens():
     # track source indices through two merges: channel blocks stay constant
     d = 2
     tokens = np.stack([np.full(d, float(i)) for i in range(8)])
-    once = patch_merge_naive(PatchGrid(Tensor(tokens), 1))
-    twice = patch_merge_naive(once)
-    for row in twice.tokens.data:
+    twice = patch_merge_naive(patch_merge_naive(Tensor(tokens)))
+    for row in twice.data:
         sources = sorted(set(row.tolist()))
         assert len(sources) == 4
         gaps = np.diff(sources)
@@ -220,19 +233,20 @@ def test_naive_merge_twice_never_groups_adjacent_tokens():
 
 def test_split_shapes_and_zero_weight_bias_only():
     m = tiny_model()
-    grid = PatchGrid(Tensor(np.random.default_rng(1).standard_normal((4, 16)).astype(np.float32)), 2)
-    out = m.patch_split(grid)
-    assert out.level == 1 and out.tokens.shape == (8, 8)
+    tokens = Tensor(np.random.default_rng(1).standard_normal((4, 16)).astype(np.float32))
+    assert m.patch_split(tokens, 2).shape == (8, 8) == m.config.level_shape(1)
+    with pytest.raises(UsageError):  # nothing splits above level 1
+        m.patch_split(tokens, 1)
     m.params["split1.w"].data[:] = 0.0
     bias = m.params["split1.b"].data
-    out = m.patch_split(grid).tokens.data
+    out = m.patch_split(tokens, 2).data
     assert np.allclose(out, np.broadcast_to(bias, (8, 8)), atol=1e-7)
 
 
 def test_merge_then_split_restores_shape():
     m = tiny_model()
-    grid = PatchGrid(Tensor(np.random.default_rng(2).standard_normal((8, 8)).astype(np.float32)), 1)
-    assert m.patch_split(m.patch_merge(grid)).tokens.shape == grid.tokens.shape
+    tokens = Tensor(np.random.default_rng(2).standard_normal((8, 8)).astype(np.float32))
+    assert m.patch_split(m.patch_merge(tokens, 1), 2).shape == tokens.shape
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +256,9 @@ def test_merge_then_split_restores_shape():
 def test_backbone_zero_decoder_is_bitwise_identity():
     m = tiny_model(seed=3)
     x = Tensor(np.random.default_rng(4).standard_normal((1, 64)).astype(np.float32))
-    grid = m.patch_embed(x)
-    out, maps = m.backbone_forward(grid, zero_decoder=True)
-    assert out.tokens.data.tobytes() == grid.tokens.data.tobytes()
+    tokens = m.patch_embed(x)
+    out, maps = m.backbone_forward(tokens, zero_decoder=True)
+    assert out.data.tobytes() == tokens.data.tobytes()
     assert [(a.side, a.level) for a in maps] == [("enc", 1), ("enc", 2)]
 
 
@@ -252,7 +266,7 @@ def test_backbone_map_inventory_and_row_sums():
     m = tiny_model()
     x = Tensor(np.random.default_rng(5).standard_normal((1, 64)).astype(np.float32))
     out, maps = m.backbone_forward(m.patch_embed(x))
-    assert out.tokens.shape == (8, 8)
+    assert out.shape == (8, 8)
     assert [(a.side, a.level, a.weights.shape) for a in maps] == [
         ("enc", 1, (8, 8)), ("enc", 2, (4, 4)), ("dec", 1, (8, 8))]
     for a in maps:
@@ -262,8 +276,8 @@ def test_backbone_map_inventory_and_row_sums():
 
 def test_backbone_requires_level_one_grid():
     m = tiny_model()
-    with pytest.raises(UsageError):
-        m.backbone_forward(PatchGrid(Tensor(np.ones((4, 16))), 2))
+    with pytest.raises(DimensionError):  # level-2 tokens
+        m.backbone_forward(Tensor(np.ones((4, 16))))
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +286,11 @@ def test_backbone_requires_level_one_grid():
 
 def test_reconstruction_head_shape_and_zero_weights():
     m = tiny_model()
-    grid = PatchGrid(Tensor(np.random.default_rng(0).standard_normal((8, 8)).astype(np.float32)), 1)
-    assert m.reconstruction_head(grid).shape == (1, 64)
+    tokens = Tensor(np.random.default_rng(0).standard_normal((8, 8)).astype(np.float32))
+    assert m.reconstruction_head(tokens).shape == (1, 64)
     m.params["head.recon.w"].data[:] = 0.0
     bias = m.params["head.recon.b"].data
-    out = m.reconstruction_head(grid).data
+    out = m.reconstruction_head(tokens).data
     assert np.array_equal(out, np.tile(bias, 8).reshape(1, 64))
 
 
@@ -289,8 +303,7 @@ def test_embed_then_recon_is_invertible_by_least_squares():
     tokens_all, patches_all = [], []
     for _ in range(40):
         series = rng.standard_normal((1, 64)).astype(np.float32)
-        grid = m.patch_embed(Tensor(series))
-        tokens_all.append(grid.tokens.data)
+        tokens_all.append(m.patch_embed(Tensor(series)).data)
         patches_all.append(series.reshape(8, 8))
     A = np.concatenate([np.concatenate(tokens_all), np.ones((320, 1))], axis=1)
     Y = np.concatenate(patches_all)
@@ -300,11 +313,11 @@ def test_embed_then_recon_is_invertible_by_least_squares():
 
 def test_forecast_head_length_and_constant_bias():
     m = tiny_model()
-    grid = PatchGrid(Tensor(np.random.default_rng(1).standard_normal((8, 8)).astype(np.float32)), 1)
-    assert m.forecast_head(grid).shape == (1, 32)
+    tokens = Tensor(np.random.default_rng(1).standard_normal((8, 8)).astype(np.float32))
+    assert m.forecast_head(tokens).shape == (1, 32)
     m.params["head.forecast.w"].data[:] = 0.0
     bias = m.params["head.forecast.b"].data
-    out = m.forecast_head(grid).data
+    out = m.forecast_head(tokens).data
     assert np.array_equal(out, np.tile(bias, 4).reshape(1, 32))
 
 

@@ -9,7 +9,7 @@ import pytest
 from utsf.data import SamplerConfig, make_sine_frame
 from utsf.errors import CheckpointError, ConfigError, NumericError, UsageError
 from utsf.model import LinearBaseline, ModelConfig, ParameterStore, UShapedTransformer, preset
-from utsf.tensor import Tensor
+from utsf.tensor import GradTape, Tensor
 from utsf.training import (Adam, LastValuePredictor, ModelPredictor,
                            OraclePredictor, TrainerConfig, TrainReport,
                            apply_checkpoint, backbone_hash, compute_metrics,
@@ -183,6 +183,39 @@ def test_finetune_touches_only_the_heads():
     assert m.params["head.forecast.w"].data.tobytes() != head_before
 
 
+@pytest.mark.parametrize("phase", ["pretrain", "finetune", "baseline"])
+def test_non_finite_gradient_names_phase_epoch_and_step(phase, monkeypatch):
+    # every phase runs the same draw-window loop; poison the gradients after
+    # the third backward pass and the abort must say where it happened
+    if phase == "baseline":
+        model = LinearBaseline(32, 32, seed=0)
+        run = lambda: train_linear_baseline(model, sine_frames(), SAMPLER,
+                                            TrainerConfig(lr=1e-2, epochs=2, steps_per_epoch=2),
+                                            rng=np.random.default_rng(0))
+        where = "epoch 1, step 0"
+    else:
+        model = tiny_model()
+        epoch_fn = pretrain_epoch
+        if phase == "finetune":
+            model.freeze_backbone()
+            epoch_fn = finetune_epoch
+        run = lambda: epoch_fn(model, sine_frames(), SAMPLER, Adam(model.params, lr=1e-3),
+                               steps=3, rng=np.random.default_rng(0), epoch=1)
+        where = "epoch 1, step 2"
+    backward, calls = GradTape.backward, []
+
+    def poisoned(tape, loss):
+        backward(tape, loss)
+        calls.append(loss)
+        if len(calls) == 3:
+            for _, p in model.params.items():
+                p.grad = np.full_like(p.data, np.nan)
+
+    monkeypatch.setattr(GradTape, "backward", poisoned)
+    with pytest.raises(NumericError, match=rf"^{phase} aborted at {where}: non-finite gradient"):
+        run()
+
+
 def test_train_linear_baseline_runs_and_moves_weights():
     b = LinearBaseline(32, 32, seed=0)
     before = b.params["w"].data.copy()
@@ -288,23 +321,58 @@ def test_checkpoint_truncation_detected(tmp_path):
         load_checkpoint(stub)
 
 
+def rewrite_manifest(path, out, edit):
+    """Copy a checkpoint to ``out`` with ``edit(manifest)`` applied."""
+    blob = path.read_bytes()
+    n = struct.unpack("<Q", blob[:8])[0]
+    manifest = json.loads(blob[8:8 + n])
+    edit(manifest)
+    doctored = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    out.write_bytes(struct.pack("<Q", len(doctored)) + doctored + blob[8 + n:])
+    return out
+
+
 def test_checkpoint_version_and_manifest_errors(tmp_path):
     m = tiny_model()
     path = tmp_path / "ck.bin"
     save_checkpoint(m, path)
-    blob = path.read_bytes()
-    n = struct.unpack("<Q", blob[:8])[0]
-    manifest = json.loads(blob[8:8 + n])
-    manifest["format_version"] = 99
-    doctored = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(struct.pack("<Q", len(doctored)) + doctored + blob[8 + n:])
+    bad = rewrite_manifest(path, tmp_path / "bad.bin", lambda mf: mf.update(format_version=99))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(bad)
+    edits = {
+        "'params'": lambda mf: mf.update(params=5),
+        r"params\[0\]": lambda mf: mf["params"][0].pop("shape"),
+        r"params\[1\]": lambda mf: mf["params"].insert(1, "embed.b"),
+        r"params\[2\]": lambda mf: mf["params"][2].update(shape=[8, -8]),
+        r"params\[3\]": lambda mf: mf["params"][3].update(name=7),
+        r"params\[4\]": lambda mf: mf["params"][4].update(frozen=1),
+        r"params\[5\]": lambda mf: mf["params"][5].update(shape=[True]),
+        "'seed'": lambda mf: mf.update(seed="abc"),
+        "patch_stride": lambda mf: mf["config"].update(patch_stride=4),
+        "dropout": lambda mf: mf["config"].update(dropout=0.5),
+    }
+    for match, edit in edits.items():
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(rewrite_manifest(path, tmp_path / "bad.bin", edit))
     garbage = tmp_path / "garbage.bin"
     garbage.write_bytes(struct.pack("<Q", 4) + b"nope")
     with pytest.raises(CheckpointError):
         load_checkpoint(garbage)
+
+
+def test_checkpoint_with_legacy_config_keys_loads(tmp_path):
+    # earlier releases wrote patch_stride and dropout into every manifest
+    m = tiny_model(seed=10)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(m, path, seed=10)
+    legacy = rewrite_manifest(path, tmp_path / "legacy.bin",
+                              lambda mf: mf["config"].update(patch_stride=8, dropout=0.0))
+    loaded, manifest = load_checkpoint(legacy)
+    assert manifest["config"]["patch_stride"] == 8
+    assert loaded.config == m.config
+    assert backbone_hash(loaded) == backbone_hash(m)
+    x = Tensor(np.random.default_rng(11).standard_normal((1, 64)).astype(np.float32))
+    assert loaded.forecast(x)[0].data.tobytes() == m.forecast(x)[0].data.tobytes()
 
 
 def test_backbone_hash_ignores_heads():
