@@ -59,8 +59,10 @@ class SeriesFrame:
         if not np.all(np.isfinite(self.values)):
             raise IngestionError(f"dataset '{self.dataset_id}' contains non-finite values")
         self.splits = tuple(float(s) for s in self.splits)
-        if len(self.splits) != 3 or min(self.splits) < 0 or abs(sum(self.splits) - 1.0) > 1e-6:
-            raise ConfigError(f"split fractions must be 3 nonnegative values summing to 1, got {self.splits}")
+        # written so that a NaN or infinite fraction fails the sum test
+        if len(self.splits) != 3 or min(self.splits) < 0 or not abs(sum(self.splits) - 1.0) <= 1e-6:
+            raise ConfigError(f"dataset '{self.dataset_id}': split fractions must be 3 nonnegative "
+                              f"values summing to 1, got {self.splits}")
 
     @property
     def n_channels(self) -> int:
@@ -81,10 +83,6 @@ class SeriesFrame:
         if split == "validate":
             return n_train, n_train + n_val
         return n_train + n_val, self.length
-
-    def split_values(self, split: str) -> np.ndarray:
-        lo, hi = self.split_bounds(split)
-        return self.values[:, lo:hi]
 
 
 def load_csv_dataset(path, dataset_id: str, splits=DEFAULT_SPLITS) -> SeriesFrame:
@@ -149,10 +147,16 @@ def load_registry(path) -> dict[str, SeriesFrame]:
             raise ConfigError(f"registry entry '{ds_id}' has unknown keys: {sorted(unknown)}")
         if "path" not in entry:
             raise ConfigError(f"registry entry '{ds_id}' is missing 'path'")
+        if not isinstance(entry["path"], str):
+            raise ConfigError(f"registry entry '{ds_id}': 'path' must be a string, got {entry['path']!r}")
+        splits = entry.get("splits", list(DEFAULT_SPLITS))
+        if not (isinstance(splits, list) and len(splits) == 3
+                and all(type(s) in (int, float) for s in splits)):
+            raise ConfigError(f"registry entry '{ds_id}': 'splits' must be a list of 3 numbers, got {splits!r}")
         csv_path = path.parent / entry["path"]
         if not csv_path.exists():
             raise ConfigError(f"dataset '{ds_id}': file not found: {csv_path}")
-        frames[ds_id] = load_csv_dataset(csv_path, ds_id, tuple(entry.get("splits", DEFAULT_SPLITS)))
+        frames[ds_id] = load_csv_dataset(csv_path, ds_id, tuple(splits))
     if not frames:
         raise ConfigError(f"registry {path} lists no datasets")
     return frames

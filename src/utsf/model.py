@@ -136,22 +136,22 @@ class AttentionMap:
 
 
 class ParameterStore:
-    """Named learnable tensors with per-parameter frozen flags.
+    """Named learnable tensors; a tensor's ``requires_grad`` is its trainability.
 
     Iteration order is insertion order, which is the checkpoint payload
-    order. Frozen parameters are skipped by the optimizer.
+    order. A frozen parameter is a tensor that does not require a gradient:
+    ops whose inputs are all frozen or constant are never recorded on the
+    tape, so no gradient is computed for it and the optimizer skips it.
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._frozen: dict[str, bool] = {}
 
     def add(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._params:
             raise UsageError(f"duplicate parameter name '{name}'")
         tensor.requires_grad = True
         self._params[name] = tensor
-        self._frozen[name] = False
         return tensor
 
     def __getitem__(self, name: str) -> Tensor:
@@ -170,15 +170,15 @@ class ParameterStore:
         return iter(self._params.items())
 
     def frozen(self, name: str) -> bool:
-        return self._frozen[name]
+        return not self._params[name].requires_grad
 
     def set_frozen(self, name: str, flag: bool) -> None:
         if name not in self._params:
             raise UsageError(f"no parameter '{name}'")
-        self._frozen[name] = flag
+        self._params[name].requires_grad = not flag
 
     def trainable(self) -> Iterator[tuple[str, Tensor]]:
-        return ((n, t) for n, t in self._params.items() if not self._frozen[n])
+        return ((n, t) for n, t in self._params.items() if t.requires_grad)
 
     def grad(self, name: str) -> np.ndarray:
         t = self._params[name]
@@ -267,10 +267,6 @@ class UShapedTransformer:
     def freeze_backbone(self) -> None:
         for name in self.params.names():
             self.params.set_frozen(name, not name.startswith(self.HEAD_PREFIX))
-
-    def unfreeze_all(self) -> None:
-        for name in self.params.names():
-            self.params.set_frozen(name, False)
 
     # -- forward pieces ------------------------------------------------------
 

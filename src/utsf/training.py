@@ -33,8 +33,8 @@ class TrainerConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.lr <= 0 or self.eps <= 0:
-            raise ConfigError(f"lr and eps must be positive, got {self.lr}, {self.eps}")
+        if not (0 < self.lr < math.inf and 0 < self.eps < math.inf):
+            raise ConfigError(f"lr and eps must be finite and positive, got {self.lr}, {self.eps}")
         if self.epochs < 1 or self.steps_per_epoch < 1:
             raise ConfigError("epochs and steps_per_epoch must be >= 1")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
@@ -68,8 +68,9 @@ def compute_metrics(pred, truth, mape_floor: float = MAPE_FLOOR) -> dict:
 
 
 class Adam:
-    """Adam with bias correction over a ParameterStore; frozen entries are
-    never touched, whatever their gradients."""
+    """Adam with bias correction over the trainable entries of a
+    ParameterStore. Frozen entries are never touched, whatever their
+    gradients; they are tape constants, so backward computes none for them."""
 
     def __init__(self, params, lr: float = 1e-4, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -90,10 +91,8 @@ class Adam:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for name, p in self.params.items():
-            if self.params.frozen(name):
-                continue
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        for name, p in self.params.trainable():
+            g = self.params.grad(name)
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient for parameter '{name}'")
             m = self.m[name]

@@ -194,11 +194,20 @@ def test_config_errors_exit_2(workspace, capsys):
              ({"seed": "abc"}, "seed"), ({"seed": True}, "seed"), ({"model": [1]}, "model"),
              ({"trainer": [1]}, "trainer"), ({"registry": 5}, "registry"),
              ({"model": {"preset": "tiny", "patch_stride": 4}}, "patch_stride"),
-             ({"model": {"preset": "tiny", "dropout": 0.1}}, "dropout")]
+             ({"model": {"preset": "tiny", "dropout": 0.1}}, "dropout"),
+             ({"trainer": {"lr": float("nan")}}, "lr"), ({"trainer": {"lr": float("inf")}}, "lr"),
+             ({"trainer": {"eps": float("nan")}}, "eps")]
     for override, name in wrong:
         bad.write_text(json.dumps({"model": {"preset": "tiny"}, **override}))
         assert run_cli("pretrain", "--config", bad, "--out", workspace / "x5") == 2, override
         assert name in capsys.readouterr().err, override
+
+    # wrong-typed registry entries are config errors naming the entry
+    for entry in ({"path": 5}, {"path": "sine.csv", "splits": "abc"}, {"path": "sine.csv", "splits": 5}):
+        (workspace / "odd.json").write_text(json.dumps({"odd": entry}))
+        bad.write_text(json.dumps({"model": {"preset": "tiny"}, "registry": "odd.json"}))
+        assert run_cli("pretrain", "--config", bad, "--out", workspace / "x6") == 2, entry
+        assert "odd" in capsys.readouterr().err, entry
 
 
 def test_malformed_checkpoint_manifest_exits_2(workspace, capsys):

@@ -73,6 +73,14 @@ def test_registry_loading(tmp_path):
     reg.write_text(json.dumps({"gone": {"path": "missing.csv"}}))
     with pytest.raises(ConfigError, match="gone"):
         load_registry(reg)
+    # wrong-typed entries name the entry instead of escaping as TypeError/ValueError
+    for entry in ({"path": 5}, {"path": "s1.csv", "splits": "abc"}, {"path": "s1.csv", "splits": 5},
+                  {"path": "s1.csv", "splits": [0.7, 0.3]}, {"path": "s1.csv", "splits": [True, 0, 0]},
+                  {"path": "s1.csv", "splits": [0.7, "0.1", 0.2]},
+                  {"path": "s1.csv", "splits": [float("nan"), 0.3, 0.7]}):
+        reg.write_text(json.dumps({"odd": entry}))
+        with pytest.raises(ConfigError, match="odd"):
+            load_registry(reg)
 
 
 def test_split_bounds_use_integer_truncation():

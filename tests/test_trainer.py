@@ -115,6 +115,9 @@ def test_trainer_config_round_trip_and_validation():
         TrainerConfig(steps_per_epoch=0)
     with pytest.raises(ConfigError):
         TrainerConfig.from_dict({"lr": 1e-3, "momentum": 0.9})
+    for bad in ({"lr": float("nan")}, {"lr": float("inf")}, {"eps": float("nan")}, {"eps": float("inf")}):
+        with pytest.raises(ConfigError, match="finite"):
+            TrainerConfig.from_dict(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +178,15 @@ def test_finetune_touches_only_the_heads():
     backbone_before = {n: m.params[n].data.tobytes() for n in m.backbone_names()}
     hash_before = backbone_hash(m)
     head_before = m.params["head.forecast.w"].data.tobytes()
+    with GradTape() as tape:
+        m.forecast(Tensor(np.zeros((1, m.config.model_len), dtype=np.float32)))
+    assert len(tape) == 4  # head matmul, bias add, reshape, narrow: the backbone is constant
     finetune_epoch(m, sine_frames(), SAMPLER, Adam(m.params, lr=1e-2),
                    steps=5, rng=np.random.default_rng(0))
     assert backbone_hash(m) == hash_before
     for n, blob in backbone_before.items():
         assert m.params[n].data.tobytes() == blob, n
+        assert m.params[n].grad is None, n  # the frozen backbone never entered the tape
     assert m.params["head.forecast.w"].data.tobytes() != head_before
 
 
@@ -285,6 +292,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         assert na == nb
         assert ta.data.tobytes() == tb.data.tobytes()
         assert m.params.frozen(na) == loaded.params.frozen(nb)
+        assert tb.requires_grad == (not m.params.frozen(na)), na
 
 
 def test_apply_checkpoint_overwrites_in_place(tmp_path):
