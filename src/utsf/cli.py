@@ -40,8 +40,10 @@ class RunConfig:
         path = Path(path)
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
+        except OSError as e:
+            raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {e}") from None
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path} is not valid JSON: {e}") from None
         if not isinstance(raw, dict):
@@ -141,7 +143,7 @@ def cmd_finetune(args) -> int:
     cfg = RunConfig.load(args.config, args.seed)
     out = _out_dir(args)
     frames = cfg.load_frames()
-    model = UShapedTransformer(cfg.model, seed=cfg.seed)
+    model = UShapedTransformer(cfg.model, seed=None)
     TR.apply_checkpoint(model, args.checkpoint)
     pre_hash = TR.backbone_hash(model)
     model.freeze_backbone()
@@ -192,7 +194,7 @@ def cmd_eval(args) -> int:
     else:
         if not args.checkpoint:
             raise ConfigError("eval needs --checkpoint (or --stub)")
-        model = UShapedTransformer(cfg.model, seed=cfg.seed)
+        model = UShapedTransformer(cfg.model, seed=None)
         TR.apply_checkpoint(model, args.checkpoint)
         run("ushape", TR.ModelPredictor(model))
     if args.baseline:
@@ -224,7 +226,7 @@ def cmd_forecast(args) -> int:
     cfg = RunConfig.load(args.config, args.seed)
     out = _out_dir(args)
     norm, mu, sigma = _load_input_window(args)
-    model = UShapedTransformer(cfg.model, seed=cfg.seed)
+    model = UShapedTransformer(cfg.model, seed=None)
     TR.apply_checkpoint(model, args.checkpoint)
     pred, _ = model.forecast(Tensor(D.build_model_input(norm, cfg.model)))
     values = pred.data[0]
@@ -241,7 +243,7 @@ def cmd_attn_dump(args) -> int:
     out = _out_dir(args)
     norm, _, _ = _load_input_window(args)
     input_len = norm.shape[1]
-    model = UShapedTransformer(cfg.model, seed=cfg.seed)
+    model = UShapedTransformer(cfg.model, seed=None)
     TR.apply_checkpoint(model, args.checkpoint)
     _, maps = model.forecast(Tensor(D.build_model_input(norm, cfg.model)))
     for m in maps:
@@ -407,7 +409,7 @@ def main(argv=None) -> int:
     except (ConfigError, UsageError, IngestionError, CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

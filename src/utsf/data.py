@@ -90,17 +90,50 @@ def load_csv_dataset(path, dataset_id: str, splits=DEFAULT_SPLITS) -> SeriesFram
 
     Rejects blank cells, unparsable or non-finite values, and ragged rows,
     naming the offending row (1-based, header = row 1) and column.
+
+    All cells are converted at once, as float64 rounded to float32, which
+    gives the values ``float()`` gives per cell. Only when that conversion
+    refuses the file, drops a row or yields a non-finite value does the
+    per-cell scan run: it names the first bad cell, or parses what numpy
+    refuses and ``float()`` accepts (quoted or underscored numbers).
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [r for r in reader]
-    if len(rows) < 2:
-        raise IngestionError(f"{path}: need a header row plus at least one data row, got {len(rows)} rows")
-    header = [c.strip() for c in rows[0]]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+        reader = csv.reader(lines)
+        header = [c.strip() for c in next(reader, [])]
+    except OSError as e:
+        raise IngestionError(f"{path}: cannot read: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise IngestionError(f"{path}: not UTF-8 text: {e}") from None
+    except csv.Error as e:
+        raise IngestionError(f"{path}: {e}") from None
+    body = lines[reader.line_num:]
+    values = None
+    # loadtxt skips empty lines, and warns when nothing else is left: a blank
+    # row shows as a row-count mismatch, and the scan then rejects it
+    if body and body[0].strip("\r\n"):
+        try:
+            values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        except ValueError:
+            pass
+    if values is None or values.shape != (len(body), len(header)) or not np.all(np.isfinite(values)):
+        values = _scan_cells(path, header, reader)
+    return SeriesFrame(dataset_id, header, values.astype(np.float32, copy=False).T, splits)
+
+
+def _scan_cells(path: Path, header: list, reader) -> np.ndarray:
+    """Per-cell conversion of the rows left in ``reader``, naming the first bad cell."""
+    try:
+        rows = list(reader)
+    except csv.Error as e:
+        raise IngestionError(f"{path}: {e}") from None
+    if not rows:
+        raise IngestionError(f"{path}: need a header row plus at least one data row")
     n_cols = len(header)
-    data = np.empty((len(rows) - 1, n_cols), dtype=np.float32)
-    for r, row in enumerate(rows[1:], start=2):
+    data = np.empty((len(rows), n_cols), dtype=np.float32)
+    for r, row in enumerate(rows, start=2):
         if len(row) != n_cols:
             raise IngestionError(f"{path}: row {r} has {len(row)} cells, header has {n_cols}")
         for c, cell in enumerate(row):
@@ -115,7 +148,7 @@ def load_csv_dataset(path, dataset_id: str, splits=DEFAULT_SPLITS) -> SeriesFram
             if not np.isfinite(v):
                 raise IngestionError(f"{path}: non-finite value '{cell}' at row {r}, column '{col}'")
             data[r - 2, c] = v
-    return SeriesFrame(dataset_id, header, data.T, splits)
+    return data
 
 
 def save_csv_dataset(frame: SeriesFrame, path) -> None:
@@ -132,8 +165,10 @@ def load_registry(path) -> dict[str, SeriesFrame]:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"dataset registry not found: {path}") from None
+    except OSError as e:
+        raise ConfigError(f"cannot read dataset registry {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"dataset registry {path} is not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"registry {path} is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
@@ -154,8 +189,8 @@ def load_registry(path) -> dict[str, SeriesFrame]:
                 and all(type(s) in (int, float) for s in splits)):
             raise ConfigError(f"registry entry '{ds_id}': 'splits' must be a list of 3 numbers, got {splits!r}")
         csv_path = path.parent / entry["path"]
-        if not csv_path.exists():
-            raise ConfigError(f"dataset '{ds_id}': file not found: {csv_path}")
+        if not csv_path.is_file():
+            raise ConfigError(f"dataset '{ds_id}': not a file: {csv_path}")
         frames[ds_id] = load_csv_dataset(csv_path, ds_id, tuple(splits))
     if not frames:
         raise ConfigError(f"registry {path} lists no datasets")

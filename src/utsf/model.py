@@ -192,9 +192,17 @@ class ParameterStore:
         return sum(t.size for t in self._params.values())
 
 
-def _uniform_fan_in(rng: np.random.Generator, shape: tuple, fan_in: int, dtype) -> np.ndarray:
+def _uniform_fan_in(rng: np.random.Generator | None, shape: tuple, fan_in: int, dtype) -> np.ndarray:
+    if rng is None:
+        return np.zeros(shape, dtype=dtype)
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+
+def _normal(rng: np.random.Generator | None, shape: tuple, std: float, dtype) -> np.ndarray:
+    if rng is None:
+        return np.zeros(shape, dtype=dtype)
+    return rng.normal(0.0, std, size=shape).astype(dtype)
 
 
 class UShapedTransformer:
@@ -202,16 +210,20 @@ class UShapedTransformer:
 
     Channel handling is channel-independent: every series channel passes
     through the same weights as a univariate sequence of shape (1, L + T).
+
+    ``seed`` draws the initial weights. ``seed=None`` draws nothing: random
+    initial values become zero placeholders, for a model whose every
+    parameter a checkpoint is about to overwrite.
     """
 
     HEAD_PREFIX = "head."
 
-    def __init__(self, config: ModelConfig, seed: int = 0, dtype=T.DEFAULT_DTYPE):
+    def __init__(self, config: ModelConfig, seed: int | None = 0, dtype=T.DEFAULT_DTYPE):
         self.config = config
         self.dtype = np.dtype(dtype)
         self.seed = seed
         self.params = ParameterStore()
-        self._build(np.random.default_rng(seed))
+        self._build(None if seed is None else np.random.default_rng(seed))
 
     # -- construction -------------------------------------------------------
 
@@ -241,7 +253,7 @@ class UShapedTransformer:
         # embedding: pointwise conv patch_size -> d_model, plus position table
         self._add("embed.w", _uniform_fan_in(rng, (cfg.d_model, cfg.patch_size), cfg.patch_size, self.dtype))
         self._add("embed.b", _uniform_fan_in(rng, (cfg.d_model,), cfg.patch_size, self.dtype))
-        self._add("pos", (rng.normal(0.0, 0.02, size=(cfg.n_patches, cfg.d_model))).astype(self.dtype))
+        self._add("pos", _normal(rng, (cfg.n_patches, cfg.d_model), 0.02, self.dtype))
         for i in range(1, cfg.n_levels):
             d = cfg.d_model << (i - 1)
             self._add_group(rng, f"enc{i}", d)

@@ -70,7 +70,12 @@ def compute_metrics(pred, truth, mape_floor: float = MAPE_FLOOR) -> dict:
 class Adam:
     """Adam with bias correction over the trainable entries of a
     ParameterStore. Frozen entries are never touched, whatever their
-    gradients; they are tape constants, so backward computes none for them."""
+    gradients; they are tape constants, so backward computes none for them.
+
+    Moment state exists only for entries that have been updated: each
+    entry's ``m``/``v`` are allocated at its first update, since freezing
+    may change after construction. Zero moments make that first update
+    identical to one from state allocated up front."""
 
     def __init__(self, params, lr: float = 1e-4, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -80,8 +85,8 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
 
     @classmethod
     def from_config(cls, params, cfg: TrainerConfig) -> "Adam":
@@ -95,7 +100,10 @@ class Adam:
             g = self.params.grad(name)
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient for parameter '{name}'")
-            m = self.m[name]
+            m = self.m.get(name)
+            if m is None:
+                m = self.m[name] = np.zeros_like(p.data)
+                self.v[name] = np.zeros_like(p.data)
             v = self.v[name]
             m *= self.beta1
             m += (1.0 - self.beta1) * g
@@ -354,8 +362,12 @@ def save_checkpoint(model: UShapedTransformer, path, seed: int = 0) -> None:
     Path(path).write_bytes(struct.pack("<Q", len(mjson)) + mjson + b"".join(chunks))
 
 
-def _parse_checkpoint(path) -> tuple[dict, bytes]:
-    blob = Path(path).read_bytes()
+def _parse_checkpoint(path) -> tuple[dict, memoryview]:
+    """Validate a checkpoint file; the payload is a view into the file's bytes."""
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as e:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {e.strerror}") from None
     if len(blob) < 8:
         raise CheckpointError(f"{path}: truncated before the manifest length")
     (mlen,) = struct.unpack_from("<Q", blob)
@@ -385,14 +397,14 @@ def _parse_checkpoint(path) -> tuple[dict, bytes]:
                 and isinstance(e.get("frozen"), bool)):
             raise CheckpointError(f"{path}: manifest params[{i}] needs a string 'name', a 'shape' list "
                                   f"of non-negative ints and a bool 'frozen', got {e!r}")
-    payload = blob[8 + mlen:]
+    payload = memoryview(blob)[8 + mlen:]
     expected = sum(4 * math.prod(e["shape"]) for e in manifest["params"])
     if len(payload) != expected:
         raise CheckpointError(f"{path}: payload is {len(payload)} bytes, manifest implies {expected}")
     return manifest, payload
 
 
-def _fill_params(model: UShapedTransformer, manifest: dict, payload: bytes, path) -> None:
+def _fill_params(model: UShapedTransformer, manifest: dict, payload: memoryview, path) -> None:
     names = model.params.names()
     entries = manifest["params"]
     if len(entries) != len(names):
@@ -409,7 +421,7 @@ def _fill_params(model: UShapedTransformer, manifest: dict, payload: bytes, path
             )
         count = int(np.prod(shape, dtype=np.int64))
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset).reshape(shape)
-        p.data = arr.astype(p.data.dtype).copy()
+        p.data = arr.astype(p.data.dtype)  # the one copy out of the file buffer
         model.params.set_frozen(name, bool(entry["frozen"]))
         offset += 4 * count
     model.params.zero_grads()
@@ -422,14 +434,15 @@ def load_checkpoint(path) -> tuple[UShapedTransformer, dict]:
         config = ModelConfig.from_dict(manifest["config"])
     except ConfigError as e:
         raise CheckpointError(f"{path}: manifest field 'config': {e}") from None
-    model = UShapedTransformer(config, seed=manifest["seed"])
+    model = UShapedTransformer(config, seed=None)
     _fill_params(model, manifest, payload, path)
     return model, manifest
 
 
 def apply_checkpoint(model: UShapedTransformer, path) -> dict:
     """Load a checkpoint into an existing model; the first parameter whose
-    name or shape disagrees is named in the error."""
+    name or shape disagrees is named in the error. Every parameter is
+    overwritten, so the model may be built with ``seed=None``."""
     manifest, payload = _parse_checkpoint(path)
     _fill_params(model, manifest, payload, path)
     return manifest

@@ -131,6 +131,15 @@ def test_forecast_csv_and_denormalize_relation(workspace):
     assert np.allclose(den, norm * sigma + mu, atol=1e-4)
 
 
+def test_forecast_from_a_checkpoint_ignores_the_seed(workspace):
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=3), workspace / "ck.bin", seed=3)
+    outs = [workspace / "seed0", workspace / "seed9"]
+    for out, seed in zip(outs, (0, 9)):
+        assert run_cli("forecast", "--config", workspace / "run.json", "--out", out, "--seed", seed,
+                       "--checkpoint", workspace / "ck.bin", "--input", workspace / "probe.csv") == 0
+    assert (outs[0] / "forecast.csv").read_bytes() == (outs[1] / "forecast.csv").read_bytes()
+
+
 def test_forecast_rejects_bad_channel(workspace):
     cfg = workspace / "run.json"
     pre = workspace / "pre"
@@ -222,6 +231,30 @@ def test_malformed_checkpoint_manifest_exits_2(workspace, capsys):
     assert run_cli("forecast", "--config", workspace / "run.json", "--out", workspace / "fc",
                    "--checkpoint", workspace / "bad.bin", "--input", workspace / "probe.csv") == 2
     assert "params[0]" in capsys.readouterr().err
+
+
+def test_unreadable_input_files_exit_2(workspace, capsys):
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
+    folder = workspace / "folder"
+    folder.mkdir()
+    (workspace / "latin1.csv").write_bytes(b"value\n1.0\n2.5\xb0\n")
+    (workspace / "latin1.json").write_bytes(b'{"model": {"preset": "tiny"}, "seed": 0} \xb0')
+    files = {"--config": workspace / "run.json", "--checkpoint": workspace / "ck.bin",
+             "--input": workspace / "probe.csv"}
+    for flag, bad in (("--input", folder), ("--config", folder), ("--checkpoint", folder),
+                      ("--input", workspace / "latin1.csv"), ("--config", workspace / "latin1.json")):
+        args = {**files, flag: bad}
+        argv = [a for item in args.items() for a in item]
+        assert run_cli("forecast", "--out", workspace / "fc", *argv) == 2, (flag, bad)
+        assert str(bad) in capsys.readouterr().err, (flag, bad)
+
+    # a registry that is not UTF-8, or whose CSV path is a directory
+    (workspace / "datasets.json").write_bytes(b'{"sine": {"path": "sine.csv"}} \xb0')
+    assert run_cli("pretrain", "--config", workspace / "run.json", "--out", workspace / "x7") == 2
+    assert "datasets.json" in capsys.readouterr().err
+    (workspace / "datasets.json").write_text(json.dumps({"sine": {"path": "folder"}}))
+    assert run_cli("pretrain", "--config", workspace / "run.json", "--out", workspace / "x8") == 2
+    assert "sine" in capsys.readouterr().err
 
 
 def test_missing_dataset_file_names_the_dataset(workspace, capsys):

@@ -56,6 +56,41 @@ def test_csv_loader_reports_cell_coordinates(tmp_path):
     p.write_text("a,b\n")
     with pytest.raises(IngestionError):
         load_csv_dataset(p, "bad")
+    # the same cases below valid rows, plus the rows a vectorized parse would
+    # skip or accept: a blank line, too few columns for the header
+    ok_rows = "".join(f"{i},{-i}\n" for i in range(50))
+    for body, where in (("3,\n", r"row 54, column 'b'"), ("x,4\n", r"row 54, column 'a'"),
+                        ("1,nan\n", r"row 54, column 'b'"), ("3\n", "row 54 has 1 cells"),
+                        ("\n", "row 54 has 0 cells"), ("1,2,3\n", "row 54 has 3 cells")):
+        p.write_text("a,b\n1,2\n1,2\n" + ok_rows + body + "5,6\n")
+        with pytest.raises(IngestionError, match=where):
+            load_csv_dataset(p, "bad")
+    p.write_text("a,b,c\n1,2\n3,4\n")
+    with pytest.raises(IngestionError, match="row 2 has 2 cells, header has 3"):
+        load_csv_dataset(p, "bad")
+    p.write_bytes(b"a,b\n1,2\xff\n")
+    with pytest.raises(IngestionError, match="UTF-8"):
+        load_csv_dataset(p, "bad")
+
+
+def test_csv_loader_matches_float_per_cell(tmp_path):
+    """Every cell loads as float32(float(cell)), bit for bit, whatever its spelling."""
+    rng = np.random.default_rng(4)
+    spellings = ("{:.8e}", "{!r}", " {:+.3f} ", "\t{:E}", "{:g}", "{:.17g}", "{:+.0f}.", "{:.2e}")
+    cells = [[spellings[(r + c) % len(spellings)].format(float(v))
+              for c, v in enumerate(row)]
+             for r, row in enumerate(rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-40, 38, (40, 3)))]
+    cells[0] = ["-0", "+1e-46", "  7  "]  # negative zero, float32 underflow, padding
+    text = "x, y ,z\r\n" + "".join(",".join(row) + "\r\n" for row in cells)
+    p = tmp_path / "spellings.csv"
+    p.write_bytes(text.encode("utf-8"))
+    frame = load_csv_dataset(p, "s")
+    want = np.array([[np.float32(float(cell)) for cell in row] for row in cells], dtype=np.float32)
+    assert frame.channel_names == ["x", "y", "z"]
+    assert frame.values.tobytes() == want.T.tobytes()
+    # cells numpy refuses but float() accepts still load the same way
+    p.write_text('a,b\n"1.5",2_000\n3,4\n')
+    assert np.array_equal(load_csv_dataset(p, "q").values, [[1.5, 3.0], [2000.0, 4.0]])
 
 
 def test_registry_loading(tmp_path):

@@ -1,5 +1,7 @@
 """Backbone architecture contracts: config tower, merges, skips, heads."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,26 @@ def test_parameter_store_contracts():
     store.set_frozen("a", False)
     assert a.requires_grad and not store.frozen("a")
     assert [n for n, _ in store.trainable()] == ["a", "b"]
+
+
+def test_seeded_init_is_pinned_and_placeholders_draw_nothing():
+    # sha256 over (name, float32 bytes) of every parameter in store order
+    pinned = {("tiny", 0): "04064a2f8f3e03832415617ab1ab48ec4b6019646f0861219858a06b827f74e2",
+              ("small", 3): "349fd2615c0fb62534d27286124d6b8ae813e3d54fa740ab81526aa35523ab0b"}
+    for (name, seed), digest in pinned.items():
+        h = hashlib.sha256()
+        for n, p in UShapedTransformer(preset(name), seed=seed).params.items():
+            h.update(n.encode())
+            h.update(p.data.tobytes())
+        assert h.hexdigest() == digest, (name, seed)
+    seeded, blank = tiny_model(seed=0), UShapedTransformer(preset("tiny"), seed=None)
+    assert blank.params.names() == seeded.params.names()
+    for n, p in blank.params.items():
+        assert p.shape == seeded.params[n].shape and p.dtype == seeded.params[n].dtype
+        if n.endswith(".ln1.g") or n.endswith(".ln2.g"):
+            assert np.all(p.data == 1.0), n
+        else:
+            assert not np.any(p.data), n
 
 
 # ---------------------------------------------------------------------------

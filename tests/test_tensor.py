@@ -169,6 +169,34 @@ def test_pool_constant_and_overlapping_bins():
     assert np.allclose(out.data[0], want, atol=1e-12)
 
 
+def _dense_pool_matrix(l_in, out_len):
+    """Reference: row t averages bin [floor(t*L/out), ceil((t+1)*L/out))."""
+    m = np.zeros((out_len, l_in))
+    for t in range(out_len):
+        start = (t * l_in) // out_len
+        end = -((-(t + 1) * l_in) // out_len)
+        m[t, start:end] = 1.0 / (end - start)
+    return m
+
+
+@pytest.mark.parametrize("l_in,out_len", [(7, 3), (5, 3), (10, 4), (100, 9), (4096, 64),  # down
+                                          (3, 7), (5, 8), (2, 9), (3524, 4096),           # up
+                                          (1, 4), (6, 1)])
+@pytest.mark.parametrize("dtype", [F32, F64])
+def test_pool_matches_dense_averaging_matrix(l_in, out_len, dtype):
+    rng = np.random.default_rng(l_in * 31 + out_len)
+    x = Tensor(rng.standard_normal((2, l_in)), requires_grad=True, dtype=dtype)
+    g = rng.standard_normal((2, out_len))
+    m = _dense_pool_matrix(l_in, out_len)
+    with GradTape() as tape:
+        out = T.adaptive_avg_pool1d(x, out_len)
+        loss = T.sum_all(T.mul(out, Tensor(g, dtype=dtype)))
+    tape.backward(loss)
+    assert out.dtype == dtype and x.grad.dtype == dtype
+    assert np.abs(out.data - x.data.astype(F64) @ m.T).max() < 1e-6
+    assert np.abs(x.grad - g @ m).max() < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # softmax / layer norm / gelu
 
@@ -218,6 +246,26 @@ def test_layer_norm_hand_values():
 def test_layer_norm_eps_validation():
     with pytest.raises(UsageError):
         T.layer_norm(Tensor(np.ones((2, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3)), eps=0.0)
+
+
+def test_gelu_matches_float64_tanh_reference():
+    rng = np.random.default_rng(11)
+    x32 = np.concatenate([np.linspace(-8.0, 8.0, 4001), 3.0 * rng.standard_normal(4000)]).astype(F32)
+    x = x32.astype(F64)
+    c = np.sqrt(2.0 / np.pi)
+    th = np.tanh(c * (x + 0.044715 * x**3))
+    want = 0.5 * x * (1.0 + th)
+    dwant = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * c * (1.0 + 3 * 0.044715 * x**2)
+    xt = Tensor(x32, requires_grad=True)
+    with GradTape() as tape:
+        out = T.gelu(xt)
+        loss = T.sum_all(out)
+    tape.backward(loss)
+    assert out.dtype == F32
+    # a few float32 roundings on values of order |x|
+    tol = 4e-7 * np.maximum(1.0, np.abs(x))
+    assert np.all(np.abs(out.data - want) <= tol)
+    assert np.all(np.abs(xt.grad - dwant) <= tol)
 
 
 def test_gelu_reference_points():

@@ -93,9 +93,19 @@ def test_adam_skips_frozen_parameters():
     store.set_frozen("a", True)
     a.grad = np.ones(4, dtype=np.float32)
     b.grad = np.ones(4, dtype=np.float32)
-    Adam(store, lr=0.1).step()
+    opt = Adam(store, lr=0.1)
+    opt.step()
     assert np.array_equal(a.data, np.ones(4, dtype=np.float32))
     assert np.all(b.data < 1.0)
+    # no moment state is held for an entry that was never updated
+    assert "a" not in opt.m and "a" not in opt.v
+    assert opt.m["b"].shape == opt.v["b"].shape == (4,)
+    # unfrozen later, it starts from zero moments under the shared step count
+    store.set_frozen("a", False)
+    opt.step()
+    c1, c2 = 1.0 - 0.9 ** 2, 1.0 - 0.999 ** 2
+    step = np.float32(0.1 * (0.1 / c1) / (np.sqrt(0.001 / c2) + 1e-8))
+    assert a.data == pytest.approx(np.full(4, 1.0 - step), abs=1e-6)
 
 
 def test_adam_rejects_non_finite_gradient():
@@ -303,6 +313,11 @@ def test_apply_checkpoint_overwrites_in_place(tmp_path):
     assert backbone_hash(dst) != backbone_hash(src)
     apply_checkpoint(dst, path)
     assert backbone_hash(dst) == backbone_hash(src)
+    # a model built without drawing initial values is filled completely
+    blank = UShapedTransformer(preset("tiny"), seed=None)
+    apply_checkpoint(blank, path)
+    for (na, ta), (nb, tb) in zip(src.params.items(), blank.params.items()):
+        assert na == nb and ta.data.tobytes() == tb.data.tobytes(), na
 
 
 def test_checkpoint_shape_mismatch_names_the_parameter(tmp_path):
