@@ -44,7 +44,7 @@ class RunConfig:
             raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
         except UnicodeDecodeError as e:
             raise ConfigError(f"config file {path} is not UTF-8 text: {e}") from None
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # a JSONDecodeError, or an int past Python's digit limit
             raise ConfigError(f"{path} is not valid JSON: {e}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path} must hold a JSON object")
@@ -287,11 +287,11 @@ def _op_cases(rng):
     cases = {
         "matmul": (lambda i: sq(T.matmul(i["a"], i["b"])), {"a": t(3, 4), "b": t(4, 2)}),
         "conv1d_k2s2": (lambda i: sq(T.conv1d_k2s2(i["x"], i["w"], i["b"])),
-                        {"x": t(2, 6), "w": w_conv, "b": t(3)}),
+                        {"x": t(6, 2), "w": w_conv, "b": t(3)}),
         "conv_transpose1d_k2s2": (lambda i: sq(T.conv_transpose1d_k2s2(i["x"], i["w"], i["b"])),
                                   {"x": t(3, 3), "w": w_conv, "b": t(2)}),
         "pointwise_conv": (lambda i: sq(T.pointwise_conv(i["x"], i["w"], i["b"])),
-                           {"x": t(2, 5), "w": t(3, 2), "b": t(3)}),
+                           {"x": t(5, 2), "w": t(3, 2), "b": t(3)}),
         "adaptive_avg_pool1d": (lambda i: sq(T.adaptive_avg_pool1d(i["x"], 3)), {"x": t(2, 7)}),
         "softmax_lastdim": (lambda i: sq(T.softmax_lastdim(i["x"])), {"x": t(3, 5)}),
         "layer_norm": (lambda i: sq(T.layer_norm(i["x"], i["g"], i["b"])),
@@ -336,6 +336,9 @@ def run_gradient_suite(n_seeds: int = 3, tolerance: float = 1e-6,
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seeds < 1 or not 0 < args.tolerance < float("inf"):
+        raise ConfigError(f"gradcheck needs --seeds >= 1 and a finite positive --tolerance, "
+                          f"got {args.seeds} and {args.tolerance}")
     ok = run_gradient_suite(n_seeds=args.seeds, tolerance=args.tolerance,
                             include_backbone=not args.ops_only)
     print("gradient suite: " + ("PASS" if ok else "FAIL"))

@@ -169,7 +169,7 @@ def load_registry(path) -> dict[str, SeriesFrame]:
         raise ConfigError(f"cannot read dataset registry {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:
         raise ConfigError(f"dataset registry {path} is not UTF-8 text: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an int past Python's digit limit
         raise ConfigError(f"registry {path} is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"registry {path} must be a JSON object")

@@ -68,7 +68,8 @@ class ModelConfig:
         if total % self.patch_size != 0:
             raise ConfigError(f"L + T = {total} is not divisible by patch_size {self.patch_size}")
         n = total // self.patch_size
-        if n % (1 << (self.n_levels - 1)) != 0:
+        # the first test bounds the shift by n's width: no huge int for a huge n_levels
+        if self.n_levels > n.bit_length() or n % (1 << (self.n_levels - 1)) != 0:
             raise ConfigError(f"{n} tokens cannot be halved {self.n_levels - 1} times")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
@@ -159,9 +160,6 @@ class ParameterStore:
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return list(self._params)
@@ -288,13 +286,11 @@ class UShapedTransformer:
         if series.ndim != 2 or series.shape[0] != 1:
             raise DimensionError(f"patch_embed expects a (1, length) series, got {series.shape}")
         length = series.shape[1]
-        if length % cfg.patch_size != 0:
-            raise DimensionError(f"series length {length} not divisible by patch_size {cfg.patch_size}")
-        if length != cfg.model_len:
+        if length != cfg.model_len:  # model_len is a whole number of patches
             raise DimensionError(f"series length {length} != model length {cfg.model_len}; "
                                  "pad and pool the window first")
-        patches = T.transpose(T.reshape(series, (cfg.n_patches, cfg.patch_size)), (1, 0))
-        embedded = T.transpose(T.pointwise_conv(patches, self.params["embed.w"], self.params["embed.b"]), (1, 0))
+        patches = T.reshape(series, (cfg.n_patches, cfg.patch_size))
+        embedded = T.pointwise_conv(patches, self.params["embed.w"], self.params["embed.b"])
         return T.add(embedded, self.params["pos"])
 
     def _attention(self, x: Tensor, prefix: str) -> tuple[Tensor, np.ndarray]:
@@ -339,18 +335,14 @@ class UShapedTransformer:
         if not 1 <= level < self.config.n_levels:
             raise UsageError(f"no merge from level {level} (levels 1..{self.config.n_levels})")
         p = self.params
-        x = T.transpose(tokens, (1, 0))  # channels = token dim
-        x = T.conv1d_k2s2(x, p[f"merge{level}.w"], p[f"merge{level}.b"])
-        return T.transpose(x, (1, 0))
+        return T.conv1d_k2s2(tokens, p[f"merge{level}.w"], p[f"merge{level}.b"])
 
     def patch_split(self, tokens: Tensor, level: int) -> Tensor:
         """Double tokens / halve dimension with a learned transpose conv: level -> level - 1."""
         if not 1 < level <= self.config.n_levels:
             raise UsageError(f"no split from level {level} (levels 1..{self.config.n_levels})")
         p = self.params
-        x = T.transpose(tokens, (1, 0))
-        x = T.conv_transpose1d_k2s2(x, p[f"split{level - 1}.w"], p[f"split{level - 1}.b"])
-        return T.transpose(x, (1, 0))
+        return T.conv_transpose1d_k2s2(tokens, p[f"split{level - 1}.w"], p[f"split{level - 1}.b"])
 
     def backbone_forward(self, tokens: Tensor, zero_decoder: bool = False) -> tuple[Tensor, list[AttentionMap]]:
         """Encoder tower, bottleneck, decoder tower with summed skips.

@@ -1,10 +1,10 @@
 """Dense tensors with reverse-mode automatic differentiation on numpy.
 
 The op set covers exactly what the forecasting backbone needs: matmul,
-stride-2 convolution / transpose convolution over the token axis, pointwise
-convolution, adaptive average pooling, softmax, layer norm, GELU, and
-elementwise arithmetic. Scalars are 32-bit by default; build tensors with
-``dtype=np.float64`` for gradient verification.
+stride-2 convolution / transpose convolution and pointwise convolution over
+token-major ``(tokens, channels)`` sequences, adaptive average pooling,
+softmax, layer norm, GELU, and elementwise arithmetic. Scalars are 32-bit
+by default; build tensors with ``dtype=np.float64`` for gradient verification.
 
 Every forward op validates that its output is finite and raises
 ``NumericError`` naming the op otherwise, so instabilities surface where
@@ -265,75 +265,71 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def conv1d_k2s2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Kernel-2 stride-2 convolution over the last axis.
+    """Kernel-2 stride-2 convolution of ``x[P, C_in]`` to ``(P/2, C_out)``.
 
-    ``out[j, t] = bias[j] + sum_k sum_r weight[j, k, r] * x[k, 2t + r]``;
-    halves the position count, so the input length must be even.
+    ``out[t, j] = bias[j] + sum_r sum_k weight[j, k, r] * x[2t + r, k]``:
+    one matmul over adjacent token pairs stacked as rows. P must be even.
     """
     if x.ndim != 2 or weight.ndim != 3 or bias.ndim != 1:
         raise DimensionError(
-            f"conv1d_k2s2 expects x[C_in,P], weight[C_out,C_in,2], bias[C_out]; "
+            f"conv1d_k2s2 expects x[P,C_in], weight[C_out,C_in,2], bias[C_out]; "
             f"got {x.shape}, {weight.shape}, {bias.shape}"
         )
-    c_in, p = x.shape
+    p, c_in = x.shape
     c_out = weight.shape[0]
     if weight.shape != (c_out, c_in, 2) or bias.shape != (c_out,):
         raise DimensionError(f"conv1d_k2s2 weight/bias mismatch: {x.shape}, {weight.shape}, {bias.shape}")
     if p < 2 or p % 2 != 0:
-        raise DimensionError(f"conv1d_k2s2 needs an even position count >= 2, got {p}")
-    x2 = x.data.reshape(c_in, p // 2, 2)
-    out = np.einsum("jkr,ktr->jt", weight.data, x2) + bias.data[:, None]
-    w_data = weight.data
+        raise DimensionError(f"conv1d_k2s2 needs an even token count >= 2, got {p}")
+    # row t = [x[2t, k], x[2t + 1, k] for k], matching weight.reshape(C_out, 2*C_in)
+    pairs = x.data.reshape(p // 2, 2, c_in).transpose(0, 2, 1).reshape(p // 2, 2 * c_in)
+    w2 = weight.data.reshape(c_out, 2 * c_in)
+    out = pairs @ w2.T + bias.data
 
     def vjp(g):
-        dx = np.einsum("jkr,jt->ktr", w_data, g).reshape(c_in, p)
-        dw = np.einsum("jt,ktr->jkr", g, x2)
-        db = g.sum(axis=1)
-        return dx, dw, db
+        dx = (g @ w2).reshape(p // 2, c_in, 2).transpose(0, 2, 1).reshape(p, c_in)
+        return dx, (g.T @ pairs).reshape(weight.shape), g.sum(axis=0)
 
     return record_op("conv1d_k2s2", out, (x, weight, bias), vjp)
 
 
 def conv_transpose1d_k2s2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Adjoint (up to bias) of ``conv1d_k2s2``; doubles the position count.
+    """Adjoint (up to bias) of ``conv1d_k2s2``: ``x[P, C_in]`` to ``(2P, C_out)``.
 
-    ``out[j, 2t + r] = bias[j] + sum_k weight[k, j, r] * x[k, t]``.
+    ``out[2t + r, j] = bias[j] + sum_k weight[k, j, r] * x[t, k]``: one
+    matmul whose ``(P, 2*C_out)`` rows unfold into token pairs.
     """
     if x.ndim != 2 or weight.ndim != 3 or bias.ndim != 1:
         raise DimensionError(
-            f"conv_transpose1d_k2s2 expects x[C_in,P], weight[C_in,C_out,2], bias[C_out]; "
+            f"conv_transpose1d_k2s2 expects x[P,C_in], weight[C_in,C_out,2], bias[C_out]; "
             f"got {x.shape}, {weight.shape}, {bias.shape}"
         )
-    c_in, p = x.shape
-    if weight.shape[0] != c_in or weight.shape[2] != 2:
-        raise DimensionError(f"conv_transpose1d_k2s2 weight mismatch: {x.shape}, {weight.shape}")
+    p, c_in = x.shape
     c_out = weight.shape[1]
-    if bias.shape != (c_out,):
-        raise DimensionError(f"conv_transpose1d_k2s2 bias mismatch: {weight.shape}, {bias.shape}")
-    out2 = np.einsum("kjr,kt->jtr", weight.data, x.data)
-    out = out2.reshape(c_out, 2 * p) + bias.data[:, None]
-    w_data, x_data = weight.data, x.data
+    if weight.shape != (c_in, c_out, 2) or bias.shape != (c_out,):
+        raise DimensionError(f"conv_transpose1d_k2s2 weight/bias mismatch: {x.shape}, {weight.shape}, {bias.shape}")
+    # row t of x @ w2 is [out[2t, j], out[2t + 1, j] for j]
+    w2 = weight.data.reshape(c_in, 2 * c_out)
+    x_data = x.data
+    out = (x_data @ w2).reshape(p, c_out, 2).transpose(0, 2, 1).reshape(2 * p, c_out) + bias.data
 
     def vjp(g):
-        g2 = g.reshape(c_out, p, 2)
-        dx = np.einsum("kjr,jtr->kt", w_data, g2)
-        dw = np.einsum("jtr,kt->kjr", g2, x_data)
-        db = g.sum(axis=1)
-        return dx, dw, db
+        pairs = g.reshape(p, 2, c_out).transpose(0, 2, 1).reshape(p, 2 * c_out)
+        return pairs @ w2.T, (x_data.T @ pairs).reshape(weight.shape), g.sum(axis=0)
 
     return record_op("conv_transpose1d_k2s2", out, (x, weight, bias), vjp)
 
 
 def pointwise_conv(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Per-position channel projection: matmul applied independently at each position."""
+    """Per-token channel projection of ``x[P, C_in]``: ``out[t] = weight @ x[t] + bias``."""
     if x.ndim != 2 or weight.ndim != 2 or bias.ndim != 1:
         raise DimensionError(
-            f"pointwise_conv expects x[C_in,P], weight[C_out,C_in], bias[C_out]; "
+            f"pointwise_conv expects x[P,C_in], weight[C_out,C_in], bias[C_out]; "
             f"got {x.shape}, {weight.shape}, {bias.shape}"
         )
-    if weight.shape[1] != x.shape[0] or bias.shape[0] != weight.shape[0]:
+    if weight.shape[1] != x.shape[1] or bias.shape[0] != weight.shape[0]:
         raise DimensionError(f"pointwise_conv shape mismatch: {x.shape}, {weight.shape}, {bias.shape}")
-    return add(matmul(weight, x), reshape(bias, (bias.shape[0], 1)))
+    return add(matmul(x, transpose(weight, (1, 0))), bias)
 
 
 def adaptive_avg_pool1d(x: Tensor, out_len: int) -> Tensor:
@@ -525,21 +521,16 @@ class FiniteDiffReport:
     def worst(self) -> float:
         return max(self.errors.values()) if self.errors else 0.0
 
-    def lines(self) -> list[str]:
+    def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         out = [f"{name}: max rel err {err:.3e}" for name, err in sorted(self.errors.items())]
-        out.append(f"{status}: worst {self.worst:.3e} vs tolerance {self.tolerance:.1e}")
-        return out
-
-    def __str__(self) -> str:
-        return "\n".join(self.lines())
+        return "\n".join(out + [f"{status}: worst {self.worst:.3e} vs tolerance {self.tolerance:.1e}"])
 
 
 def finite_diff_check(
     fn: Callable[[dict], Tensor],
     inputs: dict[str, Tensor],
     tolerance: float,
-    step: float | None = None,
     max_entries: int | None = None,
     seed: int = 0,
 ) -> FiniteDiffReport:
@@ -548,7 +539,9 @@ def finite_diff_check(
     ``fn`` must be a pure function of the given tensors returning a scalar.
     The relative error per parameter is ``max|g_tape - g_fd|`` normalized by
     the larger of the two gradients' max magnitudes; parameters whose
-    gradient is zero on both sides report 0. ``max_entries`` caps how many
+    gradient is zero on both sides report 0. The step at a coordinate of
+    value v is ``h * max(1, |v|)``, with h 1e-5 at float64 and 1e-2 at
+    float32. ``max_entries`` caps how many
     coordinates per parameter are probed (seeded choice without replacement).
     """
     for name, t in inputs.items():
@@ -574,7 +567,7 @@ def finite_diff_check(
             coords = rng.choice(n, size=max_entries, replace=False)
         else:
             coords = np.arange(n)
-        h_base = step if step is not None else (1e-5 if t.dtype == np.float64 else 1e-2)
+        h_base = 1e-5 if t.dtype == np.float64 else 1e-2
         a_flat = analytic[name].reshape(-1)
         num = np.zeros(len(coords), dtype=np.float64)
         for j, i in enumerate(coords):

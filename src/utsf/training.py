@@ -48,7 +48,7 @@ class TrainerConfig:
         return config_from_dict(cls, raw, "trainer")
 
 
-def compute_metrics(pred, truth, mape_floor: float = MAPE_FLOOR) -> dict:
+def compute_metrics(pred, truth) -> dict:
     """MSE, MAE, and floored MAPE = mean(|y - yhat| / max(|y|, floor)).
 
     The floor keeps MAPE finite in normalized space where truth crosses zero.
@@ -63,7 +63,7 @@ def compute_metrics(pred, truth, mape_floor: float = MAPE_FLOOR) -> dict:
     return {
         "mse": float(np.mean(err ** 2)),
         "mae": float(np.mean(np.abs(err))),
-        "mape": float(np.mean(np.abs(err) / np.maximum(np.abs(y), mape_floor))),
+        "mape": float(np.mean(np.abs(err) / np.maximum(np.abs(y), MAPE_FLOOR))),
     }
 
 
@@ -300,8 +300,8 @@ class OraclePredictor:
 
 
 def evaluate(predict, frame: D.SeriesFrame, lookback_len: int, horizon_len: int,
-             horizons, stride: int | None = None, split: str = "test") -> dict:
-    """Fixed-stride windows over one split; metrics on the first h forecast
+             horizons, stride: int | None = None) -> dict:
+    """Fixed-stride windows over the test split; metrics on the first h forecast
     values per horizon h, all in normalized space.
 
     ``predict(input_norm, truth_norm) -> pred_norm`` with shapes [1xL],
@@ -315,11 +315,11 @@ def evaluate(predict, frame: D.SeriesFrame, lookback_len: int, horizon_len: int,
     stride = total if stride is None else int(stride)
     if stride < 1:
         raise UsageError(f"evaluation stride must be >= 1, got {stride}")
-    lo, hi = frame.split_bounds(split)
+    lo, hi = frame.split_bounds("test")
     starts = list(range(lo, hi - total + 1, stride))
     if not starts:
         raise UsageError(
-            f"split '{split}' of '{frame.dataset_id}' is too short for one "
+            f"split 'test' of '{frame.dataset_id}' is too short for one "
             f"window: {hi - lo} < {total}"
         )
     preds, truths = [], []
@@ -362,7 +362,7 @@ def save_checkpoint(model: UShapedTransformer, path, seed: int = 0) -> None:
     Path(path).write_bytes(struct.pack("<Q", len(mjson)) + mjson + b"".join(chunks))
 
 
-def _parse_checkpoint(path) -> tuple[dict, memoryview]:
+def _parse_checkpoint(path) -> tuple[dict, ModelConfig, memoryview]:
     """Validate a checkpoint file; the payload is a view into the file's bytes."""
     try:
         blob = Path(path).read_bytes()
@@ -375,7 +375,7 @@ def _parse_checkpoint(path) -> tuple[dict, memoryview]:
         raise CheckpointError(f"{path}: manifest length {mlen} overruns the file")
     try:
         manifest = json.loads(blob[8:8 + mlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # bad UTF-8, bad JSON, or an int past Python's digit limit
         raise CheckpointError(f"{path}: manifest is not valid JSON: {e}") from None
     if not isinstance(manifest, dict):
         raise CheckpointError(f"{path}: manifest is not a JSON object")
@@ -401,15 +401,22 @@ def _parse_checkpoint(path) -> tuple[dict, memoryview]:
     expected = sum(4 * math.prod(e["shape"]) for e in manifest["params"])
     if len(payload) != expected:
         raise CheckpointError(f"{path}: payload is {len(payload)} bytes, manifest implies {expected}")
-    return manifest, payload
+    try:
+        config = ModelConfig.from_dict(manifest["config"])
+    except ConfigError as e:
+        raise CheckpointError(f"{path}: manifest field 'config': {e}") from None
+    return manifest, config, payload
 
 
-def _fill_params(model: UShapedTransformer, manifest: dict, payload: memoryview, path) -> None:
+def _fill_params(model: UShapedTransformer, manifest: dict, config: ModelConfig,
+                 payload: memoryview, path) -> None:
+    """Overwrite every parameter from the payload. Names and shapes, then the
+    config, are checked before any parameter is written."""
     names = model.params.names()
     entries = manifest["params"]
     if len(entries) != len(names):
         raise CheckpointError(f"{path}: checkpoint has {len(entries)} parameters, model has {len(names)}")
-    offset = 0
+    arrays, offset = [], 0
     for entry, name in zip(entries, names):
         if entry["name"] != name:
             raise CheckpointError(f"{path}: parameter mismatch: checkpoint '{entry['name']}', model '{name}'")
@@ -419,32 +426,35 @@ def _fill_params(model: UShapedTransformer, manifest: dict, payload: memoryview,
             raise CheckpointError(
                 f"{path}: parameter '{name}': checkpoint shape {shape} != model shape {p.shape}"
             )
-        count = int(np.prod(shape, dtype=np.int64))
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset).reshape(shape)
-        p.data = arr.astype(p.data.dtype)  # the one copy out of the file buffer
-        model.params.set_frozen(name, bool(entry["frozen"]))
+        count = math.prod(shape)
+        arrays.append(np.frombuffer(payload, dtype="<f4", count=count, offset=offset).reshape(shape))
         offset += 4 * count
+    ours, theirs = model.config.to_dict(), config.to_dict()
+    for key in ours:
+        if ours[key] != theirs[key]:
+            raise CheckpointError(f"{path}: checkpoint model config '{key}' is {theirs[key]!r}, "
+                                  f"the run config's is {ours[key]!r}")
+    for (name, p), entry, arr in zip(model.params.items(), entries, arrays):
+        p.data = arr.astype(p.data.dtype)  # the one copy out of the file buffer
+        model.params.set_frozen(name, entry["frozen"])
     model.params.zero_grads()
 
 
 def load_checkpoint(path) -> tuple[UShapedTransformer, dict]:
     """Rebuild a model from the checkpoint's own embedded config."""
-    manifest, payload = _parse_checkpoint(path)
-    try:
-        config = ModelConfig.from_dict(manifest["config"])
-    except ConfigError as e:
-        raise CheckpointError(f"{path}: manifest field 'config': {e}") from None
+    manifest, config, payload = _parse_checkpoint(path)
     model = UShapedTransformer(config, seed=None)
-    _fill_params(model, manifest, payload, path)
+    _fill_params(model, manifest, config, payload, path)
     return model, manifest
 
 
 def apply_checkpoint(model: UShapedTransformer, path) -> dict:
-    """Load a checkpoint into an existing model; the first parameter whose
-    name or shape disagrees is named in the error. Every parameter is
-    overwritten, so the model may be built with ``seed=None``."""
-    manifest, payload = _parse_checkpoint(path)
-    _fill_params(model, manifest, payload, path)
+    """Load a checkpoint into an existing model of the same config; the first
+    parameter name or shape, else config field, that disagrees is named in
+    the error. Every parameter is overwritten, so the model may be built
+    with ``seed=None``."""
+    manifest, config, payload = _parse_checkpoint(path)
+    _fill_params(model, manifest, config, payload, path)
     return manifest
 
 

@@ -176,6 +176,12 @@ def test_gradcheck_exit_codes(capsys):
     assert run_cli("gradcheck", "--seeds", "1", "--ops-only",
                    "--tolerance", "1e-30") == 3
     assert "FAIL" in capsys.readouterr().out
+    # checking nothing, or against no usable tolerance, is a usage error
+    for flag, value in (("--seeds", "0"), ("--seeds", "-3"), ("--tolerance", "0"),
+                        ("--tolerance", "-1e-6"), ("--tolerance", "nan"), ("--tolerance", "inf")):
+        assert run_cli("gradcheck", "--ops-only", flag, value) == 2, (flag, value)
+        captured = capsys.readouterr()
+        assert flag in captured.err and "PASS" not in captured.out
 
 
 def test_config_errors_exit_2(workspace, capsys):
@@ -218,6 +224,16 @@ def test_config_errors_exit_2(workspace, capsys):
         assert run_cli("pretrain", "--config", bad, "--out", workspace / "x6") == 2, entry
         assert "odd" in capsys.readouterr().err, entry
 
+    # an integer literal longer than Python converts (4300 digits) is invalid JSON, not a ValueError
+    huge = "9" * 5000
+    bad.write_text('{"model": {"preset": "tiny"}, "seed": ' + huge + "}")
+    assert run_cli("pretrain", "--config", bad, "--out", workspace / "x7") == 2
+    assert "not valid JSON" in capsys.readouterr().err
+    (workspace / "odd.json").write_text('{"odd": {"path": "sine.csv", "splits": [' + huge + ", 0, 0]}}")
+    bad.write_text(json.dumps({"model": {"preset": "tiny"}, "registry": "odd.json"}))
+    assert run_cli("pretrain", "--config", bad, "--out", workspace / "x8") == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
 
 def test_malformed_checkpoint_manifest_exits_2(workspace, capsys):
     m = UShapedTransformer(preset("tiny"), seed=0)
@@ -231,6 +247,16 @@ def test_malformed_checkpoint_manifest_exits_2(workspace, capsys):
     assert run_cli("forecast", "--config", workspace / "run.json", "--out", workspace / "fc",
                    "--checkpoint", workspace / "bad.bin", "--input", workspace / "probe.csv") == 2
     assert "params[0]" in capsys.readouterr().err
+
+    # same parameter names and shapes, but a run config the weights were not trained for
+    run = json.loads((workspace / "run.json").read_text())
+    for model, field in (({"preset": "tiny", "n_heads": 1}, "n_heads"),
+                         ({"preset": "tiny", "lookback_len": 48, "horizon_len": 16}, "lookback_len")):
+        (workspace / "other.json").write_text(json.dumps({**run, "model": model}))
+        assert run_cli("forecast", "--config", workspace / "other.json", "--out", workspace / field,
+                       "--checkpoint", workspace / "ck.bin", "--input", workspace / "probe.csv") == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not (workspace / field / "forecast.csv").exists()
 
 
 def test_unreadable_input_files_exit_2(workspace, capsys):

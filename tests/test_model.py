@@ -50,6 +50,8 @@ def test_config_validation():
         ModelConfig(lookback_len=32, horizon_len=32, patch_size=8, d_model=10, n_heads=4)
     with pytest.raises(ConfigError):
         ModelConfig(lookback_len=32, horizon_len=32, patch_size=8, d_model=8, n_heads=2, mask_ratio=1.5)
+    with pytest.raises(ConfigError, match="halved"):  # refused without building 2**(2**62) first
+        ModelConfig(lookback_len=32, horizon_len=32, patch_size=8, d_model=8, n_heads=2, n_levels=2**62)
     # legacy keys load at their one implemented value and are never written back
     for legacy in ({"patch_stride": 8, "dropout": 0.0}, {"patch_stride": None, "dropout": 0}):
         assert ModelConfig.from_dict({"preset": "tiny", **legacy}) == preset("tiny")
@@ -273,6 +275,41 @@ def test_merge_then_split_restores_shape():
     m = tiny_model()
     tokens = Tensor(np.random.default_rng(2).standard_normal((8, 8)).astype(np.float32))
     assert m.patch_split(m.patch_merge(tokens, 1), 2).shape == tokens.shape
+
+
+def test_embed_merge_split_record_no_layout_transpose(monkeypatch):
+    # tokens stay (tokens, dim) end to end: the ops take that layout directly
+    recorded = []
+    record_op = T.record_op
+
+    def naming_record_op(name, out_data, inputs, vjp):
+        out = record_op(name, out_data, inputs, vjp)
+        if out.requires_grad:
+            recorded.append((name, inputs))
+        return out
+
+    monkeypatch.setattr(T, "record_op", naming_record_op)
+    m = tiny_model()
+    rng = np.random.default_rng(3)
+    for level, fn, shape, op in ((1, m.patch_merge, (8, 8), "conv1d_k2s2"),
+                                 (2, m.patch_split, (4, 16), "conv_transpose1d_k2s2")):
+        recorded.clear()
+        with GradTape() as tape:
+            fn(Tensor(rng.standard_normal(shape), requires_grad=True), level)
+        assert len(tape) == 1 and [name for name, _ in recorded] == [op]
+    # trainable: the one transpose is the embedding weight's, never the tokens'
+    series = Tensor(rng.standard_normal((1, 64)), requires_grad=True)
+    recorded.clear()
+    with GradTape() as tape:
+        m.patch_embed(series)
+    transposed = [inputs[0] for name, inputs in recorded if name == "transpose"]
+    assert len(tape) == 5 and len(transposed) == 1 and transposed[0] is m.params["embed.w"]
+    # frozen weights: the token path alone records no transpose at all
+    m.freeze_backbone()
+    recorded.clear()
+    with GradTape() as tape:
+        m.patch_embed(series)
+    assert [name for name, _ in recorded] == ["reshape", "matmul", "add", "add"] and len(tape) == 4
 
 
 # ---------------------------------------------------------------------------

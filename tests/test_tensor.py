@@ -70,7 +70,7 @@ def test_matmul_shape_errors():
 
 
 def test_conv_zero_weights_zero_output():
-    x = Tensor(np.random.default_rng(0).standard_normal((2, 6)))
+    x = Tensor(np.random.default_rng(0).standard_normal((6, 2)))
     out = T.conv1d_k2s2(x, Tensor(np.zeros((3, 2, 2))), Tensor(np.zeros(3)))
     assert out.shape == (3, 3)
     assert np.all(out.data == 0.0)
@@ -78,40 +78,40 @@ def test_conv_zero_weights_zero_output():
 
 def test_conv_pairwise_sums():
     # C_in=1, kernel [1,1]: output is the sum of adjacent input pairs
-    x = Tensor([[1.0, 2.0, 3.0, 4.0]])
+    x = Tensor([[1.0], [2.0], [3.0], [4.0]])
     out = T.conv1d_k2s2(x, Tensor(np.ones((1, 1, 2))), Tensor(np.zeros(1)))
-    assert np.array_equal(out.data, np.array([[3.0, 7.0]], dtype=F32))
+    assert np.array_equal(out.data, np.array([[3.0], [7.0]], dtype=F32))
 
 
 def test_conv_shape_contract():
-    x = Tensor(np.ones((4, 48)))
+    x = Tensor(np.ones((48, 4)))
     out = T.conv1d_k2s2(x, Tensor(np.zeros((8, 4, 2))), Tensor(np.zeros(8)))
-    assert out.shape == (8, 24)
+    assert out.shape == (24, 8)
 
 
 def test_conv_odd_length_rejected():
-    with pytest.raises(DimensionError):
-        T.conv1d_k2s2(Tensor(np.ones((1, 5))), Tensor(np.ones((1, 1, 2))), Tensor(np.zeros(1)))
+    with pytest.raises(DimensionError, match="even token count"):
+        T.conv1d_k2s2(Tensor(np.ones((5, 1))), Tensor(np.ones((1, 1, 2))), Tensor(np.zeros(1)))
 
 
 def test_conv_matches_direct_computation():
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((2, 8))
+    x = rng.standard_normal((8, 2))
     w = rng.standard_normal((3, 2, 2))
     b = rng.standard_normal(3)
     got = T.conv1d_k2s2(Tensor(x, dtype=F64), Tensor(w, dtype=F64), Tensor(b, dtype=F64)).data
-    for j in range(3):
-        for t in range(4):
-            want = b[j] + sum(w[j, k, r] * x[k, 2 * t + r] for k in range(2) for r in range(2))
-            assert abs(got[j, t] - want) < 1e-12
+    for t in range(4):
+        for j in range(3):
+            want = b[j] + sum(w[j, k, r] * x[2 * t + r, k] for k in range(2) for r in range(2))
+            assert abs(got[t, j] - want) < 1e-12
 
 
 def test_conv_transpose_shapes_and_zero_weight():
-    x = Tensor(np.ones((8, 24)))
+    x = Tensor(np.ones((24, 8)))
     out = T.conv_transpose1d_k2s2(x, Tensor(np.zeros((8, 4, 2))), Tensor(np.arange(4.0)))
-    assert out.shape == (4, 48)
-    # zero weight leaves only the bias, broadcast along positions
-    assert np.array_equal(out.data, np.broadcast_to(np.arange(4.0, dtype=F32)[:, None], (4, 48)))
+    assert out.shape == (48, 4)
+    # zero weight leaves only the bias, broadcast along tokens
+    assert np.array_equal(out.data, np.broadcast_to(np.arange(4.0, dtype=F32), (48, 4)))
 
 
 def test_conv_adjoint_identity():
@@ -119,8 +119,8 @@ def test_conv_adjoint_identity():
     rng = np.random.default_rng(11)
     for _ in range(20):
         c_in, c_out, p = int(rng.integers(1, 4)), int(rng.integers(1, 4)), 2 * int(rng.integers(1, 5))
-        x = rng.standard_normal((c_in, p))
-        y = rng.standard_normal((c_out, p // 2))
+        x = rng.standard_normal((p, c_in))
+        y = rng.standard_normal((p // 2, c_out))
         w = rng.standard_normal((c_out, c_in, 2))
         zb_out = Tensor(np.zeros(c_out, dtype=F64))
         zb_in = Tensor(np.zeros(c_in, dtype=F64))
@@ -134,22 +134,22 @@ def test_conv_adjoint_identity():
 
 
 def test_pointwise_identity_and_zero():
-    x = Tensor(np.random.default_rng(0).standard_normal((3, 5)))
+    x = Tensor(np.random.default_rng(0).standard_normal((5, 3)))
     same = T.pointwise_conv(x, Tensor(np.eye(3)), Tensor(np.zeros(3)))
     assert np.allclose(same.data, x.data, atol=1e-7)
     bias = np.array([1.0, 2.0], dtype=F32)
     out = T.pointwise_conv(x, Tensor(np.zeros((2, 3))), Tensor(bias))
-    assert np.array_equal(out.data, np.broadcast_to(bias[:, None], (2, 5)))
+    assert np.array_equal(out.data, np.broadcast_to(bias, (5, 2)))
 
 
 def test_pointwise_matches_per_column_matmul():
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((3, 7))
+    x = rng.standard_normal((7, 3))
     w = rng.standard_normal((4, 3))
     b = rng.standard_normal(4)
     got = T.pointwise_conv(Tensor(x, dtype=F64), Tensor(w, dtype=F64), Tensor(b, dtype=F64)).data
     for p in range(7):
-        assert np.allclose(got[:, p], w @ x[:, p] + b, atol=1e-12)
+        assert np.allclose(got[p], w @ x[p] + b, atol=1e-12)
 
 
 def test_pool_identity_and_equal_bins():
@@ -347,11 +347,11 @@ def _fd_cases(rng, dtype):
     w = t(3, 2, 2)
     return {
         "matmul": (lambda i: sq(T.matmul(i["a"], i["b"])), {"a": t(3, 4), "b": t(4, 2)}),
-        "conv": (lambda i: sq(T.conv1d_k2s2(i["x"], i["w"], i["b"])), {"x": t(2, 6), "w": w, "b": t(3)}),
+        "conv": (lambda i: sq(T.conv1d_k2s2(i["x"], i["w"], i["b"])), {"x": t(6, 2), "w": w, "b": t(3)}),
         "convT": (lambda i: sq(T.conv_transpose1d_k2s2(i["x"], i["w"], i["b"])),
-                  {"x": t(3, 4), "w": w, "b": t(2)}),
+                  {"x": t(4, 3), "w": w, "b": t(2)}),
         "pointwise": (lambda i: sq(T.pointwise_conv(i["x"], i["w"], i["b"])),
-                      {"x": t(2, 5), "w": t(4, 2), "b": t(4)}),
+                      {"x": t(5, 2), "w": t(4, 2), "b": t(4)}),
         "pool": (lambda i: sq(T.adaptive_avg_pool1d(i["x"], 3)), {"x": t(2, 7)}),
         "softmax": (lambda i: sq(T.softmax_lastdim(i["x"])), {"x": t(3, 5)}),
         "layer_norm": (lambda i: sq(T.layer_norm(i["x"], i["g"], i["b"])),

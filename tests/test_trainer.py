@@ -318,6 +318,12 @@ def test_apply_checkpoint_overwrites_in_place(tmp_path):
     apply_checkpoint(blank, path)
     for (na, ta), (nb, tb) in zip(src.params.items(), blank.params.items()):
         assert na == nb and ta.data.tobytes() == tb.data.tobytes(), na
+    # same names and shapes, other config: refused by field, nothing overwritten
+    other = UShapedTransformer(ModelConfig(**{**preset("tiny").to_dict(), "n_heads": 1}), seed=8)
+    before = backbone_hash(other)
+    with pytest.raises(CheckpointError, match=r"'n_heads' is 2, the run config's is 1"):
+        apply_checkpoint(other, path)
+    assert backbone_hash(other) == before
 
 
 def test_checkpoint_shape_mismatch_names_the_parameter(tmp_path):
@@ -380,6 +386,12 @@ def test_checkpoint_version_and_manifest_errors(tmp_path):
     garbage = tmp_path / "garbage.bin"
     garbage.write_bytes(struct.pack("<Q", 4) + b"nope")
     with pytest.raises(CheckpointError):
+        load_checkpoint(garbage)
+    blob = path.read_bytes()
+    n = struct.unpack("<Q", blob[:8])[0]
+    huge = blob[8:8 + n].replace(b'"seed":0', b'"seed":' + b"9" * 5000)  # past the int digit limit
+    garbage.write_bytes(struct.pack("<Q", len(huge)) + huge + blob[8 + n:])
+    with pytest.raises(CheckpointError, match="not valid JSON"):
         load_checkpoint(garbage)
 
 
