@@ -286,6 +286,10 @@ def _op_cases(rng):
     w_conv = t(3, 2, 2)
     cases = {
         "matmul": (lambda i: sq(T.matmul(i["a"], i["b"])), {"a": t(3, 4), "b": t(4, 2)}),
+        "linear": (lambda i: sq(T.linear(i["x"], i["w"], i["b"])), {"x": t(5, 3), "w": t(3, 2), "b": t(2)}),
+        # 2 windows x 3 tokens, 2 heads of 2 features
+        "attention": (lambda i: sq(T.attention(i["q"], i["k"], i["v"], 2, 2)[0]),
+                      {"q": t(6, 4), "k": t(6, 4), "v": t(6, 4)}),
         "conv1d_k2s2": (lambda i: sq(T.conv1d_k2s2(i["x"], i["w"], i["b"])),
                         {"x": t(6, 2), "w": w_conv, "b": t(3)}),
         "conv_transpose1d_k2s2": (lambda i: sq(T.conv_transpose1d_k2s2(i["x"], i["w"], i["b"])),

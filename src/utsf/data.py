@@ -25,6 +25,9 @@ from .tensor import Tensor
 # below this the window is treated as flat and only centered, never scaled
 SIGMA_FLOOR = 0.01
 
+# load_csv_dataset converts the rows of about this many characters per np.loadtxt call
+_CSV_BLOCK_CHARS = 1 << 18
+
 DEFAULT_SPLITS = (0.7, 0.1, 0.2)
 
 _SPLIT_NAMES = ("train", "validate", "test")
@@ -91,42 +94,56 @@ def load_csv_dataset(path, dataset_id: str, splits=DEFAULT_SPLITS) -> SeriesFram
     Rejects blank cells, unparsable or non-finite values, and ragged rows,
     naming the offending row (1-based, header = row 1) and column.
 
-    All cells are converted at once, as float64 rounded to float32, which
-    gives the values ``float()`` gives per cell. Only when that conversion
-    refuses the file, drops a row or yields a non-finite value does the
-    per-cell scan run: it names the first bad cell, or parses what numpy
-    refuses and ``float()`` accepts (quoted or underscored numbers).
+    The rows are read in blocks of about 256 KB of text, so the file is
+    never held whole, and each block is converted by one ``np.loadtxt``:
+    all of its cells at once, as float64 rounded to float32, which gives the
+    values ``float()`` gives per cell. Only when that conversion refuses a
+    block, drops a row or yields a non-finite value is the file read again
+    by the per-cell scan: it names the first bad cell, or parses what numpy
+    refuses and ``float()`` accepts (quoted or underscored numbers). A value
+    past the float32 range is not finite here either, and after the scan
+    ``SeriesFrame`` rejects it.
     """
     path = Path(path)
+    values, n_lines = None, 0
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            lines = fh.readlines()
-        reader = csv.reader(lines)
-        header = [c.strip() for c in next(reader, [])]
+            header = [c.strip() for c in next(csv.reader(fh), [])]
+            blocks = []
+            while lines := fh.readlines(_CSV_BLOCK_CHARS):
+                n_lines += len(lines)
+                # loadtxt skips blank lines and warns when nothing else is left:
+                # a blank line shows as a line-count mismatch, and the scan then
+                # rejects it
+                if not lines[0].strip("\r\n"):
+                    break
+                block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+                blocks.append(block.astype(np.float32))
+            values = np.concatenate(blocks)
     except OSError as e:
         raise IngestionError(f"{path}: cannot read: {e.strerror}") from None
     except UnicodeDecodeError as e:
         raise IngestionError(f"{path}: not UTF-8 text: {e}") from None
     except csv.Error as e:
         raise IngestionError(f"{path}: {e}") from None
-    body = lines[reader.line_num:]
-    values = None
-    # loadtxt skips empty lines, and warns when nothing else is left: a blank
-    # row shows as a row-count mismatch, and the scan then rejects it
-    if body and body[0].strip("\r\n"):
-        try:
-            values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
-        except ValueError:
-            pass
-    if values is None or values.shape != (len(body), len(header)) or not np.all(np.isfinite(values)):
-        values = _scan_cells(path, header, reader)
-    return SeriesFrame(dataset_id, header, values.astype(np.float32, copy=False).T, splits)
+    except ValueError:  # a refused cell, blocks of unequal width, or no block at all
+        pass
+    if values is None or values.shape != (n_lines, len(header)) or not np.all(np.isfinite(values)):
+        values = _scan_cells(path, header)
+    return SeriesFrame(dataset_id, header, values.T, splits)
 
 
-def _scan_cells(path: Path, header: list, reader) -> np.ndarray:
-    """Per-cell conversion of the rows left in ``reader``, naming the first bad cell."""
+def _scan_cells(path: Path, header: list) -> np.ndarray:
+    """Per-cell conversion of the rows after the header, naming the first bad cell."""
     try:
-        rows = list(reader)
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            next(reader, None)
+            rows = list(reader)
+    except OSError as e:
+        raise IngestionError(f"{path}: cannot read: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise IngestionError(f"{path}: not UTF-8 text: {e}") from None
     except csv.Error as e:
         raise IngestionError(f"{path}: {e}") from None
     if not rows:
@@ -306,17 +323,19 @@ def denormalize(values, mu: float, sigma: float) -> np.ndarray:
 # model-input assembly
 
 
-def build_model_input(window, config: ModelConfig) -> np.ndarray:
+def build_model_input(windows, config: ModelConfig) -> np.ndarray:
     """Pad with copies of the last value, then pool to the model length.
 
-    The horizon region is filled with horizon_len repeats of the final
-    observation; adaptive average pooling then maps any input length onto
-    the fixed token geometry (identity when lengths already agree).
+    ``windows`` is one window or a (B, length) batch, one row per window.
+    Each row's horizon region is filled with horizon_len repeats of its
+    final observation; adaptive average pooling then maps any input length
+    onto the fixed token geometry (identity when lengths already agree).
+    Returns (B, model_len).
     """
-    arr = np.asarray(window, dtype=np.float32).reshape(1, -1)
-    if arr.shape[1] < 1:
-        raise UsageError("empty input window")
-    pad = np.full((1, config.horizon_len), arr[0, -1], dtype=np.float32)
+    arr = np.atleast_2d(np.asarray(windows, dtype=np.float32))
+    if arr.ndim != 2 or arr.shape[1] < 1:
+        raise UsageError(f"input windows must be a non-empty (B, length) array, got shape {arr.shape}")
+    pad = np.repeat(arr[:, -1:], config.horizon_len, axis=1)
     padded = np.concatenate([arr, pad], axis=1)
     if padded.shape[1] == config.model_len:
         return padded

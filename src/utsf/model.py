@@ -8,6 +8,11 @@ Each decoder level receives the same-resolution encoder group output by
 elementwise addition, and the final output adds the first encoder input, so
 fine-grained content reaches the heads without passing through the deep
 levels.
+
+A forward pass takes B windows at once: B series rows become B*N
+row-stacked tokens ``(B*N, d)``. Every affine map runs over all rows,
+attention stays within each window, and merge and split pair rows within a
+window, so row b of the output is what window b alone would give.
 """
 
 from __future__ import annotations
@@ -129,7 +134,8 @@ def preset(name: str) -> ModelConfig:
 
 @dataclass
 class AttentionMap:
-    """Head-averaged P x P row-stochastic attention weights of one group."""
+    """Head-averaged P x P row-stochastic attention weights of one group,
+    for the first window of the batch."""
 
     level: int
     side: str  # "enc" or "dec"; the bottleneck reports as enc at the deepest level
@@ -207,7 +213,7 @@ class UShapedTransformer:
     """The backbone plus reconstruction and forecast heads.
 
     Channel handling is channel-independent: every series channel passes
-    through the same weights as a univariate sequence of shape (1, L + T).
+    through the same weights as a univariate row of a (B, L + T) batch.
 
     ``seed`` draws the initial weights. ``seed=None`` draws nothing: random
     initial values become zero placeholders, for a model whose every
@@ -281,53 +287,46 @@ class UShapedTransformer:
     # -- forward pieces ------------------------------------------------------
 
     def patch_embed(self, series: Tensor) -> Tensor:
-        """Cut a (1, N*patch_size) series into N patches, project, add positions."""
+        """Cut a (B, N*patch_size) series batch into B*N patches, project,
+        add positions: (B*N, d_model) tokens, window b in rows b*N..b*N+N-1."""
         cfg = self.config
-        if series.ndim != 2 or series.shape[0] != 1:
-            raise DimensionError(f"patch_embed expects a (1, length) series, got {series.shape}")
-        length = series.shape[1]
+        if series.ndim != 2 or series.shape[0] < 1:
+            raise DimensionError(f"patch_embed expects a (windows, length) series, got {series.shape}")
+        windows, length = series.shape
         if length != cfg.model_len:  # model_len is a whole number of patches
             raise DimensionError(f"series length {length} != model length {cfg.model_len}; "
                                  "pad and pool the window first")
-        patches = T.reshape(series, (cfg.n_patches, cfg.patch_size))
+        patches = T.reshape(series, (windows * cfg.n_patches, cfg.patch_size))
         embedded = T.pointwise_conv(patches, self.params["embed.w"], self.params["embed.b"])
-        return T.add(embedded, self.params["pos"])
+        per_window = T.reshape(embedded, (windows, cfg.n_patches, cfg.d_model))
+        return T.reshape(T.add(per_window, self.params["pos"]), (windows * cfg.n_patches, cfg.d_model))
 
-    def _attention(self, x: Tensor, prefix: str) -> tuple[Tensor, np.ndarray]:
-        p, heads = self.params, self.config.n_heads
-        n_tok, d = x.shape
-        dh = d // heads
-        q = T.add(T.matmul(x, p[f"{prefix}.attn.q.w"]), p[f"{prefix}.attn.q.b"])
-        k = T.add(T.matmul(x, p[f"{prefix}.attn.k.w"]), p[f"{prefix}.attn.k.b"])
-        v = T.add(T.matmul(x, p[f"{prefix}.attn.v.w"]), p[f"{prefix}.attn.v.b"])
-        qh = T.transpose(T.reshape(q, (n_tok, heads, dh)), (1, 0, 2))
-        kt = T.transpose(T.reshape(k, (n_tok, heads, dh)), (1, 2, 0))
-        vh = T.transpose(T.reshape(v, (n_tok, heads, dh)), (1, 0, 2))
-        weights = T.softmax_lastdim(T.mul(T.matmul(qh, kt), 1.0 / np.sqrt(dh)))
-        ctx = T.reshape(T.transpose(T.matmul(weights, vh), (1, 0, 2)), (n_tok, d))
-        out = T.add(T.matmul(ctx, p[f"{prefix}.attn.o.w"]), p[f"{prefix}.attn.o.b"])
-        return out, weights.data.mean(axis=0)
+    def _linear(self, x: Tensor, name: str) -> Tensor:
+        return T.linear(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
 
-    def _layer(self, x: Tensor, prefix: str) -> tuple[Tensor, np.ndarray]:
+    def _layer(self, x: Tensor, prefix: str, windows: int) -> tuple[Tensor, np.ndarray]:
+        """One pre-norm layer; also returns the first window's head-averaged attention."""
         p = self.params
         h = T.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
-        attn_out, attn_weights = self._attention(h, prefix)
-        x = T.add(x, attn_out)
+        q, k, v = (self._linear(h, f"{prefix}.attn.{proj}") for proj in ("q", "k", "v"))
+        ctx, probs = T.attention(q, k, v, self.config.n_heads, windows)
+        weights = probs[0].mean(axis=0)  # not the whole batch's probabilities, held through the FFN
+        x = T.add(x, self._linear(ctx, f"{prefix}.attn.o"))
         h = T.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
-        h = T.add(T.matmul(h, p[f"{prefix}.ffn.fc1.w"]), p[f"{prefix}.ffn.fc1.b"])
-        h = T.add(T.matmul(T.gelu(h), p[f"{prefix}.ffn.fc2.w"]), p[f"{prefix}.ffn.fc2.b"])
-        return T.add(x, h), attn_weights
+        h = self._linear(T.gelu(self._linear(h, f"{prefix}.ffn.fc1")), f"{prefix}.ffn.fc2")
+        return T.add(x, h), weights
 
-    def transformer_group(self, x: Tensor, group_id: str) -> tuple[Tensor, AttentionMap]:
+    def transformer_group(self, x: Tensor, group_id: str, windows: int = 1) -> tuple[Tensor, AttentionMap]:
         """Run the group ``enc<i>``, ``mid`` or ``dec<i>`` over its level's
-        tokens; the map is the first layer's head average."""
+        tokens, ``windows`` row-stacked sequences of them; the map is the
+        first layer's head average for the first window."""
         if f"{group_id}.layer0.ln1.g" not in self.params:
             raise UsageError(f"unknown group '{group_id}'")
         level = self.config.n_levels if group_id == "mid" else int(group_id[3:])
         side = "dec" if group_id.startswith("dec") else "enc"
-        x, weights = self._layer(x, f"{group_id}.layer0")
+        x, weights = self._layer(x, f"{group_id}.layer0", windows)
         for j in range(1, self.config.n_layers_per_group):
-            x, _ = self._layer(x, f"{group_id}.layer{j}")
+            x, _ = self._layer(x, f"{group_id}.layer{j}", windows)
         return x, AttentionMap(level=level, side=side, weights=weights)
 
     def patch_merge(self, tokens: Tensor, level: int) -> Tensor:
@@ -345,46 +344,49 @@ class UShapedTransformer:
         return T.conv_transpose1d_k2s2(tokens, p[f"split{level - 1}.w"], p[f"split{level - 1}.b"])
 
     def backbone_forward(self, tokens: Tensor, zero_decoder: bool = False) -> tuple[Tensor, list[AttentionMap]]:
-        """Encoder tower, bottleneck, decoder tower with summed skips.
+        """Encoder tower, bottleneck, decoder tower with summed skips, over
+        B windows of level-1 tokens stacked as (B*N, d_model).
 
         ``zero_decoder`` replaces the whole decoder path with a zero
         function (verification hook): the output then equals the first
         encoder group's input exactly.
         """
         cfg = self.config
-        if tokens.shape != cfg.level_shape(1):
-            raise DimensionError(f"backbone_forward takes level-1 tokens {cfg.level_shape(1)}, got {tokens.shape}")
+        n, d = cfg.level_shape(1)
+        if tokens.ndim != 2 or tokens.shape[1] != d or tokens.shape[0] < n or tokens.shape[0] % n:
+            raise DimensionError(f"backbone_forward takes windows of level-1 tokens {(n, d)} "
+                                 f"stacked as (B*{n}, {d}), got {tokens.shape}")
+        windows = tokens.shape[0] // n
         maps: list[AttentionMap] = []
         skips: list[Tensor] = []
         x = tokens
         for i in range(1, cfg.n_levels):
-            out, amap = self.transformer_group(x, f"enc{i}")
+            out, amap = self.transformer_group(x, f"enc{i}", windows)
             maps.append(amap)
             skips.append(out)
             x = self.patch_merge(out, i)
-        x, amap = self.transformer_group(x, "mid")
+        x, amap = self.transformer_group(x, "mid", windows)
         maps.append(amap)
         if zero_decoder:
             x = Tensor(np.zeros_like(tokens.data))
         else:
             for i in range(cfg.n_levels - 1, 0, -1):
                 x = T.add(self.patch_split(x, i + 1), skips[i - 1])
-                x, amap = self.transformer_group(x, f"dec{i}")
+                x, amap = self.transformer_group(x, f"dec{i}", windows)
                 maps.append(amap)
         return T.add(x, tokens), maps
 
     def reconstruction_head(self, tokens: Tensor) -> Tensor:
-        """Map each token back to patch_size values and restitch the sequence."""
-        p = self.params
-        vals = T.add(T.matmul(tokens, p["head.recon.w"]), p["head.recon.b"])
-        return T.reshape(vals, (1, self.config.model_len))
+        """Map each token back to patch_size values and restitch each
+        window's sequence: (B, model_len)."""
+        vals = self._linear(tokens, "head.recon")
+        return T.reshape(vals, (-1, self.config.model_len))
 
     def forecast_head(self, tokens: Tensor) -> Tensor:
-        """De-embed to the full model length, return the final T values."""
+        """De-embed to the full model length, return each window's final
+        T values: (B, horizon_len)."""
         cfg = self.config
-        p = self.params
-        vals = T.add(T.matmul(tokens, p["head.forecast.w"]), p["head.forecast.b"])
-        seq = T.reshape(vals, (1, cfg.model_len))
+        seq = T.reshape(self._linear(tokens, "head.forecast"), (-1, cfg.model_len))
         return T.narrow(seq, 1, cfg.model_len - cfg.horizon_len, cfg.horizon_len)
 
     # -- end-to-end passes ---------------------------------------------------
@@ -425,7 +427,8 @@ class LinearBaseline:
         self.params.add("w", Tensor(_uniform_fan_in(rng, (lookback_len, horizon_len), lookback_len, np.dtype(dtype)), requires_grad=True))
         self.params.add("b", Tensor(np.zeros(horizon_len, dtype=dtype), requires_grad=True))
 
-    def forward(self, window: Tensor) -> Tensor:
-        if window.shape != (1, self.lookback_len):
-            raise DimensionError(f"baseline expects (1, {self.lookback_len}), got {window.shape}")
-        return T.add(T.matmul(window, self.params["w"]), self.params["b"])
+    def forward(self, windows: Tensor) -> Tensor:
+        """(B, L) normalized lookbacks to (B, T) forecasts."""
+        if windows.ndim != 2 or windows.shape[1] != self.lookback_len:
+            raise DimensionError(f"baseline expects (B, {self.lookback_len}), got {windows.shape}")
+        return T.linear(windows, self.params["w"], self.params["b"])

@@ -1,7 +1,8 @@
 """Dense tensors with reverse-mode automatic differentiation on numpy.
 
-The op set covers exactly what the forecasting backbone needs: matmul,
-stride-2 convolution / transpose convolution and pointwise convolution over
+The op set covers exactly what the forecasting backbone needs: matmul, the
+fused affine map ``linear`` and fused multi-head ``attention``, stride-2
+convolution / transpose convolution and pointwise convolution over
 token-major ``(tokens, channels)`` sequences, adaptive average pooling,
 softmax, layer norm, GELU, and elementwise arithmetic. Scalars are 32-bit
 by default; build tensors with ``dtype=np.float64`` for gradient verification.
@@ -264,6 +265,59 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record_op("matmul", out, (a, b), vjp)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map of row-stacked ``x[M, d_in]``: ``x @ w + b`` as one node."""
+    if x.ndim != 2 or w.ndim != 2 or b.shape != (w.shape[1],) or x.shape[1] != w.shape[0]:
+        raise DimensionError(f"linear expects x[M,d_in], w[d_in,d_out], b[d_out]; "
+                             f"got {x.shape}, {w.shape}, {b.shape}")
+    x_data, w_data = x.data, w.data
+    out = x_data @ w_data + b.data
+
+    def vjp(g):
+        return g @ w_data.T, x_data.T @ g, g.sum(axis=0)
+
+    return record_op("linear", out, (x, w, b), vjp)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, windows: int) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention within each window, as one node.
+
+    ``q``, ``k`` and ``v`` are ``(windows*N, d)`` row stacks of ``windows``
+    sequences of N tokens; token i attends only to tokens of its own
+    window. Each head takes a contiguous ``d/heads`` slice of the features.
+    Returns the ``(windows*N, d)`` context and the softmax probabilities
+    ``(windows, heads, N, N)``, which the VJP reuses rather than recomputes.
+    """
+    if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
+        raise DimensionError(f"attention expects equal 2-D q, k, v; got {q.shape}, {k.shape}, {v.shape}")
+    rows, d = q.shape
+    if heads < 1 or d % heads or windows < 1 or rows % windows:
+        raise DimensionError(f"attention: {rows}x{d} tokens do not split into {windows} windows "
+                             f"of {heads} heads")
+    n, dh = rows // windows, d // heads
+    qh = q.data.reshape(windows, n, heads, dh).transpose(0, 2, 1, 3)   # (W, h, N, dh)
+    kt = k.data.reshape(windows, n, heads, dh).transpose(0, 2, 3, 1)   # (W, h, dh, N)
+    vh = v.data.reshape(windows, n, heads, dh).transpose(0, 2, 1, 3)
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.dtype)
+    scores = (qh @ kt) * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    out = (probs @ vh).transpose(0, 2, 1, 3).reshape(rows, d)
+
+    def vjp(g):
+        gc = g.reshape(windows, n, heads, dh).transpose(0, 2, 1, 3)
+        gp = gc @ vh.swapaxes(-1, -2)
+        gv = probs.swapaxes(-1, -2) @ gc
+        gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
+        gq = gs @ kt.swapaxes(-1, -2)
+        gk = qh.swapaxes(-1, -2) @ gs
+        return (gq.transpose(0, 2, 1, 3).reshape(rows, d),
+                gk.transpose(0, 3, 1, 2).reshape(rows, d),
+                gv.transpose(0, 2, 1, 3).reshape(rows, d))
+
+    return record_op("attention", out, (q, k, v), vjp), probs
+
+
 def conv1d_k2s2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Kernel-2 stride-2 convolution of ``x[P, C_in]`` to ``(P/2, C_out)``.
 
@@ -329,7 +383,7 @@ def pointwise_conv(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         )
     if weight.shape[1] != x.shape[1] or bias.shape[0] != weight.shape[0]:
         raise DimensionError(f"pointwise_conv shape mismatch: {x.shape}, {weight.shape}, {bias.shape}")
-    return add(matmul(x, transpose(weight, (1, 0))), bias)
+    return linear(x, transpose(weight, (1, 0)), bias)
 
 
 def adaptive_avg_pool1d(x: Tensor, out_len: int) -> Tensor:
@@ -413,10 +467,17 @@ _GELU_A = 0.044715
 def gelu(x: Tensor) -> Tensor:
     """GELU with the tanh approximation."""
     x_data = x.data
-    # x * x * x, not x**3: numpy's float32 power is about 100x slower
-    u = _GELU_C * (x_data + _GELU_A * (x_data * x_data * x_data))
-    t = np.tanh(u)
-    out = 0.5 * x_data * (1.0 + t)
+    # x * x * x, not x**3: numpy's float32 power is about 100x slower. In place,
+    # in the order of C * (x + A * (x * x * x)) and (0.5 * x) * (1 + t): the
+    # products commute exactly, and one buffer holds u, then t
+    t = x_data * x_data
+    t *= x_data
+    t *= _GELU_A
+    t += x_data
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = 1.0 + t
+    out *= 0.5 * x_data
 
     def vjp(g):
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * x_data**2)

@@ -21,6 +21,8 @@ from .tensor import GradTape, Tensor
 
 MAPE_FLOOR = 0.1
 CHECKPOINT_VERSION = 1
+# evaluate() passes at most this many windows to one predictor call
+EVAL_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -262,8 +264,12 @@ def train_linear_baseline(baseline: LinearBaseline, frames: dict, sampler: D.Sam
 # evaluation
 
 
+# Predictors map B windows at once: ``predict(input_norm, truth_norm) ->
+# pred_norm`` with shapes [BxL], [BxT] -> [BxT], row b depending on row b only.
+
+
 class ModelPredictor:
-    """Normalized-space forecast via the full model."""
+    """Normalized-space forecast via the full model: one forward per call."""
 
     def __init__(self, model: UShapedTransformer):
         self.model = model
@@ -283,13 +289,14 @@ class BaselinePredictor:
 
 
 class LastValuePredictor:
-    """Repeats the final observed value across the horizon."""
+    """Repeats each window's final observed value across the horizon."""
 
     def __init__(self, horizon_len: int):
         self.horizon_len = horizon_len
 
     def __call__(self, input_norm, truth_norm):
-        return np.full((1, self.horizon_len), input_norm[0, -1], dtype=np.float32)
+        last = np.asarray(input_norm, dtype=np.float32)[:, -1:]
+        return np.repeat(last, self.horizon_len, axis=1)
 
 
 class OraclePredictor:
@@ -304,8 +311,9 @@ def evaluate(predict, frame: D.SeriesFrame, lookback_len: int, horizon_len: int,
     """Fixed-stride windows over the test split; metrics on the first h forecast
     values per horizon h, all in normalized space.
 
-    ``predict(input_norm, truth_norm) -> pred_norm`` with shapes [1xL],
-    [1xT] -> [1xT]; honest predictors ignore the truth argument.
+    Every channel's windows are stacked and passed to ``predict`` (see the
+    predictor contract above) in chunks of at most ``EVAL_CHUNK`` rows;
+    honest predictors ignore the truth argument.
     """
     horizons = [int(h) for h in horizons]
     for h in horizons:
@@ -322,21 +330,23 @@ def evaluate(predict, frame: D.SeriesFrame, lookback_len: int, horizon_len: int,
             f"split 'test' of '{frame.dataset_id}' is too short for one "
             f"window: {hi - lo} < {total}"
         )
-    preds, truths = [], []
-    for channel in range(frame.n_channels):
-        for start in starts:
-            sample = D.make_window_sample(frame, channel, start, lookback_len, horizon_len)
-            pred = np.asarray(predict(sample.input, sample.target))
-            if pred.shape != (1, horizon_len):
-                raise UsageError(f"predictor returned shape {pred.shape}, expected (1, {horizon_len})")
-            preds.append(pred[0])
-            truths.append(sample.target[0])
-    pred_mat = np.stack(preds)
-    truth_mat = np.stack(truths)
+    samples = [D.make_window_sample(frame, channel, start, lookback_len, horizon_len)
+               for channel in range(frame.n_channels) for start in starts]
+    input_mat = np.concatenate([s.input for s in samples])
+    truth_mat = np.concatenate([s.target for s in samples])
+    preds = []
+    for lo in range(0, len(samples), EVAL_CHUNK):
+        truth = truth_mat[lo:lo + EVAL_CHUNK]
+        pred = np.asarray(predict(input_mat[lo:lo + EVAL_CHUNK], truth))
+        if pred.shape != truth.shape:
+            raise UsageError(f"predictor returned shape {pred.shape} for {len(truth)} windows, "
+                             f"expected (B, T) = {truth.shape}")
+        preds.append(pred)
+    pred_mat = np.concatenate(preds)
     out = {}
     for h in horizons:
         out[h] = compute_metrics(pred_mat[:, :h], truth_mat[:, :h])
-        out[h]["n_windows"] = len(preds)
+        out[h]["n_windows"] = len(samples)
     return out
 
 

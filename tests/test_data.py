@@ -71,6 +71,18 @@ def test_csv_loader_reports_cell_coordinates(tmp_path):
     p.write_bytes(b"a,b\n1,2\xff\n")
     with pytest.raises(IngestionError, match="UTF-8"):
         load_csv_dataset(p, "bad")
+    # past row 50 000 the rows reach the vectorized parse in several blocks; the
+    # scan still names the cell, a blank row, a block of wider rows and bytes
+    # that are not UTF-8
+    many_rows = "a,b\n" + "".join(f"{i},{-i}\n" for i in range(50_010))
+    for body, where in (("7,x\n", r"row 50012, column 'b'"), ("\n", "row 50012 has 0 cells"),
+                        ("1,2,3\n" * 30_000, "row 50012 has 3 cells")):
+        p.write_text(many_rows + body + "5,6\n")
+        with pytest.raises(IngestionError, match=where):
+            load_csv_dataset(p, "bad")
+    p.write_bytes(many_rows.encode("utf-8") + b"1,2\xff\n")
+    with pytest.raises(IngestionError, match="UTF-8"):
+        load_csv_dataset(p, "bad")
 
 
 def test_csv_loader_matches_float_per_cell(tmp_path):

@@ -145,8 +145,14 @@ def test_patch_embed_length_validation():
     m = tiny_model()
     with pytest.raises(DimensionError):
         m.patch_embed(Tensor(np.ones((1, 63))))
+    with pytest.raises(DimensionError):  # a batch of wrong-length windows
+        m.patch_embed(Tensor(np.ones((2, 63))))
+    with pytest.raises(DimensionError):  # a 1-D series is not a batch
+        m.patch_embed(Tensor(np.ones(64)))
     with pytest.raises(DimensionError):
-        m.patch_embed(Tensor(np.ones((2, 64))))
+        m.patch_embed(Tensor(np.ones((0, 64))))
+    # two windows are a valid batch: 2 x 8 row-stacked tokens
+    assert m.patch_embed(Tensor(np.ones((2, 64)))).shape == (16, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +309,15 @@ def test_embed_merge_split_record_no_layout_transpose(monkeypatch):
     with GradTape() as tape:
         m.patch_embed(series)
     transposed = [inputs[0] for name, inputs in recorded if name == "transpose"]
-    assert len(tape) == 5 and len(transposed) == 1 and transposed[0] is m.params["embed.w"]
-    # frozen weights: the token path alone records no transpose at all
+    assert len(tape) == 6 and len(transposed) == 1 and transposed[0] is m.params["embed.w"]
+    # frozen weights: the token path alone records no transpose at all; the
+    # reshapes only view the rows per window to add the position table
     m.freeze_backbone()
     recorded.clear()
     with GradTape() as tape:
         m.patch_embed(series)
-    assert [name for name, _ in recorded] == ["reshape", "matmul", "add", "add"] and len(tape) == 4
+    assert [name for name, _ in recorded] == ["reshape", "linear", "reshape", "add", "reshape"]
+    assert len(tape) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +345,31 @@ def test_backbone_map_inventory_and_row_sums():
         assert np.all(a.weights >= 0.0)
 
 
+@pytest.mark.parametrize("name", ["tiny", "small"])
+def test_batch_rows_equal_single_window_passes(name):
+    # row b of a (B, L) pass is window b's own pass: attention, merge and
+    # split never mix windows
+    m = UShapedTransformer(preset(name), seed=6)
+    x = np.random.default_rng(7).standard_normal((3, m.config.model_len)).astype(np.float32)
+    recon, maps = m.reconstruct(Tensor(x))
+    fc, _ = m.forecast(Tensor(x))
+    assert recon.shape == (3, m.config.model_len) and fc.shape == (3, m.config.horizon_len)
+    for b in range(3):
+        recon_b, maps_b = m.reconstruct(Tensor(x[b:b + 1]))
+        fc_b, _ = m.forecast(Tensor(x[b:b + 1]))
+        for got, want in ((recon.data[b], recon_b.data[0]), (fc.data[b], fc_b.data[0])):
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max(), b
+        if b == 0:  # a batch reports its first window's maps
+            for a, a_b in zip(maps, maps_b):
+                assert np.abs(a.weights - a_b.weights).max() <= 1e-6
+
+
 def test_backbone_requires_level_one_grid():
     m = tiny_model()
     with pytest.raises(DimensionError):  # level-2 tokens
         m.backbone_forward(Tensor(np.ones((4, 16))))
+    with pytest.raises(DimensionError):  # not a whole number of 8-token windows
+        m.backbone_forward(Tensor(np.ones((12, 8))))
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,86 @@ def test_matmul_shape_errors():
         T.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
 
 
+def test_linear_is_matmul_plus_bias_bit_for_bit():
+    rng = np.random.default_rng(4)
+    x, w, b = (t64(rng, *shape) for shape in ((6, 5), (5, 3), (3,)))
+    fused = T.linear(x, w, b)
+    assert fused.data.tobytes() == T.add(T.matmul(x, w), b).data.tobytes()
+    with pytest.raises(DimensionError):
+        T.linear(x, w, Tensor(np.zeros(4)))
+    with pytest.raises(DimensionError):
+        T.linear(x, Tensor(np.zeros((4, 3))), b)
+
+
+# ---------------------------------------------------------------------------
+# attention
+
+
+def _attention_reference(q, k, v, heads):
+    """Per-head softmax(q k^T / sqrt(dh)) v for one window, in float64 loops."""
+    n, d = q.shape
+    dh = d // heads
+    out, probs = np.zeros((n, d)), np.zeros((heads, n, n))
+    for h in range(heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        scores = q[:, cols] @ k[:, cols].T / np.sqrt(dh)
+        p = np.exp(scores - scores.max(axis=1, keepdims=True))
+        probs[h] = p / p.sum(axis=1, keepdims=True)
+        out[:, cols] = probs[h] @ v[:, cols]
+    return out, probs
+
+
+def test_attention_matches_reference_and_keeps_windows_apart():
+    rng = np.random.default_rng(8)
+    windows, n, d, heads = 3, 5, 6, 3
+    q, k, v = (rng.standard_normal((windows * n, d)) for _ in range(3))
+    out, probs = T.attention(Tensor(q, dtype=F64), Tensor(k, dtype=F64), Tensor(v, dtype=F64), heads, windows)
+    assert out.shape == (windows * n, d) and probs.shape == (windows, heads, n, n)
+    for w in range(windows):
+        rows = slice(w * n, (w + 1) * n)
+        want, want_probs = _attention_reference(q[rows], k[rows], v[rows], heads)
+        assert np.allclose(out.data[rows], want, atol=1e-12)
+        assert np.allclose(probs[w], want_probs, atol=1e-12)
+        # one window alone gives the same rows: no attention crosses windows
+        alone, _ = T.attention(Tensor(q[rows], dtype=F64), Tensor(k[rows], dtype=F64),
+                               Tensor(v[rows], dtype=F64), heads, 1)
+        assert np.allclose(alone.data, out.data[rows], atol=1e-12)
+    for bad in ((heads, 2), (4, windows), (0, windows)):  # 15 rows in 2 windows; 6 features in 4 heads
+        with pytest.raises(DimensionError):
+            T.attention(Tensor(q), Tensor(k), Tensor(v), *bad)
+    with pytest.raises(DimensionError):
+        T.attention(Tensor(q), Tensor(k[:5]), Tensor(v), heads, 1)
+
+
+def test_attention_is_the_unfused_op_chain_bit_for_bit():
+    # the fused op replays the float operations of the per-op chain it
+    # replaced, in order, so training artifacts did not move with it
+    rng = np.random.default_rng(9)
+    n, d, heads = 6, 8, 2
+    dh = d // heads
+    qkv = [Tensor(rng.standard_normal((n, d)).astype(F32), requires_grad=True) for _ in range(3)]
+    g = Tensor(rng.standard_normal((n, d)).astype(F32))
+
+    def unfused(q, k, v):
+        qh = T.transpose(T.reshape(q, (n, heads, dh)), (1, 0, 2))
+        kt = T.transpose(T.reshape(k, (n, heads, dh)), (1, 2, 0))
+        vh = T.transpose(T.reshape(v, (n, heads, dh)), (1, 0, 2))
+        weights = T.softmax_lastdim(T.mul(T.matmul(qh, kt), 1.0 / np.sqrt(dh)))
+        return T.reshape(T.transpose(T.matmul(weights, vh), (1, 0, 2)), (n, d)), weights.data
+
+    results = []
+    for fn in (unfused, lambda q, k, v: T.attention(q, k, v, heads, 1)):
+        for t in qkv:
+            t.zero_grad()
+        with GradTape() as tape:
+            out, probs = fn(*qkv)
+            loss = T.sum_all(T.mul(out, g))
+        tape.backward(loss)
+        results.append([out.data, probs.reshape(heads, n, n)] + [t.grad for t in qkv])
+    for want, got in zip(*results):
+        assert want.tobytes() == got.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # convolutions
 
@@ -347,6 +427,10 @@ def _fd_cases(rng, dtype):
     w = t(3, 2, 2)
     return {
         "matmul": (lambda i: sq(T.matmul(i["a"], i["b"])), {"a": t(3, 4), "b": t(4, 2)}),
+        "linear": (lambda i: sq(T.linear(i["x"], i["w"], i["b"])), {"x": t(5, 3), "w": t(3, 2), "b": t(2)}),
+        # 2 windows x 3 tokens, 2 heads of 2 features
+        "attention": (lambda i: sq(T.attention(i["q"], i["k"], i["v"], 2, 2)[0]),
+                      {"q": t(6, 4), "k": t(6, 4), "v": t(6, 4)}),
         "conv": (lambda i: sq(T.conv1d_k2s2(i["x"], i["w"], i["b"])), {"x": t(6, 2), "w": w, "b": t(3)}),
         "convT": (lambda i: sq(T.conv_transpose1d_k2s2(i["x"], i["w"], i["b"])),
                   {"x": t(4, 3), "w": w, "b": t(2)}),

@@ -6,11 +6,11 @@ import struct
 import numpy as np
 import pytest
 
-from utsf.data import SamplerConfig, make_sine_frame
+from utsf.data import SamplerConfig, build_model_input, make_sine_frame, make_window_sample
 from utsf.errors import CheckpointError, ConfigError, NumericError, UsageError
 from utsf.model import LinearBaseline, ModelConfig, ParameterStore, UShapedTransformer, preset
 from utsf.tensor import GradTape, Tensor
-from utsf.training import (Adam, LastValuePredictor, ModelPredictor,
+from utsf.training import (EVAL_CHUNK, Adam, BaselinePredictor, LastValuePredictor, ModelPredictor,
                            OraclePredictor, TrainerConfig, TrainReport,
                            apply_checkpoint, backbone_hash, compute_metrics,
                            evaluate, finetune_epoch, load_checkpoint,
@@ -190,7 +190,7 @@ def test_finetune_touches_only_the_heads():
     head_before = m.params["head.forecast.w"].data.tobytes()
     with GradTape() as tape:
         m.forecast(Tensor(np.zeros((1, m.config.model_len), dtype=np.float32)))
-    assert len(tape) == 4  # head matmul, bias add, reshape, narrow: the backbone is constant
+    assert len(tape) == 3  # head linear, reshape, narrow: the backbone is constant
     finetune_epoch(m, sine_frames(), SAMPLER, Adam(m.params, lr=1e-2),
                    steps=5, rng=np.random.default_rng(0))
     assert backbone_hash(m) == hash_before
@@ -272,16 +272,54 @@ def test_evaluate_validates_horizons_and_predictor_shape():
         evaluate(OraclePredictor(), frame, 32, 32, horizons=[0])
     with pytest.raises(UsageError, match="shape"):
         evaluate(lambda i, t: np.zeros((1, 3)), frame, 32, 32, horizons=[32])
+    with pytest.raises(UsageError, match=r"expected \(B, T\) = \(2, 32\)"):  # one row for 2 windows
+        evaluate(lambda i, t: np.zeros((1, 32)), frame, 32, 32, horizons=[32])
     short = make_sine_frame("tiny", n_channels=1, length=80, period=16.0)
     with pytest.raises(UsageError, match="too short"):
         evaluate(OraclePredictor(), short, 32, 32, horizons=[32])
 
 
 def test_model_predictor_matches_direct_forward():
+    # 2 channels x 37 test windows: evaluate passes chunks of 32, 32 and 10
     m = tiny_model(seed=4)
-    frame = make_sine_frame("s", n_channels=1, length=640, period=16.0, seed=5)
-    out = evaluate(ModelPredictor(m), frame, 32, 32, horizons=[32])
-    assert np.isfinite(out[32]["mse"])
+    frame = make_sine_frame("s", n_channels=2, length=12_000, period=16.0, noise=0.1, seed=5)
+    predictor, chunks = ModelPredictor(m), []
+
+    def recording(input_norm, truth_norm):
+        chunks.append(len(input_norm))
+        return predictor(input_norm, truth_norm)
+
+    out = evaluate(recording, frame, 32, 32, horizons=[8, 32])
+    assert chunks == [EVAL_CHUNK, EVAL_CHUNK, 10]
+    lo, hi = frame.split_bounds("test")
+    preds, truths = [], []
+    for channel in range(2):
+        for start in range(lo, hi - 64 + 1, 64):
+            sample = make_window_sample(frame, channel, start, 32, 32)
+            pred, _ = m.forecast(Tensor(build_model_input(sample.input, m.config)))
+            preds.append(pred.data)
+            truths.append(sample.target)
+    for h in (8, 32):
+        want = compute_metrics(np.concatenate(preds)[:, :h], np.concatenate(truths)[:, :h])
+        assert out[h]["n_windows"] == 74
+        for key, value in want.items():
+            assert abs(out[h][key] - value) <= 1e-6 * abs(value), (h, key)
+
+
+def test_stub_and_baseline_rows_match_a_per_window_loop():
+    rng = np.random.default_rng(6)
+    inputs = rng.standard_normal((5, 32)).astype(np.float32)
+    truths = rng.standard_normal((5, 32)).astype(np.float32)
+    baseline = LinearBaseline(32, 32, seed=1)
+    for predictor, rtol in ((LastValuePredictor(32), 0.0), (OraclePredictor(), 0.0),
+                            (BaselinePredictor(baseline), 1e-6)):
+        batch = predictor(inputs, truths)
+        assert batch.shape == (5, 32)
+        for b in range(5):
+            row = predictor(inputs[b:b + 1], truths[b:b + 1])
+            assert np.abs(batch[b] - row[0]).max() <= rtol * np.abs(row).max(), (predictor, b)
+    # each last-value row repeats its own window's last value
+    assert np.array_equal(LastValuePredictor(32)(inputs, truths), np.repeat(inputs[:, -1:], 32, axis=1))
 
 
 # ---------------------------------------------------------------------------
