@@ -59,12 +59,17 @@ class RunConfig:
         registry = raw.get("registry")
         if registry is not None and not isinstance(registry, str):
             raise ConfigError(f"config 'registry' must be a path string, got {registry!r}")
-        seed = raw.get("seed", 0) if seed_override is None else seed_override
+        file_seed = raw.get("seed", 0)
+        seed = file_seed if seed_override is None else seed_override
         if type(seed) is not int or seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+        sampler = raw.get("sampler", {})
+        # the run seed sets the jitter seed; a resolved config repeats it
+        if sampler.get("seed", file_seed) != file_seed:
+            raise ConfigError(f"sampler seed {sampler['seed']!r} differs from the run seed {file_seed!r}")
         return cls(
             model=ModelConfig.from_dict(raw["model"]),
-            sampler=D.SamplerConfig.from_dict({"seed": seed, **raw.get("sampler", {})}),
+            sampler=D.SamplerConfig.from_dict({**sampler, "seed": seed}),
             trainer=TR.TrainerConfig.from_dict(raw.get("trainer", {})),
             registry=registry,
             seed=seed,
@@ -86,18 +91,8 @@ class RunConfig:
         return D.load_registry(self.config_dir / self.registry)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write(path: Path, text: str) -> None:
     path.write_bytes(text.encode("utf-8"))
-
-
-def _write_resolved(cfg: RunConfig, out: Path) -> None:
-    _write(out / "resolved_config.json", json.dumps(cfg.resolved(), sort_keys=True, indent=2) + "\n")
 
 
 def _log(msg: str) -> None:
@@ -105,10 +100,18 @@ def _log(msg: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each runs as ``cmd_x(args, cfg, out)`` once ``main`` has loaded
+# the run config and created ``--out``; ``main`` writes the resolved config
 
 
-def _train(cfg: RunConfig, model: UShapedTransformer, frames: dict, phase: str, epoch_fn) -> TR.TrainReport:
+def _load_model(cfg: RunConfig, path) -> UShapedTransformer:
+    """The run config's model, every weight taken from the checkpoint."""
+    model = UShapedTransformer(cfg.model, seed=None)
+    TR.apply_checkpoint(model, path)
+    return model
+
+
+def _train(cfg: RunConfig, model, frames: dict, phase: str, epoch_fn) -> TR.TrainReport:
     """Run ``epoch_fn`` for each configured epoch from the run seed, logging
     each epoch's mean loss."""
     optimizer = TR.Adam.from_config(model.params, cfg.trainer)
@@ -126,25 +129,18 @@ def _write_training(cfg: RunConfig, out: Path, model: UShapedTransformer, checkp
     TR.save_checkpoint(model, out / checkpoint_name, seed=cfg.seed)
     _write(out / "loss.csv", report.loss_csv_text())
     _write(out / "report.json", report.json_text())
-    _write_resolved(cfg, out)
 
 
-def cmd_pretrain(args) -> int:
-    cfg = RunConfig.load(args.config, args.seed)
-    out = _out_dir(args)
+def cmd_pretrain(args, cfg: RunConfig, out: Path) -> None:
     frames = cfg.load_frames()
     model = UShapedTransformer(cfg.model, seed=cfg.seed)
     report = _train(cfg, model, frames, "pretrain", TR.pretrain_epoch)
     _write_training(cfg, out, model, "checkpoint.bin", report)
-    return 0
 
 
-def cmd_finetune(args) -> int:
-    cfg = RunConfig.load(args.config, args.seed)
-    out = _out_dir(args)
+def cmd_finetune(args, cfg: RunConfig, out: Path) -> None:
     frames = cfg.load_frames()
-    model = UShapedTransformer(cfg.model, seed=None)
-    TR.apply_checkpoint(model, args.checkpoint)
+    model = _load_model(cfg, args.checkpoint)
     pre_hash = TR.backbone_hash(model)
     model.freeze_backbone()
     report = _train(cfg, model, frames, "finetune", TR.finetune_epoch)
@@ -152,7 +148,6 @@ def cmd_finetune(args) -> int:
         raise RuntimeError("backbone changed during finetune; freeze contract broken")
     _log("backbone hash unchanged by finetune")
     _write_training(cfg, out, model, "finetuned.bin", report)
-    return 0
 
 
 def _parse_horizons(raw: str | None, horizon_len: int) -> list:
@@ -170,13 +165,10 @@ def _parse_horizons(raw: str | None, horizon_len: int) -> list:
     return horizons
 
 
-def cmd_eval(args) -> int:
-    cfg = RunConfig.load(args.config, args.seed)
-    out = _out_dir(args)
+def cmd_eval(args, cfg: RunConfig, out: Path) -> None:
     frames = cfg.load_frames()
     horizons = _parse_horizons(args.horizons, cfg.model.horizon_len)
-    rows = []  # (model, dataset, horizon, metrics)
-    results: dict = {}
+    results: dict = {}  # model -> dataset -> horizon -> metrics
 
     def run(tag, predictor):
         results[tag] = {}
@@ -184,8 +176,6 @@ def cmd_eval(args) -> int:
             per_h = TR.evaluate(predictor, frames[ds_id], cfg.model.lookback_len,
                                 cfg.model.horizon_len, horizons)
             results[tag][ds_id] = {str(h): per_h[h] for h in horizons}
-            for h in horizons:
-                rows.append((tag, ds_id, h, per_h[h]))
 
     if args.stub:
         predictor = TR.OraclePredictor() if args.stub == "oracle" \
@@ -194,58 +184,47 @@ def cmd_eval(args) -> int:
     else:
         if not args.checkpoint:
             raise ConfigError("eval needs --checkpoint (or --stub)")
-        model = UShapedTransformer(cfg.model, seed=None)
-        TR.apply_checkpoint(model, args.checkpoint)
-        run("ushape", TR.ModelPredictor(model))
+        run("ushape", TR.ModelPredictor(_load_model(cfg, args.checkpoint)))
     if args.baseline:
         baseline = LinearBaseline(cfg.model.lookback_len, cfg.model.horizon_len, seed=cfg.seed)
-        rng = np.random.default_rng(cfg.seed)
-        TR.train_linear_baseline(baseline, frames, cfg.sampler, cfg.trainer, rng)
+        _train(cfg, baseline, frames, "baseline", TR.baseline_epoch)
         run("linear", TR.BaselinePredictor(baseline))
 
     lines = ["model,dataset,horizon,mse,mae,mape"]
-    for tag, ds_id, h, m in rows:
-        lines.append(f"{tag},{ds_id},{h},{m['mse']:.8e},{m['mae']:.8e},{m['mape']:.8e}")
+    for tag, per_ds in results.items():
+        for ds_id, per_h in per_ds.items():
+            for h, m in per_h.items():
+                lines.append(f"{tag},{ds_id},{h},{m['mse']:.8e},{m['mae']:.8e},{m['mape']:.8e}")
     _write(out / "metrics.csv", "\n".join(lines) + "\n")
     _write(out / "metrics.json", json.dumps(results, sort_keys=True, indent=2) + "\n")
-    _write_resolved(cfg, out)
     for line in lines[1:]:
         _log(line)
-    return 0
 
 
-def _load_input_window(args) -> tuple[np.ndarray, float, float]:
+def _forecast_request(args, cfg: RunConfig):
+    """One forward of the checkpoint's model over channel ``--channel`` of
+    ``--input``, normalized by its own statistics. Returns the normalized
+    forecast row, the attention maps, the input length and the (mu, sigma)
+    that denormalize the forecast."""
     frame = D.load_csv_dataset(args.input, "input")
     if not 0 <= args.channel < frame.n_channels:
         raise ConfigError(f"--channel {args.channel} outside 0..{frame.n_channels - 1}")
-    window = frame.values[args.channel].reshape(1, -1)
-    return D.normalize_sample(window)
+    norm, mu, sigma = D.normalize_sample(frame.values[args.channel].reshape(1, -1))
+    model = _load_model(cfg, args.checkpoint)
+    pred, maps = model.forecast(Tensor(D.build_model_input(norm, cfg.model)))
+    return pred.data[0], maps, norm.shape[1], (mu, sigma)
 
 
-def cmd_forecast(args) -> int:
-    cfg = RunConfig.load(args.config, args.seed)
-    out = _out_dir(args)
-    norm, mu, sigma = _load_input_window(args)
-    model = UShapedTransformer(cfg.model, seed=None)
-    TR.apply_checkpoint(model, args.checkpoint)
-    pred, _ = model.forecast(Tensor(D.build_model_input(norm, cfg.model)))
-    values = pred.data[0]
+def cmd_forecast(args, cfg: RunConfig, out: Path) -> None:
+    values, _, _, (mu, sigma) = _forecast_request(args, cfg)
     if args.denormalize:
         values = D.denormalize(values, mu, sigma)
     lines = ["t,value"] + [f"{t},{v:.8e}" for t, v in enumerate(values)]
     _write(out / "forecast.csv", "\n".join(lines) + "\n")
-    _write_resolved(cfg, out)
-    return 0
 
 
-def cmd_attn_dump(args) -> int:
-    cfg = RunConfig.load(args.config, args.seed)
-    out = _out_dir(args)
-    norm, _, _ = _load_input_window(args)
-    input_len = norm.shape[1]
-    model = UShapedTransformer(cfg.model, seed=None)
-    TR.apply_checkpoint(model, args.checkpoint)
-    _, maps = model.forecast(Tensor(D.build_model_input(norm, cfg.model)))
+def cmd_attn_dump(args, cfg: RunConfig, out: Path) -> None:
+    _, maps, input_len, _ = _forecast_request(args, cfg)
     for m in maps:
         lines = [",".join(f"{w:.6g}" for w in row) for row in m.weights]
         _write(out / f"attn_{m.side}_L{m.level}.csv", "\n".join(lines) + "\n")
@@ -264,9 +243,7 @@ def cmd_attn_dump(args) -> int:
         "known_exceeds_padded": known_mass > padded_mass,
     }
     _write(out / "attn_report.json", json.dumps(report, sort_keys=True, indent=2) + "\n")
-    _write_resolved(cfg, out)
     _log(f"known-region mass {known_mass:.4g} vs padded {padded_mass:.4g}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="U-shaped transformer forecasting workflows")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="run config JSON")
+    def common(p):
+        p.add_argument("--config", required=True, help="run config JSON")
         p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
         p.add_argument("--out", default=".", help="output directory")
 
@@ -400,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--ops-only", action="store_true", help="skip the backbone check")
-    p.set_defaults(func=cmd_gradcheck)
 
     return parser
 
@@ -412,7 +387,14 @@ def main(argv=None) -> int:
     except SystemExit as e:  # argparse exits 2 on usage errors; keep it callable
         return int(e.code or 0)
     try:
-        return args.func(args)
+        if args.command == "gradcheck":
+            return cmd_gradcheck(args)
+        cfg = RunConfig.load(args.config, args.seed)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        args.func(args, cfg, out)
+        _write(out / "resolved_config.json", json.dumps(cfg.resolved(), sort_keys=True, indent=2) + "\n")
+        return 0
     except (ConfigError, UsageError, IngestionError, CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

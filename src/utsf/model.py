@@ -192,9 +192,6 @@ class ParameterStore:
         for t in self._params.values():
             t.zero_grad()
 
-    def n_scalars(self) -> int:
-        return sum(t.size for t in self._params.values())
-
 
 def _uniform_fan_in(rng: np.random.Generator | None, shape: tuple, fan_in: int, dtype) -> np.ndarray:
     if rng is None:
@@ -225,7 +222,6 @@ class UShapedTransformer:
     def __init__(self, config: ModelConfig, seed: int | None = 0, dtype=T.DEFAULT_DTYPE):
         self.config = config
         self.dtype = np.dtype(dtype)
-        self.seed = seed
         self.params = ParameterStore()
         self._build(None if seed is None else np.random.default_rng(seed))
 

@@ -115,7 +115,7 @@ class Adam:
 
 
 class TrainReport:
-    """Per-step and per-epoch loss series plus evaluation metrics.
+    """Per-step and per-epoch loss series.
 
     Wall-clock is kept in memory for logging but never serialized, so two
     runs with one seed emit byte-identical files.
@@ -125,7 +125,6 @@ class TrainReport:
         self.steps: list[float] = []
         self.epoch_means: list[float] = []
         self.wall_clock: list[float] = []
-        self.metrics: dict = {}
 
     def add_step(self, loss: float) -> None:
         self.steps.append(float(loss))
@@ -142,14 +141,11 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
     def summary(self) -> dict:
-        out = {
+        return {
             "n_steps": len(self.steps),
             "epoch_mean_loss": [round(v, 10) for v in self.epoch_means],
             "final_loss": round(self.steps[-1], 10) if self.steps else None,
         }
-        if self.metrics:
-            out["metrics"] = self.metrics
-        return out
 
     def json_text(self) -> str:
         return json.dumps(self.summary(), sort_keys=True, indent=2) + "\n"
@@ -242,22 +238,19 @@ def finetune_epoch(model: UShapedTransformer, frames: dict, sampler: D.SamplerCo
                               cfg.lookback_len + cfg.horizon_len, steps, rng, epoch, report)
 
 
-def train_linear_baseline(baseline: LinearBaseline, frames: dict, sampler: D.SamplerConfig,
-                          trainer_cfg: TrainerConfig, rng: np.random.Generator) -> TrainReport:
-    """Fit the affine baseline with the same sampling scheme and step budget
-    the model's head gets, for a like-for-like comparison row."""
-    optimizer = Adam.from_config(baseline.params, trainer_cfg)
+def baseline_epoch(baseline: LinearBaseline, frames: dict, sampler: D.SamplerConfig,
+                   optimizer: Adam, steps: int, rng: np.random.Generator,
+                   epoch: int = 0, report: TrainReport | None = None) -> TrainReport:
+    """Forecast epoch of the affine baseline over the windows the model's head
+    sees, for a like-for-like comparison row."""
     L, H = baseline.lookback_len, baseline.horizon_len
 
     def step_loss(frame, channel, start):
         sample = D.make_window_sample(frame, channel, start, L, H)
         return _mse_loss(baseline.forward(Tensor(sample.input)), Tensor(sample.target))
 
-    report = TrainReport()
-    for epoch in range(trainer_cfg.epochs):
-        _draw_window_epoch("baseline", step_loss, optimizer, frames, sampler,
-                           L + H, trainer_cfg.steps_per_epoch, rng, epoch, report)
-    return report
+    return _draw_window_epoch("baseline", step_loss, optimizer, frames, sampler,
+                              L + H, steps, rng, epoch, report)
 
 
 # ---------------------------------------------------------------------------

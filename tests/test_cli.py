@@ -2,12 +2,14 @@
 
 import csv
 import json
+import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from utsf.cli import main
+from utsf.cli import RunConfig, main
 from utsf.data import (load_csv_dataset, make_sine_frame, normalize_sample,
                        save_csv_dataset)
 from utsf.model import UShapedTransformer, preset
@@ -87,7 +89,7 @@ def test_eval_stub_oracle_scores_zero(workspace):
     assert metrics["stub-oracle"]["sine"]["32"]["mse"] == 0.0
 
 
-def test_eval_model_with_baseline_rows(workspace):
+def test_eval_model_with_baseline_rows(workspace, capsys):
     cfg = workspace / "run.json"
     pre = workspace / "pre"
     assert run_cli("pretrain", "--config", cfg, "--out", pre) == 0
@@ -99,6 +101,7 @@ def test_eval_model_with_baseline_rows(workspace):
     assert models == {"ushape", "linear"}
     for r in body:
         assert np.isfinite(float(r[3]))
+    assert "baseline epoch 0: mean loss" in capsys.readouterr().err
 
 
 def test_eval_requires_checkpoint_or_stub(workspace):
@@ -300,3 +303,52 @@ def test_seed_override_changes_resolved_config(workspace):
     cb = json.loads((b / "resolved_config.json").read_text())
     assert ca["seed"] == 0 and cb["seed"] == 9
     assert (a / "checkpoint.bin").read_bytes() != (b / "checkpoint.bin").read_bytes()
+
+
+def test_seed_override_reaches_the_window_jitter(workspace, capsys):
+    # a resolved config repeats its seed as sampler.seed; --seed must still
+    # move the jitter, so both configs give one run
+    cfg = workspace / "run.json"
+    assert run_cli("pretrain", "--config", cfg, "--out", workspace / "s3", "--seed", "3") == 0
+    shutil.copy(workspace / "s3" / "resolved_config.json", workspace / "resolved.json")
+    a, b = workspace / "a5", workspace / "b5"
+    assert run_cli("pretrain", "--config", cfg, "--out", a, "--seed", "5") == 0
+    assert run_cli("pretrain", "--config", workspace / "resolved.json", "--out", b, "--seed", "5") == 0
+    for name in ("checkpoint.bin", "loss.csv", "resolved_config.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert json.loads((b / "resolved_config.json").read_text())["sampler"]["seed"] == 5
+
+    # a sampler seed other than the file's own seed is refused, naming both
+    run = json.loads(cfg.read_text())
+    (workspace / "split.json").write_text(json.dumps({**run, "seed": 4, "sampler": {"seed": 7}}))
+    assert run_cli("pretrain", "--config", workspace / "split.json", "--out", workspace / "x") == 2
+    err = capsys.readouterr().err
+    assert "7" in err and "4" in err and "sampler" in err
+    assert not (workspace / "x" / "resolved_config.json").exists()
+
+
+def test_shipped_run_configs_load():
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    runs = [p for p in sorted(configs.glob("*.json")) if p.name != "datasets.json"]
+    assert runs
+    for path in runs:
+        cfg = RunConfig.load(path)
+        assert (cfg.config_dir / cfg.registry).is_file(), path
+        assert cfg.sampler.seed == cfg.seed
+
+
+def test_failing_config_command_writes_no_resolved_config(workspace, capsys):
+    cfg = workspace / "run.json"
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
+    cases = {
+        "channel": ["forecast", "--checkpoint", workspace / "ck.bin",
+                    "--input", workspace / "probe.csv", "--channel", "5"],
+        "attn": ["attn-dump", "--checkpoint", workspace / "ck.bin",
+                 "--input", workspace / "probe.csv", "--channel", "-1"],
+        "horizons": ["eval", "--stub", "oracle", "--horizons", "8,x"],
+    }
+    for name, argv in cases.items():
+        out = workspace / name
+        assert run_cli(*argv, "--config", cfg, "--out", out) == 2, name
+        assert "error:" in capsys.readouterr().err, name
+        assert out.is_dir() and not any(out.iterdir()), name

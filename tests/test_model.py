@@ -91,7 +91,7 @@ def test_parameter_store_contracts():
         store.add("a", Tensor(np.ones(2)))
     store.add("b", Tensor(np.zeros((2, 2))))
     assert store.names() == ["a", "b"]
-    assert store.n_scalars() == 7
+    assert sum(t.size for _, t in store.items()) == 7
     store.set_frozen("a", True)
     assert store.frozen("a") and not store.frozen("b")
     assert not a.requires_grad  # frozen is the tensor's own flag, not a second one

@@ -12,10 +12,9 @@ from utsf.model import LinearBaseline, ModelConfig, ParameterStore, UShapedTrans
 from utsf.tensor import GradTape, Tensor
 from utsf.training import (EVAL_CHUNK, Adam, BaselinePredictor, LastValuePredictor, ModelPredictor,
                            OraclePredictor, TrainerConfig, TrainReport,
-                           apply_checkpoint, backbone_hash, compute_metrics,
-                           evaluate, finetune_epoch, load_checkpoint,
-                           pretrain_epoch, save_checkpoint,
-                           train_linear_baseline)
+                           apply_checkpoint, backbone_hash, baseline_epoch,
+                           compute_metrics, evaluate, finetune_epoch,
+                           load_checkpoint, pretrain_epoch, save_checkpoint)
 
 
 def tiny_model(seed=0):
@@ -206,9 +205,11 @@ def test_non_finite_gradient_names_phase_epoch_and_step(phase, monkeypatch):
     # the third backward pass and the abort must say where it happened
     if phase == "baseline":
         model = LinearBaseline(32, 32, seed=0)
-        run = lambda: train_linear_baseline(model, sine_frames(), SAMPLER,
-                                            TrainerConfig(lr=1e-2, epochs=2, steps_per_epoch=2),
-                                            rng=np.random.default_rng(0))
+
+        def run():  # two epochs of two steps, as the CLI's epoch loop drives them
+            optimizer, rng, report = Adam(model.params, lr=1e-2), np.random.default_rng(0), TrainReport()
+            for epoch in range(2):
+                baseline_epoch(model, sine_frames(), SAMPLER, optimizer, 2, rng, epoch, report)
         where = "epoch 1, step 0"
     else:
         model = tiny_model()
@@ -236,9 +237,8 @@ def test_non_finite_gradient_names_phase_epoch_and_step(phase, monkeypatch):
 def test_train_linear_baseline_runs_and_moves_weights():
     b = LinearBaseline(32, 32, seed=0)
     before = b.params["w"].data.copy()
-    rep = train_linear_baseline(b, sine_frames(), SAMPLER,
-                                TrainerConfig(lr=1e-2, epochs=1, steps_per_epoch=15),
-                                rng=np.random.default_rng(0))
+    rep = baseline_epoch(b, sine_frames(), SAMPLER, Adam.from_config(b.params, TrainerConfig(lr=1e-2)),
+                         steps=15, rng=np.random.default_rng(0))
     assert len(rep.steps) == 15
     assert np.isfinite(rep.steps).all()
     assert not np.array_equal(b.params["w"].data, before)
