@@ -9,6 +9,7 @@ reproduces every output file byte for byte (timing goes to stderr only).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -39,6 +40,7 @@ class RunConfig:
     def load(cls, path, seed_override=None) -> "RunConfig":
         path = Path(path)
         try:
+            D.require_regular_file(path)
             raw = json.loads(path.read_text(encoding="utf-8"))
         except OSError as e:
             raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
@@ -60,9 +62,11 @@ class RunConfig:
         if registry is not None and not isinstance(registry, str):
             raise ConfigError(f"config 'registry' must be a path string, got {registry!r}")
         file_seed = raw.get("seed", 0)
+        # the file's own seed is checked even when --seed overrides it
+        for seed in (file_seed, seed_override):
+            if seed is not None and (type(seed) is not int or seed < 0):
+                raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         seed = file_seed if seed_override is None else seed_override
-        if type(seed) is not int or seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         sampler = raw.get("sampler", {})
         # the run seed sets the jitter seed; a resolved config repeats it
         if sampler.get("seed", file_seed) != file_seed:
@@ -219,7 +223,8 @@ def cmd_forecast(args, cfg: RunConfig, out: Path) -> None:
     values, _, _, (mu, sigma) = _forecast_request(args, cfg)
     if args.denormalize:
         values = D.denormalize(values, mu, sigma)
-    lines = ["t,value"] + [f"{t},{v:.8e}" for t, v in enumerate(values)]
+    # Python floats format as numpy scalars do, at a third less cost per row
+    lines = ["t,value"] + [f"{t},{v:.8e}" for t, v in enumerate(values.tolist())]
     _write(out / "forecast.csv", "\n".join(lines) + "\n")
 
 
@@ -330,7 +335,10 @@ def cmd_gradcheck(args) -> int:
 # wiring
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: built at the first call, after which
+    each ``parse_args`` returns a fresh namespace."""
     parser = argparse.ArgumentParser(prog="utsf",
                                      description="U-shaped transformer forecasting workflows")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -381,9 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:  # argparse exits 2 on usage errors; keep it callable
         return int(e.code or 0)
     try:

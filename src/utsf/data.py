@@ -9,7 +9,10 @@ and every channel is treated as an independent univariate sequence.
 from __future__ import annotations
 
 import csv
+import errno
 import json
+import os
+import stat
 import warnings
 import zlib
 from dataclasses import dataclass, fields
@@ -88,6 +91,14 @@ class SeriesFrame:
         return n_train + n_val, self.length
 
 
+def require_regular_file(path) -> None:
+    """Raise ``OSError`` unless ``path`` is a regular file, so callers report
+    it as a file they cannot read. Checked before the file is opened: a
+    device such as ``/dev/zero`` reads without bound and a FIFO blocks."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise OSError(errno.EINVAL, "not a regular file", str(path))
+
+
 def load_csv_dataset(path, dataset_id: str, splits=DEFAULT_SPLITS) -> SeriesFrame:
     """Read a UTF-8 CSV with a header of channel names and one timestep per row.
 
@@ -107,6 +118,7 @@ def load_csv_dataset(path, dataset_id: str, splits=DEFAULT_SPLITS) -> SeriesFram
     path = Path(path)
     values, n_lines = None, 0
     try:
+        require_regular_file(path)
         with open(path, newline="", encoding="utf-8") as fh:
             header = [c.strip() for c in next(csv.reader(fh), [])]
             blocks = []
@@ -181,6 +193,7 @@ def load_registry(path) -> dict[str, SeriesFrame]:
     relative to the registry file."""
     path = Path(path)
     try:
+        require_regular_file(path)
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as e:
         raise ConfigError(f"cannot read dataset registry {path}: {e.strerror}") from None

@@ -271,7 +271,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"linear expects x[M,d_in], w[d_in,d_out], b[d_out]; "
                              f"got {x.shape}, {w.shape}, {b.shape}")
     x_data, w_data = x.data, w.data
-    out = x_data @ w_data + b.data
+    out = x_data @ w_data
+    out += b.data
 
     def vjp(g):
         return g @ w_data.T, x_data.T @ g, g.sum(axis=0)
@@ -299,9 +300,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, windows: int) -> tupl
     kt = k.data.reshape(windows, n, heads, dh).transpose(0, 2, 3, 1)   # (W, h, dh, N)
     vh = v.data.reshape(windows, n, heads, dh).transpose(0, 2, 1, 3)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.dtype)
-    scores = (qh @ kt) * scale
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
+    # scale, shift, exponentiate and normalize in one buffer
+    probs = qh @ kt
+    probs *= scale
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
     out = (probs @ vh).transpose(0, 2, 1, 3).reshape(rows, d)
 
     def vjp(g):
@@ -442,11 +446,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(f"layer_norm gain/bias must be ({d},), got {gain.shape}, {bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # x is centered once; the mean and variance are formed as np.mean and
+    # np.var form them (a pairwise sum divided by d), so the bits match theirs
+    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = xhat * gain.data + bias.data
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
     gain_data = gain.data
     reduce_axes = tuple(range(x.ndim - 1))
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 import time
 from dataclasses import dataclass, fields
@@ -365,19 +366,37 @@ def save_checkpoint(model: UShapedTransformer, path, seed: int = 0) -> None:
     Path(path).write_bytes(struct.pack("<Q", len(mjson)) + mjson + b"".join(chunks))
 
 
-def _parse_checkpoint(path) -> tuple[dict, ModelConfig, memoryview]:
-    """Validate a checkpoint file; the payload is a view into the file's bytes."""
+def _parse_checkpoint(path) -> tuple[dict, ModelConfig, np.ndarray]:
+    """Validate a checkpoint file and read its payload into one float32
+    buffer. Sizes are checked against the file's before anything is read:
+    the manifest length before the manifest, and the payload the manifest
+    implies before the buffer is allocated."""
     try:
-        blob = Path(path).read_bytes()
+        D.require_regular_file(path)
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            manifest, config, count = _read_manifest(fh, size, path)
+            payload = np.empty(count, dtype="<f4")
+            got = fh.readinto(payload)
     except OSError as e:
         raise CheckpointError(f"{path}: cannot read checkpoint: {e.strerror}") from None
-    if len(blob) < 8:
+    if got != payload.nbytes:  # the file shrank after its size was read
+        raise CheckpointError(f"{path}: payload is {got} bytes, manifest implies {payload.nbytes}")
+    return manifest, config, payload
+
+
+def _read_manifest(fh, size: int, path) -> tuple[dict, ModelConfig, int]:
+    """Read and validate the length prefix and manifest of a ``size``-byte
+    checkpoint; returns the manifest, its model config and the number of
+    float32 values the payload that follows must hold."""
+    head = fh.read(8)
+    if len(head) < 8:
         raise CheckpointError(f"{path}: truncated before the manifest length")
-    (mlen,) = struct.unpack_from("<Q", blob)
-    if 8 + mlen > len(blob):
+    (mlen,) = struct.unpack("<Q", head)
+    if 8 + mlen > size:
         raise CheckpointError(f"{path}: manifest length {mlen} overruns the file")
     try:
-        manifest = json.loads(blob[8:8 + mlen].decode("utf-8"))
+        manifest = json.loads(fh.read(mlen).decode("utf-8"))
     except ValueError as e:  # bad UTF-8, bad JSON, or an int past Python's digit limit
         raise CheckpointError(f"{path}: manifest is not valid JSON: {e}") from None
     if not isinstance(manifest, dict):
@@ -400,21 +419,21 @@ def _parse_checkpoint(path) -> tuple[dict, ModelConfig, memoryview]:
                 and isinstance(e.get("frozen"), bool)):
             raise CheckpointError(f"{path}: manifest params[{i}] needs a string 'name', a 'shape' list "
                                   f"of non-negative ints and a bool 'frozen', got {e!r}")
-    payload = memoryview(blob)[8 + mlen:]
-    expected = sum(4 * math.prod(e["shape"]) for e in manifest["params"])
-    if len(payload) != expected:
-        raise CheckpointError(f"{path}: payload is {len(payload)} bytes, manifest implies {expected}")
+    count = sum(math.prod(e["shape"]) for e in manifest["params"])
+    if size - 8 - mlen != 4 * count:
+        raise CheckpointError(f"{path}: payload is {size - 8 - mlen} bytes, manifest implies {4 * count}")
     try:
         config = ModelConfig.from_dict(manifest["config"])
     except ConfigError as e:
         raise CheckpointError(f"{path}: manifest field 'config': {e}") from None
-    return manifest, config, payload
+    return manifest, config, count
 
 
 def _fill_params(model: UShapedTransformer, manifest: dict, config: ModelConfig,
-                 payload: memoryview, path) -> None:
-    """Overwrite every parameter from the payload. Names and shapes, then the
-    config, are checked before any parameter is written."""
+                 payload: np.ndarray, path) -> None:
+    """Point every parameter at its slice of the payload, a float32 view (a
+    copy for another dtype). Names and shapes, then the config, are checked
+    before any parameter is written."""
     names = model.params.names()
     entries = manifest["params"]
     if len(entries) != len(names):
@@ -430,15 +449,15 @@ def _fill_params(model: UShapedTransformer, manifest: dict, config: ModelConfig,
                 f"{path}: parameter '{name}': checkpoint shape {shape} != model shape {p.shape}"
             )
         count = math.prod(shape)
-        arrays.append(np.frombuffer(payload, dtype="<f4", count=count, offset=offset).reshape(shape))
-        offset += 4 * count
+        arrays.append(payload[offset:offset + count].reshape(shape))
+        offset += count
     ours, theirs = model.config.to_dict(), config.to_dict()
     for key in ours:
         if ours[key] != theirs[key]:
             raise CheckpointError(f"{path}: checkpoint model config '{key}' is {theirs[key]!r}, "
                                   f"the run config's is {ours[key]!r}")
     for (name, p), entry, arr in zip(model.params.items(), entries, arrays):
-        p.data = arr.astype(p.data.dtype)  # the one copy out of the file buffer
+        p.data = arr.astype(p.dtype, copy=False)
         model.params.set_frozen(name, entry["frozen"])
     model.params.zero_grads()
 

@@ -47,16 +47,21 @@ _JSON = st.recursive(
 
 @st.composite
 def _mutants(draw, blob, manifest, payload):
-    kind = draw(st.sampled_from(["truncate", "flip", "retype"]))
+    """``(kind, bytes)`` of one mutation of a valid checkpoint."""
+    kind = draw(st.sampled_from(["truncate", "clip_payload", "append", "flip", "retype"]))
     if kind == "truncate":
-        return blob[:draw(st.integers(0, len(blob) - 1))]
+        return kind, blob[:draw(st.integers(0, len(blob) - 1))]
+    if kind == "clip_payload":  # drop 1 byte up to the whole payload
+        return kind, blob[:len(blob) - draw(st.integers(1, len(payload)))]
+    if kind == "append":
+        return kind, blob + draw(st.binary(min_size=1, max_size=64))
     if kind == "flip":  # xor bytes of the length prefix or the manifest text
         data = bytearray(blob)
         end = len(blob) - len(payload)
         for i, mask in draw(st.lists(st.tuples(st.integers(0, end - 1), st.integers(1, 255)),
                                      min_size=1, max_size=4)):
             data[i] ^= mask
-        return bytes(data)
+        return kind, bytes(data)
     edited = json.loads(json.dumps(manifest))
     *parents, key = draw(st.sampled_from(_manifest_paths()))
     target = edited
@@ -64,14 +69,16 @@ def _mutants(draw, blob, manifest, payload):
         target = target[p]
     target[key] = draw(_JSON)
     text = json.dumps(edited).encode()
-    return struct.pack("<Q", len(text)) + text + payload
+    return kind, struct.pack("<Q", len(text)) + text + payload
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
 def test_mutated_checkpoint_forecast_exits_0_2_or_3(workspace, data):
     root, blob, manifest, payload = workspace
-    (root / "mutant.bin").write_bytes(data.draw(_mutants(blob, manifest, payload)))
+    kind, mutant = data.draw(_mutants(blob, manifest, payload))
+    (root / "mutant.bin").write_bytes(mutant)
     code = main(["forecast", "--config", str(root / "run.json"), "--out", str(root / "out"),
                  "--checkpoint", str(root / "mutant.bin"), "--input", str(root / "probe.csv")])
-    assert code in (0, 2, 3)
+    # a payload of any size but the manifest's is refused
+    assert code == 2 if kind in ("clip_payload", "append") else code in (0, 2, 3)

@@ -1,19 +1,26 @@
 """Command-line surface: files written, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from utsf.cli import RunConfig, main
+from utsf.cli import RunConfig, build_parser, main
 from utsf.data import (load_csv_dataset, make_sine_frame, normalize_sample,
                        save_csv_dataset)
+from utsf.errors import CheckpointError
 from utsf.model import UShapedTransformer, preset
-from utsf.training import save_checkpoint
+from utsf.training import apply_checkpoint, save_checkpoint
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -42,6 +49,15 @@ def run_cli(*argv):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def run_utsf(*argv, timeout=120, **kwargs):
+    """``utsf`` in a fresh interpreter with one BLAS thread, the setting the
+    determinism contract is stated for."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "utsf", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=timeout, **kwargs)
 
 
 def test_pretrain_writes_artifacts_deterministically(workspace):
@@ -143,6 +159,82 @@ def test_forecast_from_a_checkpoint_ignores_the_seed(workspace):
     assert (outs[0] / "forecast.csv").read_bytes() == (outs[1] / "forecast.csv").read_bytes()
 
 
+def test_forecast_bytes_are_pinned_and_the_parser_is_built_once(workspace):
+    # forecast.csv digests for this checkpoint and input (x86-64, numpy's
+    # OpenBLAS): the request path may change, its bytes may not
+    pinned = {(): "7a16896089a1fe140a9776c09521360d6d6c7cd71be5465a5d02527a32d72154",
+              ("--denormalize",): "3e955546324fdb871d68f0e78a5f6d5e60ff610f35a63434d02ce344b8ae410a"}
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
+    build_parser.cache_clear()
+    for extra, digest in pinned.items():
+        texts = []
+        for i in range(2):
+            out = workspace / f"fc{len(extra)}{i}"
+            assert run_cli("forecast", "--config", workspace / "run.json", "--out", out,
+                           "--checkpoint", workspace / "ck.bin", "--input", workspace / "probe.csv", *extra) == 0
+            texts.append((out / "forecast.csv").read_bytes())
+        assert texts[0] == texts[1], extra
+        assert hashlib.sha256(texts[0]).hexdigest() == digest, extra
+    assert build_parser.cache_info().misses == 1  # one parser for all four requests
+
+
+def test_checkpoint_payload_of_the_wrong_size_exits_2_and_loads_nothing(workspace, capsys):
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
+    blob = (workspace / "ck.bin").read_bytes()
+    payload = len(blob) - 8 - struct.unpack("<Q", blob[:8])[0]
+    model = UShapedTransformer(preset("tiny"), seed=5)
+    before = {name: p.data for name, p in model.params.items()}
+    copies = {name: a.copy() for name, a in before.items()}
+    for cut, extra in ((4, b""), (1, b""), (payload, b""), (0, b"\0\0\0\0"), (0, b"x")):
+        (workspace / "bad.bin").write_bytes(blob[:len(blob) - cut] + extra)
+        size = payload - cut + len(extra)
+        assert run_cli("forecast", "--config", workspace / "run.json", "--out", workspace / "fc",
+                       "--checkpoint", workspace / "bad.bin", "--input", workspace / "probe.csv") == 2
+        assert f"payload is {size} bytes, manifest implies {payload}" in capsys.readouterr().err
+        assert not (workspace / "fc" / "forecast.csv").exists()
+        with pytest.raises(CheckpointError, match=f"payload is {size} bytes"):
+            apply_checkpoint(model, workspace / "bad.bin")
+        for name, p in model.params.items():
+            assert p.data is before[name] and np.array_equal(p.data, copies[name]), (cut, extra, name)
+
+
+def test_runs_are_bitwise_under_one_blas_thread(workspace):
+    # the determinism contract, checked across processes as CI pins it
+    outs = [workspace / "p1", workspace / "p2"]
+    for out in outs:
+        done = run_utsf("pretrain", "--config", workspace / "run.json", "--out", out)
+        assert done.returncode == 0, done.stderr
+    for name in ("checkpoint.bin", "loss.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    fcs = [workspace / "f1", workspace / "f2"]
+    for out in fcs:
+        done = run_utsf("forecast", "--config", workspace / "run.json", "--out", out,
+                        "--checkpoint", outs[0] / "checkpoint.bin", "--input", workspace / "probe.csv")
+        assert done.returncode == 0, done.stderr
+    assert (fcs[0] / "forecast.csv").read_bytes() == (fcs[1] / "forecast.csv").read_bytes()
+
+
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero here")
+def test_device_paths_exit_2_before_reading(workspace):
+    resource = pytest.importorskip("resource")
+
+    def cap_memory():  # a path read without bound ends in MemoryError, not an exhausted host
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
+    files = {"--config": workspace / "run.json", "--checkpoint": workspace / "ck.bin",
+             "--input": workspace / "probe.csv"}
+    for flag in files:
+        argv = [a for item in {**files, flag: "/dev/zero"}.items() for a in item]
+        done = run_utsf("forecast", "--out", workspace / "fc", *argv, preexec_fn=cap_memory, timeout=60)
+        assert done.returncode == 2, (flag, done.stderr)
+        assert "/dev/zero" in done.stderr and "not a regular file" in done.stderr, flag
+    (workspace / "dev.json").write_text(json.dumps({"model": {"preset": "tiny"}, "registry": "/dev/zero"}))
+    done = run_utsf("pretrain", "--config", workspace / "dev.json", "--out", workspace / "pre",
+                    preexec_fn=cap_memory, timeout=60)
+    assert done.returncode == 2 and "/dev/zero" in done.stderr and "not a regular file" in done.stderr, done.stderr
+
+
 def test_forecast_rejects_bad_channel(workspace):
     cfg = workspace / "run.json"
     pre = workspace / "pre"
@@ -219,6 +311,11 @@ def test_config_errors_exit_2(workspace, capsys):
         bad.write_text(json.dumps({"model": {"preset": "tiny"}, **override}))
         assert run_cli("pretrain", "--config", bad, "--out", workspace / "x5") == 2, override
         assert name in capsys.readouterr().err, override
+
+    # the file's own seed is checked even when --seed overrides it
+    bad.write_text(json.dumps({"model": {"preset": "tiny"}, "registry": "datasets.json", "seed": "abc"}))
+    assert run_cli("pretrain", "--config", bad, "--seed", "5", "--out", workspace / "x9") == 2
+    assert "'abc'" in capsys.readouterr().err
 
     # wrong-typed registry entries are config errors naming the entry
     for entry in ({"path": 5}, {"path": "sine.csv", "splits": "abc"}, {"path": "sine.csv", "splits": 5}):

@@ -145,6 +145,93 @@ def test_attention_is_the_unfused_op_chain_bit_for_bit():
         assert want.tobytes() == got.tobytes()
 
 
+
+def _grads_through_tape(op, inputs, g):
+    """``op(*inputs)`` and the gradient of ``sum(op(...)[0] * g)`` for every input."""
+    for t in inputs:
+        t.zero_grad()
+    with GradTape() as tape:
+        out = op(*inputs)
+        loss = T.sum_all(T.mul(out[0] if isinstance(out, tuple) else out, Tensor(g)))
+    tape.backward(loss)
+    return out, [t.grad for t in inputs]
+
+
+def _layer_norm_numpy_formulas(x, gain, bias, g, eps=1e-5):
+    """The np.mean / np.var forward and its VJP: what layer_norm must equal bit for bit."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    axes = tuple(range(x.ndim - 1))
+    dxhat = g * gain
+    dx = (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
+    return xhat * gain + bias, [dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)]
+
+
+def _attention_out_of_place(q, k, v, heads, windows, g):
+    """Scaled scores, shifted exponent and normalized probabilities as fresh
+    arrays, and the VJP: what the in-place attention must equal bit for bit."""
+    rows, d = q.shape
+    n, dh = rows // windows, d // heads
+    qh = q.reshape(windows, n, heads, dh).transpose(0, 2, 1, 3)
+    kt = k.reshape(windows, n, heads, dh).transpose(0, 2, 3, 1)
+    vh = v.reshape(windows, n, heads, dh).transpose(0, 2, 1, 3)
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.dtype)
+    scores = (qh @ kt) * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    out = (probs @ vh).transpose(0, 2, 1, 3).reshape(rows, d)
+    gc = g.reshape(windows, n, heads, dh).transpose(0, 2, 1, 3)
+    gp = gc @ vh.swapaxes(-1, -2)
+    gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
+    grads = [(gs @ kt.swapaxes(-1, -2)).transpose(0, 2, 1, 3).reshape(rows, d),
+             (qh.swapaxes(-1, -2) @ gs).transpose(0, 3, 1, 2).reshape(rows, d),
+             (probs.swapaxes(-1, -2) @ gc).transpose(0, 2, 1, 3).reshape(rows, d)]
+    return out, probs, grads
+
+
+@pytest.mark.parametrize("dtype", [F32, F64])
+def test_in_place_forwards_match_out_of_place_formulas_bit_for_bit(dtype):
+    # layer_norm centers once, linear adds its bias in place and attention
+    # normalizes its scores in place; none of that may move a bit of the
+    # outputs or the gradients, over shapes and scales far from the model's
+    rng = np.random.default_rng(17)
+
+    def draw(*shape, scale=1.0, shift=0.0):
+        return (scale * (rng.standard_normal(shape) + shift)).astype(dtype)
+
+    for _ in range(12):
+        scale, shift = 10.0 ** rng.uniform(-3, 3), rng.uniform(-4, 4)
+        rows, d = int(rng.integers(1, 200)), int(rng.integers(1, 100))
+        lead = (int(rng.integers(1, 4)),) if rng.random() < 0.3 else ()
+        x, gain, bias, g = draw(*lead, rows, d, scale=scale, shift=shift), draw(d), draw(d), draw(*lead, rows, d)
+        want_out, want_grads = _layer_norm_numpy_formulas(x, gain, bias, g)
+        inputs = [Tensor(a, requires_grad=True, dtype=dtype) for a in (x, gain, bias)]
+        out, grads = _grads_through_tape(T.layer_norm, inputs, g)
+        assert out.data.tobytes() == want_out.tobytes()
+        for got, want in zip(grads, want_grads):
+            assert got.tobytes() == want.tobytes()
+
+        d_out = int(rng.integers(1, 100))
+        x, w, b, g = draw(rows, d, scale=scale), draw(d, d_out), draw(d_out, scale=scale), draw(rows, d_out)
+        inputs = [Tensor(a, requires_grad=True, dtype=dtype) for a in (x, w, b)]
+        out, grads = _grads_through_tape(T.linear, inputs, g)
+        assert out.data.tobytes() == (x @ w + b).tobytes()
+        for got, want in zip(grads, (g @ w.T, x.T @ g, g.sum(axis=0))):
+            assert got.tobytes() == want.tobytes()
+
+        windows, n, heads, dh = (int(rng.integers(1, m)) for m in (5, 40, 5, 17))
+        rows, d = windows * n, heads * dh
+        q, k, v, g = (draw(rows, d, scale=scale ** 0.5) for _ in range(4))
+        want_out, want_probs, want_grads = _attention_out_of_place(q, k, v, heads, windows, g)
+        inputs = [Tensor(a, requires_grad=True, dtype=dtype) for a in (q, k, v)]
+        (out, probs), grads = _grads_through_tape(lambda *t: T.attention(*t, heads, windows), inputs, g)
+        assert out.data.tobytes() == want_out.tobytes() and probs.tobytes() == want_probs.tobytes()
+        for got, want in zip(grads, want_grads):
+            assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # convolutions
 

@@ -364,6 +364,26 @@ def test_apply_checkpoint_overwrites_in_place(tmp_path):
     assert backbone_hash(other) == before
 
 
+def test_loaded_parameters_are_views_of_one_payload_buffer(tmp_path):
+    src = tiny_model(seed=7)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(src, path)
+    for loaded in (load_checkpoint(path)[0], UShapedTransformer(preset("tiny"), seed=None)):
+        apply_checkpoint(loaded, path)
+        buffer = next(loaded.params.items())[1].data.base
+        assert buffer is not None and buffer.dtype == np.float32
+        for name, p in loaded.params.items():
+            assert p.data.base is buffer and p.data.flags.writeable, name
+            assert p.data.tobytes() == src.params[name].data.tobytes(), name
+        assert buffer.nbytes == sum(p.data.nbytes for _, p in loaded.params.items())
+    # a float64 model gets its own copy of each value
+    wide = UShapedTransformer(preset("tiny"), seed=None, dtype=np.float64)
+    apply_checkpoint(wide, path)
+    for name, p in wide.params.items():
+        assert p.dtype == np.float64 and not np.shares_memory(p.data, buffer), name
+        assert np.array_equal(p.data, src.params[name].data), name
+
+
 def test_checkpoint_shape_mismatch_names_the_parameter(tmp_path):
     small = UShapedTransformer(preset("small"), seed=0)
     path = tmp_path / "small.bin"
