@@ -170,8 +170,8 @@ def test_forecast_bytes_are_pinned_and_the_parser_is_built_once(workspace):
         texts = []
         for i in range(2):
             out = workspace / f"fc{len(extra)}{i}"
-            assert run_cli("forecast", "--config", workspace / "run.json", "--out", out,
-                           "--checkpoint", workspace / "ck.bin", "--input", workspace / "probe.csv", *extra) == 0
+            assert run_cli("forecast", "--config", workspace / "run.json", "--out", out, "--checkpoint",
+                           workspace / "ck.bin", "--input", workspace / "probe.csv", *extra) == 0
             texts.append((out / "forecast.csv").read_bytes())
         assert texts[0] == texts[1], extra
         assert hashlib.sha256(texts[0]).hexdigest() == digest, extra
@@ -232,7 +232,8 @@ def test_device_paths_exit_2_before_reading(workspace):
     (workspace / "dev.json").write_text(json.dumps({"model": {"preset": "tiny"}, "registry": "/dev/zero"}))
     done = run_utsf("pretrain", "--config", workspace / "dev.json", "--out", workspace / "pre",
                     preexec_fn=cap_memory, timeout=60)
-    assert done.returncode == 2 and "/dev/zero" in done.stderr and "not a regular file" in done.stderr, done.stderr
+    assert done.returncode == 2, done.stderr
+    assert "/dev/zero" in done.stderr and "not a regular file" in done.stderr
 
 
 def test_forecast_rejects_bad_channel(workspace):
