@@ -193,16 +193,21 @@ class ParameterStore:
             t.zero_grad()
 
 
+def _placeholder(shape: tuple, dtype) -> np.ndarray:
+    """Read-only zeros that allocate nothing: a zero-stride view of one scalar."""
+    return np.broadcast_to(np.zeros((), dtype=dtype), shape)
+
+
 def _uniform_fan_in(rng: np.random.Generator | None, shape: tuple, fan_in: int, dtype) -> np.ndarray:
     if rng is None:
-        return np.zeros(shape, dtype=dtype)
+        return _placeholder(shape, dtype)
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
 def _normal(rng: np.random.Generator | None, shape: tuple, std: float, dtype) -> np.ndarray:
     if rng is None:
-        return np.zeros(shape, dtype=dtype)
+        return _placeholder(shape, dtype)
     return rng.normal(0.0, std, size=shape).astype(dtype)
 
 
@@ -213,8 +218,9 @@ class UShapedTransformer:
     through the same weights as a univariate row of a (B, L + T) batch.
 
     ``seed`` draws the initial weights. ``seed=None`` draws nothing: random
-    initial values become zero placeholders, for a model whose every
-    parameter a checkpoint is about to overwrite.
+    initial values become read-only zero placeholders that allocate no
+    memory, for a model whose every parameter a checkpoint is about to
+    overwrite. Such a model cannot be trained until a checkpoint fills it.
     """
 
     HEAD_PREFIX = "head."

@@ -10,7 +10,6 @@ import os
 import struct
 import time
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -96,13 +95,16 @@ class Adam:
         return cls(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
 
     def step(self) -> None:
+        """Update every trainable entry, or none: all gradients are checked
+        for finiteness before any parameter, moment or step count changes."""
+        entries = [(name, p, self.params.grad(name)) for name, p in self.params.trainable()]
+        for name, _, g in entries:
+            if not np.all(np.isfinite(g)):
+                raise NumericError(f"non-finite gradient for parameter '{name}'")
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for name, p in self.params.trainable():
-            g = self.params.grad(name)
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for parameter '{name}'")
+        for name, p, g in entries:
             m = self.m.get(name)
             if m is None:
                 m = self.m[name] = np.zeros_like(p.data)
@@ -350,20 +352,26 @@ def evaluate(predict, frame: D.SeriesFrame, lookback_len: int, horizon_len: int,
 
 def save_checkpoint(model: UShapedTransformer, path, seed: int = 0) -> None:
     """Length-prefixed JSON manifest followed by the raw little-endian
-    float32 payload, parameters laid out in manifest order."""
-    entries = []
-    chunks = []
-    for name, p in model.params.items():
-        entries.append({"name": name, "shape": list(p.shape), "frozen": model.params.frozen(name)})
-        chunks.append(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+    float32 payload, parameters laid out in manifest order.
+
+    Each parameter is written straight from its array (a float32 one without
+    a copy), so a save never holds a second copy of the parameters. A seed
+    the loader would refuse raises ``UsageError`` before ``path`` is opened."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise UsageError(f"checkpoint seed must be a non-negative integer, got {seed!r}")
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "config": model.config.to_dict(),
-        "params": entries,
+        "params": [{"name": name, "shape": list(p.shape), "frozen": model.params.frozen(name)}
+                   for name, p in model.params.items()],
         "seed": int(seed),
     }
     mjson = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    Path(path).write_bytes(struct.pack("<Q", len(mjson)) + mjson + b"".join(chunks))
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<Q", len(mjson)))
+        fh.write(mjson)
+        for _, p in model.params.items():
+            fh.write(np.ascontiguousarray(p.data, dtype="<f4"))
 
 
 def _parse_checkpoint(path) -> tuple[dict, ModelConfig, np.ndarray]:
@@ -485,5 +493,5 @@ def backbone_hash(model: UShapedTransformer) -> str:
     h = hashlib.sha256()
     for name in model.backbone_names():
         h.update(name.encode("utf-8"))
-        h.update(np.ascontiguousarray(model.params[name].data, dtype="<f4").tobytes())
+        h.update(np.ascontiguousarray(model.params[name].data, dtype="<f4"))
     return h.hexdigest()

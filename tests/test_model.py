@@ -1,6 +1,7 @@
 """Backbone architecture contracts: config tower, merges, skips, heads."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,17 @@ def test_seeded_init_is_pinned_and_placeholders_draw_nothing():
             assert np.all(p.data == 1.0), n
         else:
             assert not np.any(p.data), n
+        if ".ln" not in n:  # a random-init placeholder is a read-only zero-stride view
+            assert not p.data.flags.writeable and 0 in p.data.strides, n
+    # so a placeholder build allocates almost nothing, even for base's 5.6 MB of parameters
+    config = preset("base")
+    tracemalloc.start()
+    try:
+        UShapedTransformer(config, seed=None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2 ** 10, peak
 
 
 # ---------------------------------------------------------------------------

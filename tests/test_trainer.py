@@ -1,7 +1,9 @@
 """Optimization loops, metrics, evaluation harness, checkpoints."""
 
+import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,10 +111,21 @@ def test_adam_skips_frozen_parameters():
 
 def test_adam_rejects_non_finite_gradient():
     store = ParameterStore()
+    a = store.add("a", Tensor(np.ones(2, dtype=np.float32)))
     w = store.add("spike", Tensor(np.ones(2, dtype=np.float32)))
+    a.grad = np.array([0.5, -1.0], dtype=np.float32)
+    w.grad = np.array([1.0, 2.0], dtype=np.float32)
+    opt = Adam(store, lr=0.1)
+    opt.step()
+    state = {n: (p.data.copy(), opt.m[n].copy(), opt.v[n].copy()) for n, p in store.items()}
+    # the bad gradient is the last one: nothing may change before it is seen
     w.grad = np.array([1.0, np.nan], dtype=np.float32)
     with pytest.raises(NumericError, match="spike"):
-        Adam(store, lr=0.1).step()
+        opt.step()
+    assert opt.t == 1
+    for n, p in store.items():
+        data, m, v = state[n]
+        assert np.array_equal(p.data, data) and np.array_equal(opt.m[n], m) and np.array_equal(opt.v[n], v), n
 
 
 def test_trainer_config_round_trip_and_validation():
@@ -343,6 +356,58 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         assert tb.requires_grad == (not m.params.frozen(na)), na
 
 
+def _joined_checkpoint_bytes(model, seed):
+    """The checkpoint format built in memory: prefix + manifest + each
+    parameter's float32 bytes joined, the reference a streamed save must match."""
+    manifest = {
+        "format_version": 1,
+        "config": model.config.to_dict(),
+        "params": [{"name": n, "shape": list(p.shape), "frozen": model.params.frozen(n)}
+                   for n, p in model.params.items()],
+        "seed": seed,
+    }
+    mjson = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    payload = b"".join(np.ascontiguousarray(p.data, dtype="<f4").tobytes() for _, p in model.params.items())
+    return struct.pack("<Q", len(mjson)) + mjson + payload
+
+
+def test_streamed_save_writes_the_joined_bytes(tmp_path):
+    for dtype in (np.float32, np.float64):
+        m = UShapedTransformer(preset("tiny"), seed=4, dtype=dtype)
+        m.freeze_backbone()
+        path = tmp_path / "ck.bin"
+        save_checkpoint(m, path, seed=4)
+        expected = _joined_checkpoint_bytes(m, 4)
+        assert path.read_bytes() == expected, dtype
+        # a loaded model's parameters are views of one payload buffer; they re-save unchanged
+        loaded, _ = load_checkpoint(path)
+        save_checkpoint(loaded, tmp_path / "again.bin", seed=4)
+        assert (tmp_path / "again.bin").read_bytes() == expected, dtype
+
+
+def test_save_checkpoint_refuses_a_seed_the_loader_refuses(tmp_path):
+    m = tiny_model()
+    path = tmp_path / "ck.bin"
+    path.write_bytes(b"keep")
+    for bad in (-1, 2.7, True, "3", None):
+        with pytest.raises(UsageError, match="seed"):
+            save_checkpoint(m, path, seed=bad)
+        assert path.read_bytes() == b"keep", bad
+    save_checkpoint(m, path, seed=np.int64(3))
+    assert load_checkpoint(path)[1]["seed"] == 3
+
+
+def test_save_checkpoint_holds_no_copy_of_the_parameters(tmp_path):
+    m = UShapedTransformer(preset("small"), seed=0)  # 1.46M float32 scalars, 5.8 MB
+    tracemalloc.start()
+    try:
+        save_checkpoint(m, tmp_path / "small.bin")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
+
+
 def test_apply_checkpoint_overwrites_in_place(tmp_path):
     src = tiny_model(seed=7)
     path = tmp_path / "ck.bin"
@@ -472,6 +537,13 @@ def test_backbone_hash_ignores_heads():
     a = tiny_model(seed=9)
     b = tiny_model(seed=9)
     assert backbone_hash(a) == backbone_hash(b)
+    for dtype in (np.float32, np.float64):  # the digest is over each backbone parameter's float32 bytes
+        m = UShapedTransformer(preset("tiny"), seed=9, dtype=dtype)
+        h = hashlib.sha256()
+        for name in m.backbone_names():
+            h.update(name.encode("utf-8"))
+            h.update(m.params[name].data.astype("<f4").tobytes())
+        assert backbone_hash(m) == h.hexdigest() == backbone_hash(a), dtype
     b.params["head.forecast.b"].data[:] += 1.0
     assert backbone_hash(a) == backbone_hash(b)
     b.params["enc1.layer0.attn.q.w"].data[0, 0] += 1e-3
