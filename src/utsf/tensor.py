@@ -113,10 +113,16 @@ class GradTape:
     Nodes are appended in execution order, which is a topological order of
     the data-flow graph; ``backward`` walks them exactly once in reverse.
     Gradients accumulate additively when a tensor feeds multiple consumers.
+
+    ``backward`` consumes the tape: it pops each node as it runs the node's
+    VJP, so saved activations and cotangents are freed as soon as they have
+    been used, and ``len(tape)`` is 0 afterwards. A second ``backward`` on
+    the same tape raises ``UsageError``; record a new tape instead.
     """
 
     def __init__(self):
         self._nodes: list[_Node] = []
+        self._consumed = False
 
     def __enter__(self) -> "GradTape":
         _tape_stack().append(self)
@@ -138,26 +144,31 @@ class GradTape:
         """
         if loss.size != 1:
             raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
+        if self._consumed:
+            raise UsageError("this tape was consumed by an earlier backward; record a new one")
+        self._consumed = True
+        nodes = self._nodes
+        # leaves = requires_grad inputs that no recorded op produced
+        produced = {id(node.output) for node in nodes}
+        leaves: dict[int, Tensor] = {}
+        for node in nodes:
+            for tensor in node.inputs:
+                if tensor.requires_grad and id(tensor) not in produced:
+                    leaves[id(tensor)] = tensor
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        produced = {id(node.output) for node in self._nodes}
-        for node in reversed(self._nodes):
-            g = grads.get(id(node.output))
+        while nodes:
+            node = nodes.pop()
+            g = grads.pop(id(node.output), None)
             if g is None:
                 continue
             for tensor, contrib in zip(node.inputs, node.vjp(g)):
-                if contrib is None:
+                if contrib is None or not tensor.requires_grad:
                     continue
                 key = id(tensor)
                 held = grads.get(key)
                 grads[key] = contrib if held is None else held + contrib
-        # leaves = requires_grad inputs that no recorded op produced
-        seen: dict[int, Tensor] = {}
-        for node in self._nodes:
-            for tensor in node.inputs:
-                if tensor.requires_grad and id(tensor) not in produced:
-                    seen[id(tensor)] = tensor
-        for key, tensor in seen.items():
-            g = grads.get(key)
+        for key, tensor in leaves.items():
+            g = grads.pop(key, None)
             if g is None:
                 g = np.zeros_like(tensor.data)
             tensor.grad = g if tensor.grad is None else tensor.grad + g

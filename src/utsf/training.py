@@ -23,6 +23,9 @@ MAPE_FLOOR = 0.1
 CHECKPOINT_VERSION = 1
 # evaluate() passes at most this many windows to one predictor call
 EVAL_CHUNK = 32
+# Adam.step updates a parameter this many elements at a time, so its scratch
+# is two such blocks per dtype however large the parameter
+ADAM_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -89,32 +92,65 @@ class Adam:
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self._scratch: dict[np.dtype, np.ndarray] = {}
 
     @classmethod
     def from_config(cls, params, cfg: TrainerConfig) -> "Adam":
         return cls(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
 
     def step(self) -> None:
-        """Update every trainable entry, or none: all gradients are checked
-        for finiteness before any parameter, moment or step count changes."""
+        """Update every trainable entry, or none: every gradient is checked
+        for finiteness and shape, and every parameter for writable
+        C-contiguous data, before any parameter, moment or step count
+        changes.
+
+        Each entry is updated in place, ``ADAM_BLOCK`` elements at a time,
+        through two scratch buffers per dtype, so a step allocates no array
+        the size of a parameter. The float operations and their order are
+        those of ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+        ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``: every bit matches."""
         entries = [(name, p, self.params.grad(name)) for name, p in self.params.trainable()]
-        for name, _, g in entries:
+        for name, p, g in entries:
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient for parameter '{name}'")
+            if not (p.data.flags.writeable and p.data.flags.c_contiguous):
+                raise UsageError(f"parameter '{name}' is not writable C-contiguous data; a model "
+                                 f"built with seed=None trains only once a checkpoint fills it")
+            if g.shape != p.shape:
+                raise UsageError(f"gradient of parameter '{name}' has shape {g.shape}, not {p.shape}")
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
         for name, p, g in entries:
             m = self.m.get(name)
             if m is None:
                 m = self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            scratch = self._scratch.get(p.dtype)
+            if scratch is None:
+                scratch = self._scratch[p.dtype] = np.empty((2, ADAM_BLOCK), p.dtype)
+            # a gradient that is not C-contiguous (a transpose VJP's) is
+            # copied here; every other array is viewed flat
+            pf, gf, mf, vf = p.data.reshape(-1), g.reshape(-1), m.reshape(-1), self.v[name].reshape(-1)
+            for i in range(0, pf.size, ADAM_BLOCK):
+                j = min(i + ADAM_BLOCK, pf.size)
+                pb, gb, mb, vb = pf[i:j], gf[i:j], mf[i:j], vf[i:j]
+                a, b = scratch[:, :j - i]
+                mb *= b1
+                np.multiply(gb, 1.0 - b1, out=a)
+                mb += a
+                vb *= b2
+                np.multiply(gb, 1.0 - b2, out=a)
+                a *= gb
+                vb += a
+                np.divide(mb, c1, out=a)
+                a *= lr
+                np.divide(vb, c2, out=b)
+                np.sqrt(b, out=b)
+                b += eps
+                a /= b
+                pb -= a
 
 
 class TrainReport:

@@ -475,6 +475,21 @@ def test_backward_accumulates_over_fanout():
     assert np.allclose(x.grad, [8.0], atol=1e-12)
 
 
+def test_backward_consumes_its_tape():
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True, dtype=F64)
+    with GradTape() as tape:
+        loss = T.mean_all(T.mul(x, x))
+    assert len(tape) == 2
+    tape.backward(loss)
+    assert len(tape) == 0
+    assert np.allclose(x.grad, x.data / 3.0, rtol=0, atol=1e-15)
+    first = x.grad.copy()
+    # a second sweep would add every leaf gradient again
+    with pytest.raises(UsageError, match="consumed"):
+        tape.backward(loss)
+    assert np.array_equal(x.grad, first)
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with GradTape() as tape:

@@ -128,6 +128,109 @@ def test_adam_rejects_non_finite_gradient():
         assert np.array_equal(p.data, data) and np.array_equal(opt.m[n], m) and np.array_equal(opt.v[n], v), n
 
 
+def _unblocked_adam_step(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    # the whole-array update Adam.step replays block by block
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_blocked_update_is_bitwise_the_whole_array_update(dtype):
+    rng = np.random.default_rng(5)
+    shapes = {f"n{n}": (n,) for n in (1, 65535, 65536, 65537, 200003)}
+    shapes["fortran"] = (64, 1100)  # gets an F-ordered gradient, as the transpose VJP gives embed.w
+    store = ParameterStore()
+    for name, shape in shapes.items():
+        store.add(name, Tensor(rng.standard_normal(shape), dtype=dtype))
+    ref = {name: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)) for name, p in store.items()}
+    opt = Adam(store, lr=3e-3)
+    for t in range(1, 5):
+        for name, p in store.items():
+            g = rng.standard_normal(p.shape[::-1]).T if name == "fortran" else rng.standard_normal(p.shape)
+            p.grad = g.astype(dtype, order="K")
+            data, m, v = ref[name]
+            _unblocked_adam_step(data, p.grad, m, v, t, lr=3e-3)
+        assert not store["fortran"].grad.flags.c_contiguous
+        opt.step()
+        for name, p in store.items():
+            for got, want in zip((p.data, opt.m[name], opt.v[name]), ref[name]):
+                assert got.dtype == dtype and got.tobytes() == want.tobytes(), (t, name)
+
+
+def test_adam_refuses_an_unfilled_model_before_it_changes_anything(tmp_path):
+    blank = UShapedTransformer(preset("tiny"), seed=None)
+    opt = Adam(blank.params, lr=1e-3)
+    with pytest.raises(UsageError, match="'embed.w' is not writable C-contiguous data"):
+        pretrain_epoch(blank, sine_frames(), SAMPLER, opt, 1, np.random.default_rng(0))
+    assert opt.t == 0 and opt.m == {} and opt.v == {}
+    # filled, it trains; a parameter that later turns read-only stops the
+    # whole step, even when it is the last one
+    save_checkpoint(tiny_model(seed=3), tmp_path / "ck.bin")
+    apply_checkpoint(blank, tmp_path / "ck.bin")
+    pretrain_epoch(blank, sine_frames(), SAMPLER, opt, 1, np.random.default_rng(0))
+    last, p = list(blank.params.trainable())[-1]
+    p.data.flags.writeable = False
+    state = {n: (q.data.copy(), opt.m[n].copy(), opt.v[n].copy()) for n, q in blank.params.items()}
+    with pytest.raises(UsageError, match=f"'{last}' is not writable"):
+        opt.step()
+    assert opt.t == 1
+    for n, q in blank.params.items():
+        assert all(np.array_equal(a, b) for a, b in zip((q.data, opt.m[n], opt.v[n]), state[n])), n
+    p.data.flags.writeable = True
+    p.grad = np.zeros(1, p.dtype)
+    with pytest.raises(UsageError, match=f"gradient of parameter '{last}' has shape"):
+        opt.step()
+    assert opt.t == 1
+
+
+def test_a_warm_small_pretrain_step_allocates_little_beyond_its_gradients():
+    # 1.46M float32 scalars: the step's new gradients alone are 5.8 MB, so the
+    # bound leaves no room for parameter-sized Adam temporaries, nor for
+    # cotangents and saved activations held to the end of backward
+    model = UShapedTransformer(preset("small"), seed=0)
+    frames, rng = sine_frames(length=4000), np.random.default_rng(0)
+    opt = Adam(model.params, lr=5e-4)
+    pretrain_epoch(model, frames, SAMPLER, opt, 2, rng)
+    tracemalloc.start()
+    try:
+        pretrain_epoch(model, frames, SAMPLER, opt, 1, rng)
+        step_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        opt.step()
+        adam_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert step_peak < 7.5e6, step_peak
+    assert adam_peak < 1e6, adam_peak
+
+
+@pytest.mark.parametrize("dtype, params_digest, losses_digest", [
+    (np.float32, "737b8212c10b29c6e26c2861544859ae44b9c86b7827940ed52afecccb95baa0",
+     "6822a31a6c15d9ad4ccbb9c280d30b85ca582f0ff2533a707fc32dfd338face6"),
+    (np.float64, "6cfb2bf6dfd042708e875ce8629eab59afa6dd69aa4125103adbd8c24cff49ad",
+     "5b4e42fe98aa497e398b44f5af5d602879f5c7423cecd4adedd04637aa6f9422"),
+], ids=["float32", "float64"])
+def test_small_training_bytes_are_pinned(dtype, params_digest, losses_digest):
+    # parameter and loss digests after 40 pretrain and 20 finetune steps
+    # (x86-64, numpy's OpenBLAS): the optimizer and the tape may change, the
+    # numbers they produce may not
+    model = UShapedTransformer(preset("small"), seed=0, dtype=dtype)
+    frames, sampler, rng = sine_frames(length=4000), SamplerConfig(stride=64, jitter=True, seed=0), np.random.default_rng(0)
+    report = pretrain_epoch(model, frames, sampler, Adam(model.params, lr=5e-4), 40, rng)
+    model.freeze_backbone()
+    finetune_epoch(model, frames, sampler, Adam(model.params, lr=1e-3), 20, rng, report=report)
+    params = hashlib.sha256()
+    for _, p in model.params.items():
+        params.update(p.data.tobytes())
+    assert params.hexdigest() == params_digest
+    assert hashlib.sha256(np.asarray(report.steps).tobytes()).hexdigest() == losses_digest
+
+
 def test_trainer_config_round_trip_and_validation():
     cfg = TrainerConfig(lr=1e-3, epochs=2, steps_per_epoch=50)
     assert TrainerConfig.from_dict(cfg.to_dict()) == cfg
