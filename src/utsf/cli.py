@@ -12,7 +12,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,25 +39,12 @@ class RunConfig:
     @classmethod
     def load(cls, path, seed_override=None) -> "RunConfig":
         path = Path(path)
-        try:
-            D.require_regular_file(path)
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as e:
-            raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
-        except UnicodeDecodeError as e:
-            raise ConfigError(f"config file {path} is not UTF-8 text: {e}") from None
-        except ValueError as e:  # a JSONDecodeError, or an int past Python's digit limit
-            raise ConfigError(f"{path} is not valid JSON: {e}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path} must hold a JSON object")
+        raw = D.read_json_object(path, "config file")
         unknown = set(raw) - _RUN_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)} (allowed: {sorted(_RUN_KEYS)})")
         if "model" not in raw:
             raise ConfigError("config must define 'model'")
-        for section in ("model", "sampler", "trainer"):
-            if not isinstance(raw.get(section, {}), dict):
-                raise ConfigError(f"config '{section}' must be a JSON object, got {raw[section]!r}")
         registry = raw.get("registry")
         if registry is not None and not isinstance(registry, str):
             raise ConfigError(f"config 'registry' must be a path string, got {registry!r}")
@@ -67,13 +54,14 @@ class RunConfig:
             if seed is not None and (type(seed) is not int or seed < 0):
                 raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         seed = file_seed if seed_override is None else seed_override
-        sampler = raw.get("sampler", {})
+        section = raw.get("sampler", {})
+        sampler = D.SamplerConfig.from_dict(section)
         # the run seed sets the jitter seed; a resolved config repeats it
-        if sampler.get("seed", file_seed) != file_seed:
-            raise ConfigError(f"sampler seed {sampler['seed']!r} differs from the run seed {file_seed!r}")
+        if "seed" in section and sampler.seed != file_seed:
+            raise ConfigError(f"sampler seed {sampler.seed!r} differs from the run seed {file_seed!r}")
         return cls(
             model=ModelConfig.from_dict(raw["model"]),
-            sampler=D.SamplerConfig.from_dict({**sampler, "seed": seed}),
+            sampler=replace(sampler, seed=seed),
             trainer=TR.TrainerConfig.from_dict(raw.get("trainer", {})),
             registry=registry,
             seed=seed,
@@ -402,10 +390,7 @@ def main(argv=None) -> int:
         args.func(args, cfg, out)
         _write(out / "resolved_config.json", json.dumps(cfg.resolved(), sort_keys=True, indent=2) + "\n")
         return 0
-    except (ConfigError, UsageError, IngestionError, CheckpointError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ConfigError, UsageError, IngestionError, CheckpointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

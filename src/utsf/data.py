@@ -109,19 +109,20 @@ def load_csv_dataset(path, dataset_id: str, splits=DEFAULT_SPLITS) -> SeriesFram
     never held whole, and each block is converted by one ``np.loadtxt``:
     all of its cells at once, as float64 rounded to float32, which gives the
     values ``float()`` gives per cell. Only when that conversion refuses a
-    block, drops a row or yields a non-finite value is the file read again
-    by the per-cell scan: it names the first bad cell, or parses what numpy
-    refuses and ``float()`` accepts (quoted or underscored numbers). A value
+    block, gives one of another width than the header's, drops a row or
+    yields a non-finite value is the file read again by the per-cell scan:
+    it names the first bad cell, or parses what numpy refuses and
+    ``float()`` accepts (quoted or underscored numbers). A value
     past the float32 range is not finite here either, and after the scan
     ``SeriesFrame`` rejects it.
     """
     path = Path(path)
-    values, n_lines = None, 0
     try:
         require_regular_file(path)
+        values = None
         with open(path, newline="", encoding="utf-8") as fh:
             header = [c.strip() for c in next(csv.reader(fh), [])]
-            blocks = []
+            blocks, n_lines = [], 0
             while lines := fh.readlines(_CSV_BLOCK_CHARS):
                 n_lines += len(lines)
                 # loadtxt skips blank lines and warns when nothing else is left:
@@ -129,35 +130,34 @@ def load_csv_dataset(path, dataset_id: str, splits=DEFAULT_SPLITS) -> SeriesFram
                 # rejects it
                 if not lines[0].strip("\r\n"):
                     break
-                block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+                try:
+                    block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+                except ValueError:  # a cell numpy refuses, or rows of unequal width
+                    break
+                if block.shape[1] != len(header):
+                    break
                 blocks.append(block.astype(np.float32))
-            values = np.concatenate(blocks)
+            else:
+                if blocks:
+                    values = np.concatenate(blocks)
+        if values is None or len(values) != n_lines or not np.all(np.isfinite(values)):
+            values = _scan_cells(path, header)
     except OSError as e:
         raise IngestionError(f"{path}: cannot read: {e.strerror}") from None
     except UnicodeDecodeError as e:
         raise IngestionError(f"{path}: not UTF-8 text: {e}") from None
     except csv.Error as e:
         raise IngestionError(f"{path}: {e}") from None
-    except ValueError:  # a refused cell, blocks of unequal width, or no block at all
-        pass
-    if values is None or values.shape != (n_lines, len(header)) or not np.all(np.isfinite(values)):
-        values = _scan_cells(path, header)
     return SeriesFrame(dataset_id, header, values.T, splits)
 
 
 def _scan_cells(path: Path, header: list) -> np.ndarray:
-    """Per-cell conversion of the rows after the header, naming the first bad cell."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            next(reader, None)
-            rows = list(reader)
-    except OSError as e:
-        raise IngestionError(f"{path}: cannot read: {e.strerror}") from None
-    except UnicodeDecodeError as e:
-        raise IngestionError(f"{path}: not UTF-8 text: {e}") from None
-    except csv.Error as e:
-        raise IngestionError(f"{path}: {e}") from None
+    """Per-cell conversion of the rows after the header, naming the first bad
+    cell; ``load_csv_dataset`` names the read errors."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        rows = list(reader)
     if not rows:
         raise IngestionError(f"{path}: need a header row plus at least one data row")
     n_cols = len(header)
@@ -188,21 +188,29 @@ def save_csv_dataset(frame: SeriesFrame, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the file at ``path``. A file that is not a regular
+    file, cannot be read, is not UTF-8 or does not hold a JSON object raises
+    ``ConfigError`` naming ``what`` and the path."""
+    try:
+        require_regular_file(path)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as e:
+        raise ConfigError(f"cannot read {what} {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{what} {path} is not UTF-8 text: {e}") from None
+    except ValueError as e:  # a JSONDecodeError, or an int past Python's digit limit
+        raise ConfigError(f"{what} {path} is not valid JSON: {e}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return raw
+
+
 def load_registry(path) -> dict[str, SeriesFrame]:
     """Load a JSON registry {dataset_id: {path, splits?}}; paths resolve
     relative to the registry file."""
     path = Path(path)
-    try:
-        require_regular_file(path)
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as e:
-        raise ConfigError(f"cannot read dataset registry {path}: {e.strerror}") from None
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"dataset registry {path} is not UTF-8 text: {e}") from None
-    except ValueError as e:  # a JSONDecodeError, or an int past Python's digit limit
-        raise ConfigError(f"registry {path} is not valid JSON: {e}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"registry {path} must be a JSON object")
+    raw = read_json_object(path, "dataset registry")
     frames: dict[str, SeriesFrame] = {}
     for ds_id, entry in raw.items():
         if not isinstance(entry, dict):

@@ -164,9 +164,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def names(self) -> list[str]:
         return list(self._params)
 
@@ -318,17 +315,13 @@ class UShapedTransformer:
         h = self._linear(T.gelu(self._linear(h, f"{prefix}.ffn.fc1")), f"{prefix}.ffn.fc2")
         return T.add(x, h), weights
 
-    def transformer_group(self, x: Tensor, group_id: str, windows: int = 1) -> tuple[Tensor, AttentionMap]:
-        """Run the group ``enc<i>``, ``mid`` or ``dec<i>`` over its level's
-        tokens, ``windows`` row-stacked sequences of them; the map is the
-        first layer's head average for the first window."""
-        if f"{group_id}.layer0.ln1.g" not in self.params:
-            raise UsageError(f"unknown group '{group_id}'")
-        level = self.config.n_levels if group_id == "mid" else int(group_id[3:])
-        side = "dec" if group_id.startswith("dec") else "enc"
-        x, weights = self._layer(x, f"{group_id}.layer0", windows)
+    def _group(self, x: Tensor, prefix: str, level: int, side: str, windows: int) -> tuple[Tensor, AttentionMap]:
+        """Run the group ``prefix`` over ``windows`` row-stacked sequences of
+        its level's tokens; the map is the first layer's head average for the
+        first window."""
+        x, weights = self._layer(x, f"{prefix}.layer0", windows)
         for j in range(1, self.config.n_layers_per_group):
-            x, _ = self._layer(x, f"{group_id}.layer{j}", windows)
+            x, _ = self._layer(x, f"{prefix}.layer{j}", windows)
         return x, AttentionMap(level=level, side=side, weights=weights)
 
     def patch_merge(self, tokens: Tensor, level: int) -> Tensor:
@@ -363,18 +356,18 @@ class UShapedTransformer:
         skips: list[Tensor] = []
         x = tokens
         for i in range(1, cfg.n_levels):
-            out, amap = self.transformer_group(x, f"enc{i}", windows)
+            out, amap = self._group(x, f"enc{i}", i, "enc", windows)
             maps.append(amap)
             skips.append(out)
             x = self.patch_merge(out, i)
-        x, amap = self.transformer_group(x, "mid", windows)
+        x, amap = self._group(x, "mid", cfg.n_levels, "enc", windows)
         maps.append(amap)
         if zero_decoder:
             x = Tensor(np.zeros_like(tokens.data))
         else:
             for i in range(cfg.n_levels - 1, 0, -1):
                 x = T.add(self.patch_split(x, i + 1), skips[i - 1])
-                x, amap = self.transformer_group(x, f"dec{i}", windows)
+                x, amap = self._group(x, f"dec{i}", i, "dec", windows)
                 maps.append(amap)
         return T.add(x, tokens), maps
 

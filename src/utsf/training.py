@@ -211,31 +211,34 @@ def _mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 
 
 def _draw_window_epoch(phase: str, step_loss, optimizer: Adam, frames: dict,
-                       sampler: D.SamplerConfig, window_len: int, steps: int,
-                       rng: np.random.Generator, epoch: int,
+                       sampler: D.SamplerConfig, lookback_len: int, horizon_len: int,
+                       steps: int, rng: np.random.Generator, epoch: int,
                        report: TrainReport | None) -> TrainReport:
     """One epoch over train-split windows: each step draws a dataset
-    uniformly, then a start and a channel, and minimizes
-    ``step_loss(frame, channel, start)``, which may draw further from ``rng``."""
+    uniformly, then a start and a channel, cuts that window's normalized
+    ``D.WindowSample`` and minimizes ``step_loss(sample)``, which may draw
+    further from ``rng``."""
     report = report if report is not None else TrainReport()
-    table = _window_table(frames, window_len, sampler, epoch)
+    table = _window_table(frames, lookback_len + horizon_len, sampler, epoch)
     counts = [(ds_id, len(table[ds_id])) for ds_id in sorted(table)]
     t0 = time.perf_counter()
     for step in range(steps):
+        ds_id = D.weighted_sample(counts, rng)
+        frame = frames[ds_id]
+        starts = table[ds_id]
+        start = int(starts[int(rng.integers(len(starts)))])
+        channel = int(rng.integers(frame.n_channels))
+        sample = D.make_window_sample(frame, channel, start, lookback_len, horizon_len)
         try:
-            ds_id = D.weighted_sample(counts, rng)
-            frame = frames[ds_id]
-            starts = table[ds_id]
-            start = int(starts[int(rng.integers(len(starts)))])
-            channel = int(rng.integers(frame.n_channels))
             optimizer.params.zero_grads()
             with GradTape() as tape:
-                loss = step_loss(frame, channel, start)
+                loss = step_loss(sample)
             tape.backward(loss)
             optimizer.step()
             report.add_step(loss.item())
         except NumericError as e:
-            raise NumericError(f"{phase} aborted at epoch {epoch}, step {step}: {e}") from e
+            raise NumericError(f"{phase} aborted at epoch {epoch}, step {step} (dataset {ds_id}, "
+                               f"channel {channel}, start {start}): {e}") from e
     report.close_epoch(steps, time.perf_counter() - t0)
     return report
 
@@ -247,15 +250,13 @@ def pretrain_epoch(model: UShapedTransformer, frames: dict, sampler: D.SamplerCo
     MSE against the unmasked source over all patches, updates to everything."""
     cfg = model.config
 
-    def step_loss(frame, channel, start):
-        raw = frame.values[channel, start:start + cfg.model_len].reshape(1, -1)
-        source, _, _ = D.normalize_sample(raw)
+    def step_loss(sample):
         mask = D.zero_mask_patches(cfg.n_patches, cfg.mask_ratio, rng)
-        pred, _ = model.reconstruct(Tensor(D.mask_series(source, mask, cfg.patch_size)))
-        return _mse_loss(pred, Tensor(source))
+        pred, _ = model.reconstruct(Tensor(D.mask_series(sample.input, mask, cfg.patch_size)))
+        return _mse_loss(pred, Tensor(sample.input))
 
     return _draw_window_epoch("pretrain", step_loss, optimizer, frames, sampler,
-                              cfg.model_len, steps, rng, epoch, report)
+                              cfg.model_len, 0, steps, rng, epoch, report)
 
 
 def finetune_epoch(model: UShapedTransformer, frames: dict, sampler: D.SamplerConfig,
@@ -268,13 +269,12 @@ def finetune_epoch(model: UShapedTransformer, frames: dict, sampler: D.SamplerCo
         raise ConfigError(f"finetune requires a frozen backbone; unfrozen: {unfrozen[:4]}")
     cfg = model.config
 
-    def step_loss(frame, channel, start):
-        sample = D.make_window_sample(frame, channel, start, cfg.lookback_len, cfg.horizon_len)
+    def step_loss(sample):
         pred, _ = model.forecast(Tensor(D.build_model_input(sample.input, cfg)))
         return _mse_loss(pred, Tensor(sample.target))
 
     return _draw_window_epoch("finetune", step_loss, optimizer, frames, sampler,
-                              cfg.lookback_len + cfg.horizon_len, steps, rng, epoch, report)
+                              cfg.lookback_len, cfg.horizon_len, steps, rng, epoch, report)
 
 
 def baseline_epoch(baseline: LinearBaseline, frames: dict, sampler: D.SamplerConfig,
@@ -282,14 +282,12 @@ def baseline_epoch(baseline: LinearBaseline, frames: dict, sampler: D.SamplerCon
                    epoch: int = 0, report: TrainReport | None = None) -> TrainReport:
     """Forecast epoch of the affine baseline over the windows the model's head
     sees, for a like-for-like comparison row."""
-    L, H = baseline.lookback_len, baseline.horizon_len
 
-    def step_loss(frame, channel, start):
-        sample = D.make_window_sample(frame, channel, start, L, H)
+    def step_loss(sample):
         return _mse_loss(baseline.forward(Tensor(sample.input)), Tensor(sample.target))
 
     return _draw_window_epoch("baseline", step_loss, optimizer, frames, sampler,
-                              L + H, steps, rng, epoch, report)
+                              baseline.lookback_len, baseline.horizon_len, steps, rng, epoch, report)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +365,9 @@ def evaluate(predict, frame: D.SeriesFrame, lookback_len: int, horizon_len: int,
     input_mat = np.concatenate([s.input for s in samples])
     truth_mat = np.concatenate([s.target for s in samples])
     preds = []
-    for lo in range(0, len(samples), EVAL_CHUNK):
-        truth = truth_mat[lo:lo + EVAL_CHUNK]
-        pred = np.asarray(predict(input_mat[lo:lo + EVAL_CHUNK], truth))
+    for i in range(0, len(samples), EVAL_CHUNK):
+        truth = truth_mat[i:i + EVAL_CHUNK]
+        pred = np.asarray(predict(input_mat[i:i + EVAL_CHUNK], truth))
         if pred.shape != truth.shape:
             raise UsageError(f"predictor returned shape {pred.shape} for {len(truth)} windows, "
                              f"expected (B, T) = {truth.shape}")

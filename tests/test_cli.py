@@ -307,7 +307,10 @@ def test_config_errors_exit_2(workspace, capsys):
              ({"model": {"preset": "tiny", "patch_stride": 4}}, "patch_stride"),
              ({"model": {"preset": "tiny", "dropout": 0.1}}, "dropout"),
              ({"trainer": {"lr": float("nan")}}, "lr"), ({"trainer": {"lr": float("inf")}}, "lr"),
-             ({"trainer": {"eps": float("nan")}}, "eps")]
+             ({"trainer": {"eps": float("nan")}}, "eps"),
+             # a sampler seed equal to the run seed in value but not in type
+             ({"seed": 1, "sampler": {"seed": True}}, "seed"),
+             ({"seed": 1, "sampler": {"seed": 1.0}}, "seed")]
     for override, name in wrong:
         bad.write_text(json.dumps({"model": {"preset": "tiny"}, **override}))
         assert run_cli("pretrain", "--config", bad, "--out", workspace / "x5") == 2, override

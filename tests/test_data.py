@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from utsf.data import (SamplerConfig, SeriesFrame, build_model_input,
+from utsf.data import (_CSV_BLOCK_CHARS, SamplerConfig, SeriesFrame, build_model_input,
                        jittered_windows, load_csv_dataset, load_registry,
                        make_log_frame, make_sine_frame, make_window_sample,
                        mask_series, normalize_sample, denormalize,
@@ -83,6 +83,18 @@ def test_csv_loader_reports_cell_coordinates(tmp_path):
     p.write_bytes(many_rows.encode("utf-8") + b"1,2\xff\n")
     with pytest.raises(IngestionError, match="UTF-8"):
         load_csv_dataset(p, "bad")
+
+
+def test_csv_loader_names_a_width_change_at_a_block_boundary(tmp_path):
+    # each block parses on its own, so only the block widths disagree
+    p = tmp_path / "ragged.csv"
+    p.write_text("a,b\n" + "1.0,2.0\n" * 32_769 + "3.0\n" * 10)
+    with open(p, newline="", encoding="utf-8") as fh:
+        fh.readline()
+        first = fh.readlines(_CSV_BLOCK_CHARS)
+    assert len(first) == 32_769 and set(first) == {"1.0,2.0\n"}
+    with pytest.raises(IngestionError, match="row 32771 has 1 cells, header has 2"):
+        load_csv_dataset(p, "ragged")
 
 
 def test_csv_loader_matches_float_per_cell(tmp_path):

@@ -171,40 +171,29 @@ def test_patch_embed_length_validation():
 # transformer groups
 
 
-def test_group_preserves_shape_at_every_level():
-    m = tiny_model()
-    for group_id, side, level in (("enc1", "enc", 1), ("mid", "enc", 2), ("dec1", "dec", 1)):
-        p, d = m.config.level_shape(level)
-        tokens = Tensor(np.random.default_rng(1).standard_normal((p, d)).astype(np.float32))
-        out, amap = m.transformer_group(tokens, group_id)
-        assert out.shape == (p, d)
-        assert (amap.side, amap.level, amap.weights.shape) == (side, level, (p, p))
+def one_level_model(lookback_len, horizon_len):
+    """A U with one level: the bottleneck group plus the final skip."""
+    return UShapedTransformer(ModelConfig(lookback_len=lookback_len, horizon_len=horizon_len,
+                                          patch_size=8, d_model=8, n_levels=1, n_heads=2), seed=0)
 
 
 def test_single_token_attention_is_identity():
-    m = tiny_model()
+    m = one_level_model(4, 4)  # one 8-value patch: a single token
     tokens = Tensor(np.random.default_rng(2).standard_normal((1, 8)).astype(np.float32))
-    _, amap = m.transformer_group(tokens, "enc1")
+    _, (amap,) = m.backbone_forward(tokens)
     assert np.array_equal(amap.weights, np.array([[1.0]], dtype=np.float32))
 
 
 def test_group_permutation_equivariance():
     # groups see no positions (those are added at embed time), so permuting
-    # tokens must permute outputs
-    m = tiny_model()
+    # the tokens of a one-level U must permute its outputs
+    m = one_level_model(32, 32)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((8, 8)).astype(np.float32)
     perm = rng.permutation(8)
-    out, _ = m.transformer_group(Tensor(x), "enc1")
-    out_p, _ = m.transformer_group(Tensor(x[perm]), "enc1")
+    out, _ = m.backbone_forward(Tensor(x))
+    out_p, _ = m.backbone_forward(Tensor(x[perm]))
     assert np.allclose(out.data[perm], out_p.data, atol=1e-5)
-
-
-def test_unknown_group_rejected():
-    m = tiny_model()
-    for group_id in ("enc9", "dec2", "head"):
-        with pytest.raises(UsageError):
-            m.transformer_group(Tensor(np.ones((8, 8))), group_id)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import utsf.data
 from utsf.data import SamplerConfig, build_model_input, make_sine_frame, make_window_sample
 from utsf.errors import CheckpointError, ConfigError, NumericError, UsageError
 from utsf.model import LinearBaseline, ModelConfig, ParameterStore, UShapedTransformer, preset
@@ -318,7 +319,8 @@ def test_finetune_touches_only_the_heads():
 @pytest.mark.parametrize("phase", ["pretrain", "finetune", "baseline"])
 def test_non_finite_gradient_names_phase_epoch_and_step(phase, monkeypatch):
     # every phase runs the same draw-window loop; poison the gradients after
-    # the third backward pass and the abort must say where it happened
+    # the third backward pass and the abort must say where it happened, down
+    # to the window the loop cut
     if phase == "baseline":
         model = LinearBaseline(32, 32, seed=0)
 
@@ -345,9 +347,20 @@ def test_non_finite_gradient_names_phase_epoch_and_step(phase, monkeypatch):
             for _, p in model.params.items():
                 p.grad = np.full_like(p.data, np.nan)
 
+    cut = []
+
+    def recorded(*args):
+        cut.append(make_window_sample(*args))
+        return cut[-1]
+
     monkeypatch.setattr(GradTape, "backward", poisoned)
-    with pytest.raises(NumericError, match=rf"^{phase} aborted at {where}: non-finite gradient"):
+    monkeypatch.setattr(utsf.data, "make_window_sample", recorded)
+    with pytest.raises(NumericError) as err:
         run()
+    assert len(cut) == 3
+    w = cut[2]
+    assert str(err.value).startswith(f"{phase} aborted at {where} (dataset {w.dataset_id}, "
+                                     f"channel {w.channel}, start {w.start}): non-finite gradient")
 
 
 def test_train_linear_baseline_runs_and_moves_weights():
