@@ -62,7 +62,7 @@ class SeriesFrame:
             raise IngestionError(
                 f"{len(self.channel_names)} channel names for {self.values.shape[0]} channels"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not T.all_finite(self.values):
             raise IngestionError(f"dataset '{self.dataset_id}' contains non-finite values")
         self.splits = tuple(float(s) for s in self.splits)
         # written so that a NaN or infinite fraction fails the sum test
@@ -140,7 +140,7 @@ def load_csv_dataset(path, dataset_id: str, splits=DEFAULT_SPLITS) -> SeriesFram
             else:
                 if blocks:
                     values = np.concatenate(blocks)
-        if values is None or len(values) != n_lines or not np.all(np.isfinite(values)):
+        if values is None or len(values) != n_lines or not T.all_finite(values):
             values = _scan_cells(path, header)
     except OSError as e:
         raise IngestionError(f"{path}: cannot read: {e.strerror}") from None
@@ -317,7 +317,7 @@ def normalize_sample(window) -> tuple[np.ndarray, float, float]:
     explode flat segments. Returns (normalized, mu, sigma) so the map inverts.
     """
     arr = np.asarray(window, dtype=np.float32)
-    if not np.all(np.isfinite(arr)):
+    if not T.all_finite(arr):
         raise NumericError("normalize_sample input is not finite")
     mu = float(arr.mean(dtype=np.float64))
     sigma = float(arr.std(dtype=np.float64))

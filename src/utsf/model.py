@@ -309,7 +309,9 @@ class UShapedTransformer:
         h = T.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
         q, k, v = (self._linear(h, f"{prefix}.attn.{proj}") for proj in ("q", "k", "v"))
         ctx, probs = T.attention(q, k, v, self.config.n_heads, windows)
-        weights = probs[0].mean(axis=0)  # not the whole batch's probabilities, held through the FFN
+        # the first window's head average (np.mean's bits, without its Python
+        # wrapper); not the whole batch's probabilities, held through the FFN
+        weights = np.add.reduce(probs[0], axis=0) / self.config.n_heads
         x = T.add(x, self._linear(ctx, f"{prefix}.attn.o"))
         h = T.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
         h = self._linear(T.gelu(self._linear(h, f"{prefix}.ffn.fc1")), f"{prefix}.ffn.fc2")

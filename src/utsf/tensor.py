@@ -9,7 +9,9 @@ by default; build tensors with ``dtype=np.float64`` for gradient verification.
 
 Every forward op validates that its output is finite and raises
 ``NumericError`` naming the op otherwise, so instabilities surface where
-they happen instead of propagating.
+they happen instead of propagating. The test, :func:`all_finite`, takes one
+dot product of the output with itself: a sum of squares is finite exactly
+when every entry is, so only a non-finite sum pays for ``np.isfinite``.
 
 Recording happens on an explicit :class:`GradTape`::
 
@@ -23,6 +25,7 @@ tapes may run in parallel.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Sequence
 
@@ -84,9 +87,10 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("inputs", "output", "vjp")
+    __slots__ = ("name", "inputs", "output", "vjp")
 
-    def __init__(self, inputs, output, vjp):
+    def __init__(self, name, inputs, output, vjp):
+        self.name = name
         self.inputs = inputs
         self.output = output
         self.vjp = vjp
@@ -100,11 +104,6 @@ def _tape_stack() -> list:
     if stack is None:
         stack = _TLS.stack = []
     return stack
-
-
-def active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
 
 
 class GradTape:
@@ -161,7 +160,11 @@ class GradTape:
             g = grads.pop(id(node.output), None)
             if g is None:
                 continue
-            for tensor, contrib in zip(node.inputs, node.vjp(g)):
+            cotangents = node.vjp(g)
+            if len(cotangents) != len(node.inputs):
+                raise UsageError(f"VJP of op '{node.name}' returned {len(cotangents)} cotangents "
+                                 f"for {len(node.inputs)} inputs")
+            for tensor, contrib in zip(node.inputs, cotangents):
                 if contrib is None or not tensor.requires_grad:
                     continue
                 key = id(tensor)
@@ -174,8 +177,21 @@ class GradTape:
             tensor.grad = g if tensor.grad is None else tensor.grad + g
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of the real array ``arr`` is finite.
+
+    Exact, and for a contiguous array allocation-free: ``x·x`` sums
+    non-negative squares, so NaN and ±inf cannot cancel and the sum is
+    finite exactly when every entry is. Only a non-finite sum (a real NaN
+    or inf, or finite entries whose squares overflow) falls back to
+    ``np.isfinite``. Unlike ``np.dot``, ``np.vdot`` warns of no overflow.
+    """
+    flat = arr.ravel("K")
+    return math.isfinite(np.vdot(flat, flat)) or bool(np.isfinite(arr).all())
+
+
 def _ensure_finite(op: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not all_finite(arr):
         raise NumericError(f"non-finite value produced by op '{op}'")
 
 
@@ -188,14 +204,24 @@ def record_op(
     """Finish a forward op: validate, wrap, and record on the active tape.
 
     ``vjp(g)`` must return one cotangent (ndarray or None) per input, in
-    order. This is the extension point every built-in op goes through.
+    order; ``backward`` raises ``UsageError`` naming the op otherwise.
+    ``out_data`` must be an ndarray: it becomes the output's data as is.
+    This is the extension point every built-in op goes through.
     """
     _ensure_finite(name, out_data)
-    requires = any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=requires, dtype=out_data.dtype)
-    tape = active_tape()
-    if tape is not None and requires:
-        tape._nodes.append(_Node(tuple(inputs), out, vjp))
+    requires = False
+    for t in inputs:
+        if t.requires_grad:
+            requires = True
+            break
+    out = Tensor.__new__(Tensor)
+    out.data = out_data
+    out.requires_grad = requires
+    out.grad = None
+    if requires:
+        stack = getattr(_TLS, "stack", None)
+        if stack:
+            stack[-1]._nodes.append(_Node(name, tuple(inputs), out, vjp))
     return out
 
 
@@ -207,6 +233,8 @@ def _as_tensor(x, like: Tensor) -> Tensor:
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient over the axes numpy broadcast to produce it."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra:
         g = g.sum(axis=tuple(range(extra)))
@@ -472,7 +500,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         dgain = (g * xhat).sum(axis=reduce_axes)
         dbias = g.sum(axis=reduce_axes)
         dxhat = g * gain_data
-        dx = (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
+        dx = (dxhat - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+              - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)) * inv
         return dx, dgain, dbias
 
     return record_op("layer_norm", out, (x, gain, bias), vjp)
@@ -498,8 +527,22 @@ def gelu(x: Tensor) -> Tensor:
     out *= 0.5 * x_data
 
     def vjp(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * x_data**2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x_data * (1.0 - t**2) * du),)
+        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du) with
+        # du = C * (1 + 3A * x * x): the same operations on the same operands
+        # (products and sums commute exactly), in three buffers
+        du = np.square(x_data)
+        du *= 3.0 * _GELU_A
+        du += 1.0
+        du *= _GELU_C
+        w = np.square(t)
+        np.subtract(1.0, w, out=w)
+        r = np.multiply(x_data, 0.5)
+        r *= w
+        r *= du
+        np.add(t, 1.0, out=w)
+        w *= 0.5
+        r += w
+        return (np.multiply(g, r, out=r if g.dtype == r.dtype else None),)
 
     return record_op("gelu", out, (x,), vjp)
 
@@ -624,7 +667,7 @@ def finite_diff_check(
     coordinates per parameter are probed (seeded choice without replacement).
     """
     for name, t in inputs.items():
-        if not np.all(np.isfinite(t.data)):
+        if not all_finite(t.data):
             raise NumericError(f"finite_diff_check input '{name}' is not finite")
         t.zero_grad()
     with GradTape() as tape:

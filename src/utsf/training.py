@@ -111,7 +111,7 @@ class Adam:
         ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``: every bit matches."""
         entries = [(name, p, self.params.grad(name)) for name, p in self.params.trainable()]
         for name, p, g in entries:
-            if not np.all(np.isfinite(g)):
+            if not T.all_finite(g):
                 raise NumericError(f"non-finite gradient for parameter '{name}'")
             if not (p.data.flags.writeable and p.data.flags.c_contiguous):
                 raise UsageError(f"parameter '{name}' is not writable C-contiguous data; a model "

@@ -334,7 +334,16 @@ def test_backbone_zero_decoder_is_bitwise_identity():
     assert [(a.side, a.level) for a in maps] == [("enc", 1), ("enc", 2)]
 
 
-def test_backbone_map_inventory_and_row_sums():
+def test_backbone_map_inventory_and_row_sums(monkeypatch):
+    head_means = []
+    attention = T.attention
+
+    def averaging_attention(*args):
+        out, probs = attention(*args)
+        head_means.append(probs[0].mean(axis=0).tobytes())
+        return out, probs
+
+    monkeypatch.setattr(T, "attention", averaging_attention)
     m = tiny_model()
     x = Tensor(np.random.default_rng(5).standard_normal((1, 64)).astype(np.float32))
     out, maps = m.backbone_forward(m.patch_embed(x))
@@ -344,6 +353,7 @@ def test_backbone_map_inventory_and_row_sums():
     for a in maps:
         assert np.allclose(a.weights.sum(axis=-1), 1.0, atol=1e-5)
         assert np.all(a.weights >= 0.0)
+        assert a.weights.tobytes() in head_means  # np.mean's bits, bit for bit
 
 
 @pytest.mark.parametrize("name", ["tiny", "small"])

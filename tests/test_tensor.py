@@ -1,5 +1,7 @@
 """Tensor op semantics, tape behavior, and gradient verification."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -191,11 +193,20 @@ def _attention_out_of_place(q, k, v, heads, windows, g):
     return out, probs, grads
 
 
+def _gelu_out_of_place(x, g):
+    """The tanh-approximation GELU and its VJP as fresh arrays: what the
+    in-place forward and the three-buffer VJP must equal bit for bit."""
+    t = np.tanh(T._GELU_C * (x + T._GELU_A * (x * x * x)))
+    du = T._GELU_C * (1.0 + 3.0 * T._GELU_A * x**2)
+    return (0.5 * x) * (1.0 + t), g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
+
+
 @pytest.mark.parametrize("dtype", [F32, F64])
 def test_in_place_forwards_match_out_of_place_formulas_bit_for_bit(dtype):
-    # layer_norm centers once, linear adds its bias in place and attention
-    # normalizes its scores in place; none of that may move a bit of the
-    # outputs or the gradients, over shapes and scales far from the model's
+    # layer_norm centers once, linear adds its bias in place, attention
+    # normalizes its scores in place and gelu's VJP reuses three buffers;
+    # none of that may move a bit of the outputs or the gradients, over
+    # shapes and scales far from the model's
     rng = np.random.default_rng(17)
 
     def draw(*shape, scale=1.0, shift=0.0):
@@ -230,6 +241,11 @@ def test_in_place_forwards_match_out_of_place_formulas_bit_for_bit(dtype):
         assert out.data.tobytes() == want_out.tobytes() and probs.tobytes() == want_probs.tobytes()
         for got, want in zip(grads, want_grads):
             assert got.tobytes() == want.tobytes()
+
+        x, g = draw(rows, d, scale=scale, shift=shift), draw(rows, d)
+        want_out, want_grad = _gelu_out_of_place(x, g)
+        out, (grad,) = _grads_through_tape(T.gelu, [Tensor(x, requires_grad=True, dtype=dtype)], g)
+        assert out.data.tobytes() == want_out.tobytes() and grad.tobytes() == want_grad.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +514,18 @@ def test_backward_rejects_non_scalar():
         tape.backward(y)
 
 
+def test_backward_names_an_op_whose_vjp_returns_the_wrong_cotangent_count():
+    # a VJP passed to record_op that drops a cotangent would otherwise leave
+    # the inputs past the end of its tuple at a silent zero gradient
+    x = Tensor(np.ones(3), requires_grad=True, dtype=F64)
+    y = Tensor(np.ones(3), requires_grad=True, dtype=F64)
+    for vjp, count in ((lambda g: (g,), 1), (lambda g: (g, g, g), 3)):
+        with GradTape() as tape:
+            loss = T.sum_all(record_op("my_add", x.data + y.data, (x, y), vjp))
+        with pytest.raises(UsageError, match=f"^VJP of op 'my_add' returned {count} cotangents for 2 inputs$"):
+            tape.backward(loss)
+
+
 def test_non_finite_forward_names_the_op():
     big = Tensor(np.full(3, 1e30, dtype=F32), requires_grad=True)
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="mul"):
@@ -592,3 +620,49 @@ def test_finite_diff_rejects_non_finite_inputs():
     x = Tensor(np.array([1.0, np.inf]), requires_grad=True, dtype=F64)
     with pytest.raises(NumericError, match="x"):
         finite_diff_check(lambda i: T.sum_all(i["x"]), {"x": x}, tolerance=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# finiteness
+
+
+def _layouts(dtype):
+    """Fresh finite arrays in every layout an op output or a gradient takes."""
+    return {"C-order": np.arange(1.0, 36.0, dtype=dtype).reshape(5, 7),
+            "transposed": np.arange(1.0, 36.0, dtype=dtype).reshape(5, 7).T,
+            "strided slice": np.arange(1.0, 141.0, dtype=dtype).reshape(10, 14)[::2, 1::3],
+            "0-d": np.array(2.5, dtype=dtype)}
+
+
+@pytest.mark.parametrize("dtype", [F32, F64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_finite_check_finds_one_bad_entry_in_any_layout(dtype, bad):
+    message = "^non-finite value produced by op 'probe'$"
+    for layout, arr in _layouts(dtype).items():
+        assert T.all_finite(arr), layout
+        T._ensure_finite("probe", arr)
+        for pos in {0, arr.size // 2, arr.size - 1}:
+            poisoned = _layouts(dtype)[layout]
+            poisoned[np.unravel_index(pos, arr.shape)] = bad
+            assert not T.all_finite(poisoned), (layout, pos)
+            with pytest.raises(NumericError, match=message):
+                T._ensure_finite("probe", poisoned)
+    for empty in (np.empty((0, 3), dtype=dtype), np.empty((3, 0), dtype=dtype).T):
+        assert T.all_finite(empty)
+        T._ensure_finite("probe", empty)
+
+
+@pytest.mark.parametrize("dtype, big", [(F32, 1e20), (F64, 1e160)])
+def test_finite_check_passes_entries_whose_squares_overflow(dtype, big):
+    arr = np.full((4, 6), big, dtype=dtype)
+    arr[1, ::2] = -big
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.add.reduce(arr * arr, axis=None))  # the dot product overflows too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and says nothing about it
+        for view in (arr, arr.T, arr[::2, 1::2]):
+            assert T.all_finite(view)
+            T._ensure_finite("probe", view)
+    arr[3, 5] = np.inf
+    with pytest.raises(NumericError, match="'probe'"):
+        T._ensure_finite("probe", arr)

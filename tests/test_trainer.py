@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import utsf.data
+from utsf import tensor as T
 from utsf.data import SamplerConfig, build_model_input, make_sine_frame, make_window_sample
 from utsf.errors import CheckpointError, ConfigError, NumericError, UsageError
 from utsf.model import LinearBaseline, ModelConfig, ParameterStore, UShapedTransformer, preset
@@ -127,6 +128,32 @@ def test_adam_rejects_non_finite_gradient():
     for n, p in store.items():
         data, m, v = state[n]
         assert np.array_equal(p.data, data) and np.array_equal(opt.m[n], m) and np.array_equal(opt.v[n], v), n
+
+
+@pytest.mark.parametrize("dtype, big", [(np.float32, 1e18), (np.float64, 1e153)])
+def test_adam_takes_a_gradient_whose_squares_overflow_and_refuses_inf(dtype, big):
+    # 1,000 entries of ``big`` square-sum past the dtype's range, yet each
+    # square and each moment fits: a finite gradient, which must update
+    store = ParameterStore()
+    a = store.add("a", Tensor(np.ones(1000, dtype=dtype)))
+    w = store.add("w", Tensor(np.ones((25, 40), dtype=dtype)))
+    a.grad = np.full(1000, big, dtype=dtype)
+    w.grad = np.full((40, 25), -big, dtype=dtype).T  # transposed, as a transpose VJP leaves it
+    opt = Adam(store, lr=0.1)
+    opt.step()
+    assert opt.t == 1
+    assert a.data == pytest.approx(np.full(1000, 0.9), rel=1e-6)
+    assert w.data == pytest.approx(np.full((25, 40), 1.1), rel=1e-6)
+    state = {n: (p.data.copy(), opt.m[n].copy(), opt.v[n].copy()) for n, p in store.items()}
+    for bad in (np.inf, -np.inf):
+        w.grad = np.full((40, 25), -big, dtype=dtype).T.copy()
+        w.grad[24, 39] = bad
+        with pytest.raises(NumericError, match="^non-finite gradient for parameter 'w'$"):
+            opt.step()
+        assert opt.t == 1
+        for n, p in store.items():
+            data, m, v = state[n]
+            assert np.array_equal(p.data, data) and np.array_equal(opt.m[n], m) and np.array_equal(opt.v[n], v), n
 
 
 def _unblocked_adam_step(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -280,6 +307,43 @@ def test_pretrain_is_deterministic():
         params.append(b"".join(t.data.tobytes() for _, t in m.params.items()))
     assert losses[0] == losses[1]
     assert params[0] == params[1]
+
+
+def test_every_op_of_a_step_and_a_forecast_goes_through_record_op(monkeypatch):
+    # the benchmark's tracer counts and times ops by patching tensor.record_op
+    # by name: an op that records a node, or runs frozen, without calling it
+    # would go unseen
+    calls = []
+    record_op = T.record_op
+
+    def counting_record_op(name, out_data, inputs, vjp):
+        calls.append((name, any(t.requires_grad for t in inputs)))
+        return record_op(name, out_data, inputs, vjp)
+
+    tapes = []
+    backward = GradTape.backward
+
+    def keeping_backward(tape, loss):
+        tapes.append([node.name for node in tape._nodes])
+        backward(tape, loss)
+
+    monkeypatch.setattr(T, "record_op", counting_record_op)
+    monkeypatch.setattr(GradTape, "backward", keeping_backward)
+    m = tiny_model()
+    pretrain_epoch(m, sine_frames(), SAMPLER, Adam(m.params, lr=1e-3), steps=1, rng=np.random.default_rng(0))
+    (nodes,) = tapes
+    # the input series' reshape carries no gradient: it is the one call not taped
+    assert calls[0] == ("reshape", False) and len(calls) == len(nodes) + 1
+    assert [name for name, _ in calls[1:]] == nodes
+    # a forward with no tape and a frozen backbone makes the calls a taped one records
+    x = np.random.default_rng(1).standard_normal((1, m.config.model_len)).astype(np.float32)
+    with GradTape() as tape:
+        m.forecast(Tensor(x))
+    nodes = [node.name for node in tape._nodes]
+    m.freeze_backbone()
+    calls.clear()
+    ModelPredictor(m)(x[:, :m.config.lookback_len], None)
+    assert [name for name, _ in calls] == ["reshape"] + nodes
 
 
 def test_pretrain_reduces_loss():
