@@ -217,13 +217,15 @@ def cmd_forecast(args, cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_attn_dump(args, cfg: RunConfig, out: Path) -> None:
+    n = cfg.model.n_patches
+    if n < 2:
+        raise ConfigError(f"attn-dump's known-vs-padded report needs at least 2 tokens; this model has {n}")
     _, maps, input_len, _ = _forecast_request(args, cfg)
     for m in maps:
         lines = [",".join(f"{w:.6g}" for w in row) for row in m.weights]
         _write(out / f"attn_{m.side}_L{m.level}.csv", "\n".join(lines) + "\n")
     # known-vs-padded mass on the first encoder map: queries restricted to the
     # known region, mass normalized per key (report only, A.4-style observation)
-    n = cfg.model.n_patches
     n_known = max(1, min(n - 1, n * input_len // (input_len + cfg.model.horizon_len)))
     first = next(m for m in maps if m.side == "enc" and m.level == 1)
     known_mass = float(first.weights[:n_known, :n_known].mean())

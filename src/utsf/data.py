@@ -103,7 +103,8 @@ def load_csv_dataset(path, dataset_id: str, splits=DEFAULT_SPLITS) -> SeriesFram
     """Read a UTF-8 CSV with a header of channel names and one timestep per row.
 
     Rejects blank cells, unparsable or non-finite values, and ragged rows,
-    naming the offending row (1-based, header = row 1) and column.
+    naming the offending row (1-based, header = row 1) and column. A leading
+    byte-order mark is not part of the first name.
 
     The rows are read in blocks of about 256 KB of text, so the file is
     never held whole, and each block is converted by one ``np.loadtxt``:
@@ -120,7 +121,7 @@ def load_csv_dataset(path, dataset_id: str, splits=DEFAULT_SPLITS) -> SeriesFram
     try:
         require_regular_file(path)
         values = None
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             header = [c.strip() for c in next(csv.reader(fh), [])]
             blocks, n_lines = [], 0
             while lines := fh.readlines(_CSV_BLOCK_CHARS):
@@ -154,7 +155,7 @@ def load_csv_dataset(path, dataset_id: str, splits=DEFAULT_SPLITS) -> SeriesFram
 def _scan_cells(path: Path, header: list) -> np.ndarray:
     """Per-cell conversion of the rows after the header, naming the first bad
     cell; ``load_csv_dataset`` names the read errors."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         rows = list(reader)
@@ -182,10 +183,10 @@ def _scan_cells(path: Path, header: list) -> np.ndarray:
 
 def save_csv_dataset(frame: SeriesFrame, path) -> None:
     """Inverse of load_csv_dataset; 9 significant digits round-trip float32 exactly."""
-    lines = [",".join(frame.channel_names)]
-    for t in range(frame.length):
-        lines.append(",".join(f"{v:.8e}" for v in frame.values[:, t]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [",".join(f"{v:.8e}" for v in frame.values[:, t]) for t in range(frame.length)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(frame.channel_names)
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_json_object(path, what: str) -> dict:

@@ -4,8 +4,9 @@ The op set covers exactly what the forecasting backbone needs: matmul, the
 fused affine map ``linear`` and fused multi-head ``attention``, stride-2
 convolution / transpose convolution and pointwise convolution over
 token-major ``(tokens, channels)`` sequences, adaptive average pooling,
-softmax, layer norm, GELU, and elementwise arithmetic. Scalars are 32-bit
-by default; build tensors with ``dtype=np.float64`` for gradient verification.
+softmax, layer norm, GELU, and elementwise arithmetic, all on Tensor
+operands. Scalars are 32-bit by default; build tensors with
+``dtype=np.float64`` for gradient verification.
 
 Every forward op validates that its output is finite and raises
 ``NumericError`` naming the op otherwise, so instabilities surface where
@@ -19,8 +20,8 @@ Recording happens on an explicit :class:`GradTape`::
         loss = mean_all(mul(d, d))
     tape.backward(loss)     # leaf .grad fields are populated
 
-A tape and the tensors recorded on it belong to one thread; independent
-tapes may run in parallel.
+One tape records per thread and tapes do not nest; ``backward`` takes only
+a loss its own tape recorded. Tapes on different threads are independent.
 """
 
 from __future__ import annotations
@@ -99,19 +100,14 @@ class _Node:
 _TLS = threading.local()
 
 
-def _tape_stack() -> list:
-    stack = getattr(_TLS, "stack", None)
-    if stack is None:
-        stack = _TLS.stack = []
-    return stack
-
-
 class GradTape:
     """Ordered record of forward operations with enough saved state for VJPs.
 
     Nodes are appended in execution order, which is a topological order of
     the data-flow graph; ``backward`` walks them exactly once in reverse.
     Gradients accumulate additively when a tensor feeds multiple consumers.
+    Entering a tape while another records on the same thread raises
+    ``UsageError``: tapes do not nest.
 
     ``backward`` consumes the tape: it pops each node as it runs the node's
     VJP, so saved activations and cotangents are freed as soon as they have
@@ -124,13 +120,13 @@ class GradTape:
         self._consumed = False
 
     def __enter__(self) -> "GradTape":
-        _tape_stack().append(self)
+        if getattr(_TLS, "tape", None) is not None:
+            raise UsageError("a GradTape is already recording on this thread; tapes do not nest")
+        _TLS.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
-        if popped is not self:
-            raise RuntimeError("GradTape contexts must unwind LIFO")
+        _TLS.tape = None
         return False
 
     def __len__(self) -> int:
@@ -139,16 +135,20 @@ class GradTape:
     def backward(self, loss: Tensor) -> None:
         """Populate ``grad`` on every requires_grad leaf recorded on this tape.
 
-        Leaves recorded but not reachable from ``loss`` receive zeros.
+        Leaves recorded but not reachable from ``loss`` receive zeros. A loss
+        that requires grad but that this tape did not record is a ``UsageError``.
         """
         if loss.size != 1:
             raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
         if self._consumed:
             raise UsageError("this tape was consumed by an earlier backward; record a new one")
-        self._consumed = True
         nodes = self._nodes
         # leaves = requires_grad inputs that no recorded op produced
         produced = {id(node.output) for node in nodes}
+        if loss.requires_grad and id(loss) not in produced:
+            raise UsageError("backward got a loss this tape did not record; "
+                             "run its forward inside this tape's 'with' block")
+        self._consumed = True
         leaves: dict[int, Tensor] = {}
         for node in nodes:
             for tensor in node.inputs:
@@ -219,16 +219,10 @@ def record_op(
     out.requires_grad = requires
     out.grad = None
     if requires:
-        stack = getattr(_TLS, "stack", None)
-        if stack:
-            stack[-1]._nodes.append(_Node(name, tuple(inputs), out, vjp))
+        tape = getattr(_TLS, "tape", None)
+        if tape is not None:
+            tape._nodes.append(_Node(name, tuple(inputs), out, vjp))
     return out
-
-
-def _as_tensor(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.dtype))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -248,8 +242,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # elementwise arithmetic
 
 
-def add(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a)
+def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def vjp(g):
@@ -258,8 +251,7 @@ def add(a: Tensor, b) -> Tensor:
     return record_op("add", out, (a, b), vjp)
 
 
-def sub(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def vjp(g):
@@ -268,8 +260,7 @@ def sub(a: Tensor, b) -> Tensor:
     return record_op("sub", out, (a, b), vjp)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
     a_data, b_data = a.data, b.data
 

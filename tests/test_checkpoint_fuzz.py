@@ -1,6 +1,6 @@
-"""Property test: no mutation of a valid checkpoint escapes ``utsf forecast``
-as a traceback; each ends in success, a named error (2) or a numeric
-failure (3)."""
+"""Property tests: no mutation of a valid checkpoint, of the input CSV or of
+the run config escapes ``utsf forecast`` as a traceback; each ends in
+success, a named error (2) or a numeric failure (3)."""
 
 import json
 import struct
@@ -38,11 +38,23 @@ def _manifest_paths():
     return paths
 
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6,
-)
+def _json_values(integers):
+    return st.recursive(
+        st.none() | st.booleans() | integers | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+_JSON = _json_values(st.integers())
+
+
+def _walk(doc, path):
+    """The object that holds the last key of ``path`` in ``doc``, and that key."""
+    *parents, key = path
+    for p in parents:
+        doc = doc[p]
+    return doc, key
 
 
 @st.composite
@@ -63,13 +75,15 @@ def _mutants(draw, blob, manifest, payload):
             data[i] ^= mask
         return kind, bytes(data)
     edited = json.loads(json.dumps(manifest))
-    *parents, key = draw(st.sampled_from(_manifest_paths()))
-    target = edited
-    for p in parents:
-        target = target[p]
+    target, key = _walk(edited, draw(st.sampled_from(_manifest_paths())))
     target[key] = draw(_JSON)
     text = json.dumps(edited).encode()
     return kind, struct.pack("<Q", len(text)) + text + payload
+
+
+def _forecast(root, config="run.json", checkpoint="ck.bin", csv="probe.csv"):
+    return main(["forecast", "--config", str(root / config), "--out", str(root / "out"),
+                 "--checkpoint", str(root / checkpoint), "--input", str(root / csv)])
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -78,7 +92,71 @@ def test_mutated_checkpoint_forecast_exits_0_2_or_3(workspace, data):
     root, blob, manifest, payload = workspace
     kind, mutant = data.draw(_mutants(blob, manifest, payload))
     (root / "mutant.bin").write_bytes(mutant)
-    code = main(["forecast", "--config", str(root / "run.json"), "--out", str(root / "out"),
-                 "--checkpoint", str(root / "mutant.bin"), "--input", str(root / "probe.csv")])
+    code = _forecast(root, checkpoint="mutant.bin")
     # a payload of any size but the manifest's is refused
     assert code == 2 if kind in ("clip_payload", "append") else code in (0, 2, 3)
+
+
+_NUMBERS = (st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr)
+            | st.integers(-99, 99).map(str))
+_ODD_CELLS = (st.sampled_from(["", " ", "nan", "inf", "-inf", "3e38", "-3e38", "1e39", "1e-45", '"2"',
+                               "1_0", "x", "1,2"])
+              | st.text(st.characters(exclude_categories=("Cs",)), max_size=3))
+
+
+@st.composite
+def _csv_texts(draw):
+    """The bytes of a CSV, or raw bytes: a header and rows of numbers, with
+    LF or CRLF line ends and an optional byte-order mark, then up to two
+    edits that blank, garble or drop a cell."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=64))
+    n = draw(st.integers(1, 3))
+    names = draw(st.lists(st.sampled_from(["v", "w", '"temp, C"', ""]), min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(_NUMBERS, min_size=n, max_size=n), min_size=1, max_size=40))
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if row and draw(st.booleans()):
+            row[draw(st.integers(0, len(row) - 1))] = draw(_ODD_CELLS)
+        elif row:
+            row.pop()
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(",".join(row) for row in [names] + rows) + draw(st.sampled_from(["", end]))
+    return (draw(st.sampled_from(["", "\ufeff"])) + text).encode("utf-8")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(text=_csv_texts())
+def test_any_csv_input_forecast_exits_0_2_or_3(workspace, text):
+    root = workspace[0]
+    (root / "input.csv").write_bytes(text)
+    assert _forecast(root, csv="input.csv") in (0, 2, 3)
+
+
+_RUN = {"model": {"preset": "tiny"}, "sampler": {"stride": 8, "jitter": True},
+        "trainer": {"lr": 1e-3, "epochs": 1, "steps_per_epoch": 25}, "registry": "datasets.json",
+        "seed": 0}
+_RUN_PATHS = ([(k,) for k in _RUN] + [("model", k) for k in preset("tiny").to_dict()]
+              + [("model", k) for k in ("preset", "patch_stride", "dropout", "extra")]
+              + [("sampler", k) for k in ("stride", "jitter", "seed")]
+              + [("trainer", k) for k in _RUN["trainer"]] + [("turbo",)])
+# model sizes past a few thousand make forecast allocate or loop in proportion
+# before the checkpoint is compared, so mutated integers stay small
+_CONFIG_JSON = _json_values(st.integers(-2048, 2048))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_run_config_forecast_exits_0_2_or_3(workspace, data):
+    root = workspace[0]
+    edited = json.loads(json.dumps(_RUN))
+    target, key = _walk(edited, data.draw(st.sampled_from(_RUN_PATHS)))
+    if data.draw(st.booleans()):
+        target[key] = data.draw(_CONFIG_JSON)
+    else:
+        target.pop(key, None)
+    text = json.dumps(edited)
+    if data.draw(st.integers(0, 4)) == 0:
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    (root / "mutant.json").write_text(text)
+    assert _forecast(root, config="mutant.json") in (0, 2, 3)

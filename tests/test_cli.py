@@ -17,7 +17,7 @@ from utsf.cli import RunConfig, build_parser, main
 from utsf.data import (load_csv_dataset, make_sine_frame, normalize_sample,
                        save_csv_dataset)
 from utsf.errors import CheckpointError
-from utsf.model import UShapedTransformer, preset
+from utsf.model import ModelConfig, UShapedTransformer, preset
 from utsf.training import apply_checkpoint, save_checkpoint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -84,6 +84,19 @@ def test_finetune_freezes_backbone_and_writes_checkpoint(workspace, capsys):
                    "--checkpoint", pre / "checkpoint.bin") == 0
     assert (fin / "finetuned.bin").exists()
     assert "backbone hash unchanged" in capsys.readouterr().err
+
+
+def test_numeric_failure_exits_3_and_writes_no_resolved_config(workspace, capsys):
+    run = json.loads((workspace / "run.json").read_text())
+    run["trainer"]["lr"] = 1e3
+    (workspace / "hot.json").write_text(json.dumps(run))
+    out = workspace / "hot"
+    with np.errstate(over="ignore"):  # the run's own message names the overflow
+        assert run_cli("pretrain", "--config", workspace / "hot.json", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: pretrain aborted at epoch 0, step 1 (dataset sine, channel ")
+    assert err.endswith("): non-finite value produced by op 'mul'\n")
+    assert not (out / "resolved_config.json").exists()
 
 
 def test_finetune_without_checkpoint_is_usage_error(workspace, capsys):
@@ -258,12 +271,30 @@ def test_attn_dump_files_and_mass_report(workspace):
     enc1 = np.array([[float(v) for v in row] for row in read_rows(out / "attn_enc_L1.csv")])
     assert enc1.shape == (8, 8)
     assert np.allclose(enc1.sum(axis=1), 1.0, atol=1e-4)
-    report = json.loads((out / "attn_report.json").read_text())
+    report = json.loads((out / "attn_report.json").read_text(), parse_constant=_refuse_constant)
     assert set(report) >= {"n_tokens", "n_known_tokens",
                            "mean_attention_per_known_key",
                            "mean_attention_per_padded_key",
                            "known_exceeds_padded"}
     assert report["n_tokens"] == 8
+
+
+def _refuse_constant(name):
+    raise ValueError(f"strict JSON has no {name}")
+
+
+def test_attn_dump_refuses_a_one_token_model(workspace, capsys):
+    # no padded token: the padded-key mean would be the mean of an empty
+    # slice, written as a bare NaN
+    model = {"lookback_len": 4, "horizon_len": 4, "patch_size": 8, "n_levels": 1,
+             "d_model": 8, "n_heads": 2}
+    (workspace / "one.json").write_text(json.dumps({"model": model, "seed": 0}))
+    save_checkpoint(UShapedTransformer(ModelConfig(**model), seed=0), workspace / "one.bin")
+    out = workspace / "attn1"
+    assert run_cli("attn-dump", "--config", workspace / "one.json", "--out", out,
+                   "--checkpoint", workspace / "one.bin", "--input", workspace / "probe.csv") == 2
+    assert "needs at least 2 tokens; this model has 1" in capsys.readouterr().err
+    assert out.is_dir() and not any(out.iterdir())
 
 
 def test_gradcheck_exit_codes(capsys):

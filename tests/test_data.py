@@ -27,6 +27,18 @@ def test_csv_round_trip(tmp_path):
     back = load_csv_dataset(path, "sine")
     assert back.channel_names == frame.channel_names
     assert np.array_equal(back.values, frame.values)  # %.8e is exact for f32
+    assert path.read_text().startswith(",".join(frame.channel_names) + "\n")
+    # a quoted name keeps its comma through a save, and the byte-order mark
+    # that spreadsheet exports write is not part of the first name
+    for text, names in (('"temp, C",rh\n1,2\n3,4\n', ["temp, C", "rh"]),
+                        ("\ufeffv,w\n1,2\n3,4\n", ["v", "w"])):
+        path.write_text(text, encoding="utf-8")
+        frame = load_csv_dataset(path, "in")
+        assert frame.channel_names == names
+        save_csv_dataset(frame, path)
+        back = load_csv_dataset(path, "in")
+        assert back.channel_names == names
+        assert np.array_equal(back.values, [[1.0, 3.0], [2.0, 4.0]])
 
 
 def test_csv_loader_shapes(tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -356,11 +357,12 @@ def test_backbone_map_inventory_and_row_sums(monkeypatch):
         assert a.weights.tobytes() in head_means  # np.mean's bits, bit for bit
 
 
-@pytest.mark.parametrize("name", ["tiny", "small"])
-def test_batch_rows_equal_single_window_passes(name):
+@pytest.mark.parametrize("name, layers", [("tiny", 1), ("small", 1), ("tiny", 2)],
+                         ids=["tiny", "small", "tiny-2layers"])
+def test_batch_rows_equal_single_window_passes(name, layers):
     # row b of a (B, L) pass is window b's own pass: attention, merge and
     # split never mix windows
-    m = UShapedTransformer(preset(name), seed=6)
+    m = UShapedTransformer(replace(preset(name), n_layers_per_group=layers), seed=6)
     x = np.random.default_rng(7).standard_normal((3, m.config.model_len)).astype(np.float32)
     recon, maps = m.reconstruct(Tensor(x))
     fc, _ = m.forecast(Tensor(x))
@@ -437,6 +439,21 @@ def test_forecast_head_gradients_pass_finite_differences():
     rep = T.finite_diff_check(loss_fn, head, tolerance=1e-6)
     assert rep.passed, str(rep)
     assert all(e <= 1e-6 or e == 0.0 for e in rep.errors.values())
+
+
+def test_two_layer_groups_pass_finite_differences():
+    # the gradient suite checks the one-layer tiny preset; this runs the
+    # group's loop over its later layers
+    m = UShapedTransformer(replace(preset("tiny"), n_layers_per_group=2), seed=13, dtype=F64)
+    assert "enc1.layer1.attn.q.w" in m.params.names()
+    x = Tensor(np.random.default_rng(14).standard_normal((1, 64)), dtype=F64)
+
+    def loss_fn(_):
+        pred, _m = m.reconstruct(x)
+        return T.mean_all(T.mul(pred, pred))
+
+    rep = T.finite_diff_check(loss_fn, dict(m.params.items()), tolerance=1e-6, max_entries=2)
+    assert rep.passed, str(rep)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tensor op semantics, tape behavior, and gradient verification."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -131,7 +132,8 @@ def test_attention_is_the_unfused_op_chain_bit_for_bit():
         qh = T.transpose(T.reshape(q, (n, heads, dh)), (1, 0, 2))
         kt = T.transpose(T.reshape(k, (n, heads, dh)), (1, 2, 0))
         vh = T.transpose(T.reshape(v, (n, heads, dh)), (1, 0, 2))
-        weights = T.softmax_lastdim(T.mul(T.matmul(qh, kt), 1.0 / np.sqrt(dh)))
+        scale = Tensor(np.asarray(1.0 / np.sqrt(dh), dtype=F32))
+        weights = T.softmax_lastdim(T.mul(T.matmul(qh, kt), scale))
         return T.reshape(T.transpose(T.matmul(weights, vh), (1, 0, 2)), (n, d)), weights.data
 
     results = []
@@ -504,6 +506,56 @@ def test_backward_consumes_its_tape():
     with pytest.raises(UsageError, match="consumed"):
         tape.backward(loss)
     assert np.array_equal(x.grad, first)
+
+
+def test_tapes_do_not_nest_and_threads_record_apart():
+    # x^4 at x = 3: a nested tape would take the ops recorded while it is open
+    # away from the outer one, whose gradient would then be a silent 0, not 108
+    x = Tensor(np.array([3.0]), requires_grad=True, dtype=F64)
+    z = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=F64)
+
+    def on_another_thread():
+        with GradTape() as tape:
+            loss = T.sum_all(T.mul(z, z))
+        tape.backward(loss)
+
+    with GradTape() as outer:
+        with pytest.raises(UsageError, match="already recording on this thread"):
+            with GradTape():
+                pass
+        y = T.mul(x, x)
+        worker = threading.Thread(target=on_another_thread)
+        worker.start()
+        worker.join(timeout=30)
+        loss = T.sum_all(T.mul(y, y))
+    assert not worker.is_alive()
+    assert np.array_equal(z.grad, [2.0, 4.0])
+    assert len(outer) == 3
+    outer.backward(loss)
+    assert np.array_equal(x.grad, [108.0])
+
+
+def test_backward_refuses_a_loss_its_tape_did_not_record():
+    # each mistake would otherwise leave every leaf at a silent zero gradient
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True, dtype=F64)
+    untaped = T.sum_all(T.mul(x, x))
+    with GradTape():
+        recorded_elsewhere = T.sum_all(T.mul(x, x))
+    with GradTape() as tape:
+        loss = T.sum_all(x)
+    for wrong in (untaped, recorded_elsewhere):
+        with pytest.raises(UsageError, match="^backward got a loss this tape did not record"):
+            tape.backward(wrong)
+    assert x.grad is None
+    tape.backward(loss)  # a refused loss leaves the tape unconsumed
+    assert np.array_equal(x.grad, [1.0, 1.0])
+    # a constant loss is not an error: every leaf gets zeros
+    x.zero_grad()
+    with GradTape() as tape:
+        T.mul(x, x)
+        constant = T.sum_all(Tensor(np.ones(2), dtype=F64))
+    tape.backward(constant)
+    assert np.array_equal(x.grad, [0.0, 0.0])
 
 
 def test_backward_rejects_non_scalar():
