@@ -97,9 +97,9 @@ def _log(msg: str) -> None:
 
 
 def _load_model(cfg: RunConfig, path) -> UShapedTransformer:
-    """The run config's model, every weight taken from the checkpoint."""
-    model = UShapedTransformer(cfg.model, seed=None)
-    TR.apply_checkpoint(model, path)
+    """The checkpoint's model, refused unless its config is the run config's."""
+    model, _ = TR.load_checkpoint(path)
+    TR.check_model_config(path, model.config, cfg.model)
     return model
 
 
@@ -211,6 +211,8 @@ def cmd_forecast(args, cfg: RunConfig, out: Path) -> None:
     values, _, _, (mu, sigma) = _forecast_request(args, cfg)
     if args.denormalize:
         values = D.denormalize(values, mu, sigma)
+        if not T.all_finite(values):
+            raise NumericError(f"the denormalized forecast overflows float32 (mu {mu:.6g}, sigma {sigma:.6g})")
     # Python floats format as numpy scalars do, at a third less cost per row
     lines = ["t,value"] + [f"{t},{v:.8e}" for t, v in enumerate(values.tolist())]
     _write(out / "forecast.csv", "\n".join(lines) + "\n")
@@ -395,7 +397,7 @@ def main(argv=None) -> int:
     except (ConfigError, UsageError, IngestionError, CheckpointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except NumericError as e:
+    except (NumericError, RuntimeWarning) as e:  # numpy's warnings, when raised as errors
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, IngestionError, NumericError, UsageError
-from .model import ModelConfig, config_from_dict
+from .model import ModelConfig, config_from_dict, float_overflows
 from .tensor import Tensor
 
 # below this the window is treated as flat and only centered, never scaled
@@ -227,6 +227,8 @@ def load_registry(path) -> dict[str, SeriesFrame]:
         if not (isinstance(splits, list) and len(splits) == 3
                 and all(type(s) in (int, float) for s in splits)):
             raise ConfigError(f"registry entry '{ds_id}': 'splits' must be a list of 3 numbers, got {splits!r}")
+        if any(map(float_overflows, splits)):
+            raise ConfigError(f"registry entry '{ds_id}': 'splits' holds an integer too large for a float")
         csv_path = path.parent / entry["path"]
         if not csv_path.is_file():
             raise ConfigError(f"dataset '{ds_id}': not a file: {csv_path}")

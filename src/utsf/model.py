@@ -17,7 +17,8 @@ window, so row b of the output is what window b alone would give.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import sys
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Iterator
 
 import numpy as np
@@ -35,9 +36,10 @@ _FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
 def config_from_dict(cls, raw, section: str, base=None):
     """Build the config dataclass ``cls`` from a JSON object.
 
-    Unknown keys and values whose JSON type does not match the field's
-    annotation raise ``ConfigError``; the dataclass then checks ranges.
-    With ``base``, the given keys override that instance's fields.
+    Unknown keys, missing required keys, values whose JSON type does not
+    match the field's annotation and integers too large for a float field
+    raise ``ConfigError``; the dataclass then checks ranges. With ``base``,
+    the given keys override that instance's fields.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{section} config must be a JSON object, got {type(raw).__name__}")
@@ -48,7 +50,20 @@ def config_from_dict(cls, raw, section: str, base=None):
     for key, value in raw.items():
         if type(value) not in _FIELD_TYPES[types[key]]:
             raise ConfigError(f"{section} config '{key}' must be {types[key]}, got {value!r}")
-    return replace(base, **raw) if base is not None else cls(**raw)
+        if types[key] == "float" and float_overflows(value):
+            raise ConfigError(f"{section} config '{key}' is an integer too large for a float")
+    if base is not None:
+        return replace(base, **raw)
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
+    if missing:
+        raise ConfigError(f"{section} config is missing required keys: {missing}")
+    return cls(**raw)
+
+
+def float_overflows(value) -> bool:
+    """Whether ``value`` is a JSON integer that ``float()`` cannot hold: such
+    a number is refused, not rounded, so a resolved config repeats its input."""
+    return type(value) is int and abs(value) > sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -190,22 +205,61 @@ class ParameterStore:
             t.zero_grad()
 
 
-def _placeholder(shape: tuple, dtype) -> np.ndarray:
-    """Read-only zeros that allocate nothing: a zero-stride view of one scalar."""
-    return np.broadcast_to(np.zeros((), dtype=dtype), shape)
+def _init_param(rng: np.random.Generator | None, shape: tuple, init: tuple, dtype) -> np.ndarray:
+    """One parameter's initial value: ``("fan_in", n)`` is uniform in
+    +-1/sqrt(n), ``("normal", std)`` centred, ``("const", c)`` constant. With
+    ``rng=None`` random values are read-only zeros that allocate nothing."""
+    kind, arg = init
+    if kind == "const":
+        return np.full(shape, arg, dtype=dtype)
+    if rng is None:  # a zero-stride view of one scalar
+        return np.broadcast_to(np.zeros((), dtype=dtype), shape)
+    if kind == "fan_in":
+        bound = 1.0 / np.sqrt(arg)
+        return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.normal(0.0, arg, size=shape).astype(dtype)
 
 
-def _uniform_fan_in(rng: np.random.Generator | None, shape: tuple, fan_in: int, dtype) -> np.ndarray:
-    if rng is None:
-        return _placeholder(shape, dtype)
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+def param_layout(config: ModelConfig) -> Iterator[tuple[str, tuple, tuple]]:
+    """``(name, shape, init)`` of every parameter, in checkpoint payload and
+    initial-draw order. Lazy, so a manifest can be compared with it entry by
+    entry whatever size ``config`` claims."""
 
+    def linear(name, d_in, d_out):
+        yield f"{name}.w", (d_in, d_out), ("fan_in", d_in)
+        yield f"{name}.b", (d_out,), ("fan_in", d_in)
 
-def _normal(rng: np.random.Generator | None, shape: tuple, std: float, dtype) -> np.ndarray:
-    if rng is None:
-        return _placeholder(shape, dtype)
-    return rng.normal(0.0, std, size=shape).astype(dtype)
+    def group(prefix, d):
+        for j in range(config.n_layers_per_group):
+            layer = f"{prefix}.layer{j}"
+            yield f"{layer}.ln1.g", (d,), ("const", 1.0)
+            yield f"{layer}.ln1.b", (d,), ("const", 0.0)
+            for proj in ("q", "k", "v", "o"):
+                yield from linear(f"{layer}.attn.{proj}", d, d)
+            yield f"{layer}.ln2.g", (d,), ("const", 1.0)
+            yield f"{layer}.ln2.b", (d,), ("const", 0.0)
+            yield from linear(f"{layer}.ffn.fc1", d, config.ffn_mult * d)
+            yield from linear(f"{layer}.ffn.fc2", config.ffn_mult * d, d)
+
+    # embedding: pointwise conv patch_size -> d_model, plus position table
+    yield "embed.w", (config.d_model, config.patch_size), ("fan_in", config.patch_size)
+    yield "embed.b", (config.d_model,), ("fan_in", config.patch_size)
+    yield "pos", (config.n_patches, config.d_model), ("normal", 0.02)
+    for i in range(1, config.n_levels):
+        d = config.d_model << (i - 1)
+        yield from group(f"enc{i}", d)
+        # merge level i -> i+1: conv weight [2d, d, 2]
+        yield f"merge{i}.w", (2 * d, d, 2), ("fan_in", 2 * d)
+        yield f"merge{i}.b", (2 * d,), ("fan_in", 2 * d)
+    yield from group("mid", config.d_model << (config.n_levels - 1))
+    for i in range(config.n_levels - 1, 0, -1):
+        d = config.d_model << (i - 1)
+        # split level i+1 -> i: transpose conv weight [2d, d, 2]
+        yield f"split{i}.w", (2 * d, d, 2), ("fan_in", 2 * d)
+        yield f"split{i}.b", (d,), ("fan_in", 2 * d)
+        yield from group(f"dec{i}", d)
+    yield from linear("head.recon", config.d_model, config.patch_size)
+    yield from linear("head.forecast", config.d_model, config.patch_size)
 
 
 class UShapedTransformer:
@@ -226,53 +280,9 @@ class UShapedTransformer:
         self.config = config
         self.dtype = np.dtype(dtype)
         self.params = ParameterStore()
-        self._build(None if seed is None else np.random.default_rng(seed))
-
-    # -- construction -------------------------------------------------------
-
-    def _add(self, name: str, arr: np.ndarray) -> None:
-        self.params.add(name, Tensor(arr, requires_grad=True, dtype=self.dtype))
-
-    def _add_linear(self, rng, name: str, d_in: int, d_out: int) -> None:
-        self._add(f"{name}.w", _uniform_fan_in(rng, (d_in, d_out), d_in, self.dtype))
-        self._add(f"{name}.b", _uniform_fan_in(rng, (d_out,), d_in, self.dtype))
-
-    def _add_layer(self, rng, prefix: str, d: int) -> None:
-        self._add(f"{prefix}.ln1.g", np.ones(d, dtype=self.dtype))
-        self._add(f"{prefix}.ln1.b", np.zeros(d, dtype=self.dtype))
-        for proj in ("q", "k", "v", "o"):
-            self._add_linear(rng, f"{prefix}.attn.{proj}", d, d)
-        self._add(f"{prefix}.ln2.g", np.ones(d, dtype=self.dtype))
-        self._add(f"{prefix}.ln2.b", np.zeros(d, dtype=self.dtype))
-        self._add_linear(rng, f"{prefix}.ffn.fc1", d, self.config.ffn_mult * d)
-        self._add_linear(rng, f"{prefix}.ffn.fc2", self.config.ffn_mult * d, d)
-
-    def _add_group(self, rng, prefix: str, d: int) -> None:
-        for j in range(self.config.n_layers_per_group):
-            self._add_layer(rng, f"{prefix}.layer{j}", d)
-
-    def _build(self, rng) -> None:
-        cfg = self.config
-        # embedding: pointwise conv patch_size -> d_model, plus position table
-        self._add("embed.w", _uniform_fan_in(rng, (cfg.d_model, cfg.patch_size), cfg.patch_size, self.dtype))
-        self._add("embed.b", _uniform_fan_in(rng, (cfg.d_model,), cfg.patch_size, self.dtype))
-        self._add("pos", _normal(rng, (cfg.n_patches, cfg.d_model), 0.02, self.dtype))
-        for i in range(1, cfg.n_levels):
-            d = cfg.d_model << (i - 1)
-            self._add_group(rng, f"enc{i}", d)
-            # merge level i -> i+1: conv weight [2d, d, 2]
-            self._add(f"merge{i}.w", _uniform_fan_in(rng, (2 * d, d, 2), 2 * d, self.dtype))
-            self._add(f"merge{i}.b", _uniform_fan_in(rng, (2 * d,), 2 * d, self.dtype))
-        d_deep = cfg.d_model << (cfg.n_levels - 1)
-        self._add_group(rng, "mid", d_deep)
-        for i in range(cfg.n_levels - 1, 0, -1):
-            d = cfg.d_model << (i - 1)
-            # split level i+1 -> i: transpose conv weight [2d, d, 2]
-            self._add(f"split{i}.w", _uniform_fan_in(rng, (2 * d, d, 2), 2 * d, self.dtype))
-            self._add(f"split{i}.b", _uniform_fan_in(rng, (d,), 2 * d, self.dtype))
-            self._add_group(rng, f"dec{i}", d)
-        self._add_linear(rng, "head.recon", cfg.d_model, cfg.patch_size)
-        self._add_linear(rng, "head.forecast", cfg.d_model, cfg.patch_size)
+        rng = None if seed is None else np.random.default_rng(seed)
+        for name, shape, init in param_layout(config):
+            self.params.add(name, Tensor(_init_param(rng, shape, init, self.dtype), dtype=self.dtype))
 
     # -- freezing ------------------------------------------------------------
 
@@ -421,8 +431,8 @@ class LinearBaseline:
         self.horizon_len = horizon_len
         self.params = ParameterStore()
         rng = np.random.default_rng(seed)
-        self.params.add("w", Tensor(_uniform_fan_in(rng, (lookback_len, horizon_len), lookback_len, np.dtype(dtype)), requires_grad=True))
-        self.params.add("b", Tensor(np.zeros(horizon_len, dtype=dtype), requires_grad=True))
+        self.params.add("w", Tensor(_init_param(rng, (lookback_len, horizon_len), ("fan_in", lookback_len), dtype)))
+        self.params.add("b", Tensor(_init_param(rng, (horizon_len,), ("const", 0.0), dtype)))
 
     def forward(self, windows: Tensor) -> Tensor:
         """(B, L) normalized lookbacks to (B, T) forecasts."""

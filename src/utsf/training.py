@@ -10,13 +10,14 @@ import os
 import struct
 import time
 from dataclasses import dataclass, fields
+from itertools import zip_longest
 
 import numpy as np
 
 from . import data as D
 from . import tensor as T
 from .errors import CheckpointError, ConfigError, NumericError, UsageError
-from .model import LinearBaseline, ModelConfig, UShapedTransformer, config_from_dict
+from .model import LinearBaseline, ModelConfig, UShapedTransformer, config_from_dict, param_layout
 from .tensor import GradTape, Tensor
 
 MAPE_FLOOR = 0.1
@@ -430,7 +431,9 @@ def _parse_checkpoint(path) -> tuple[dict, ModelConfig, np.ndarray]:
 def _read_manifest(fh, size: int, path) -> tuple[dict, ModelConfig, int]:
     """Read and validate the length prefix and manifest of a ``size``-byte
     checkpoint; returns the manifest, its model config and the number of
-    float32 values the payload that follows must hold."""
+    float32 values the payload that follows must hold. The ``params`` list
+    is compared entry by entry with the config's ``param_layout``, so a
+    config is never trusted for more parameters than the manifest lists."""
     head = fh.read(8)
     if len(head) < 8:
         raise CheckpointError(f"{path}: truncated before the manifest length")
@@ -455,51 +458,46 @@ def _read_manifest(fh, size: int, path) -> tuple[dict, ModelConfig, int]:
                               f"got {manifest['seed']!r}")
     if not isinstance(manifest["params"], list):
         raise CheckpointError(f"{path}: manifest field 'params' must be a list, got {manifest['params']!r}")
-    for i, e in enumerate(manifest["params"]):
-        if not (isinstance(e, dict) and isinstance(e.get("name"), str)
-                and isinstance(e.get("shape"), list) and all(type(n) is int and n >= 0 for n in e["shape"])
-                and isinstance(e.get("frozen"), bool)):
-            raise CheckpointError(f"{path}: manifest params[{i}] needs a string 'name', a 'shape' list "
-                                  f"of non-negative ints and a bool 'frozen', got {e!r}")
-    count = sum(math.prod(e["shape"]) for e in manifest["params"])
-    if size - 8 - mlen != 4 * count:
-        raise CheckpointError(f"{path}: payload is {size - 8 - mlen} bytes, manifest implies {4 * count}")
     try:
         config = ModelConfig.from_dict(manifest["config"])
     except ConfigError as e:
         raise CheckpointError(f"{path}: manifest field 'config': {e}") from None
+    entries, count = manifest["params"], 0
+    for i, (e, want) in enumerate(zip_longest(entries, param_layout(config))):
+        if want is None:
+            raise CheckpointError(f"{path}: manifest params[{i}] is past the {i} parameters its config lays out")
+        name, shape, _ = want
+        if i == len(entries):
+            raise CheckpointError(f"{path}: manifest params[{i}] is missing; its config lays out "
+                                  f"'{name}' of shape {list(shape)} there")
+        if not (isinstance(e, dict) and e.get("name") == name and isinstance(e.get("frozen"), bool)
+                and e.get("shape") == list(shape) and all(type(n) is int for n in e["shape"])):
+            raise CheckpointError(f"{path}: manifest params[{i}] must be '{name}' of shape {list(shape)} "
+                                  f"with a bool 'frozen', as its config lays out, got {e!r}")
+        count += math.prod(shape)
+    if size - 8 - mlen != 4 * count:
+        raise CheckpointError(f"{path}: payload is {size - 8 - mlen} bytes, manifest implies {4 * count}")
     return manifest, config, count
 
 
-def _fill_params(model: UShapedTransformer, manifest: dict, config: ModelConfig,
-                 payload: np.ndarray, path) -> None:
-    """Point every parameter at its slice of the payload, a float32 view (a
-    copy for another dtype). Names and shapes, then the config, are checked
-    before any parameter is written."""
-    names = model.params.names()
-    entries = manifest["params"]
-    if len(entries) != len(names):
-        raise CheckpointError(f"{path}: checkpoint has {len(entries)} parameters, model has {len(names)}")
-    arrays, offset = [], 0
-    for entry, name in zip(entries, names):
-        if entry["name"] != name:
-            raise CheckpointError(f"{path}: parameter mismatch: checkpoint '{entry['name']}', model '{name}'")
-        p = model.params[name]
-        shape = tuple(entry["shape"])
-        if shape != p.shape:
-            raise CheckpointError(
-                f"{path}: parameter '{name}': checkpoint shape {shape} != model shape {p.shape}"
-            )
-        count = math.prod(shape)
-        arrays.append(payload[offset:offset + count].reshape(shape))
-        offset += count
-    ours, theirs = model.config.to_dict(), config.to_dict()
+def check_model_config(path, config: ModelConfig, run_config: ModelConfig) -> None:
+    """Name the first field in which the model config of the checkpoint at
+    ``path`` differs from the run config's."""
+    ours, theirs = run_config.to_dict(), config.to_dict()
     for key in ours:
         if ours[key] != theirs[key]:
             raise CheckpointError(f"{path}: checkpoint model config '{key}' is {theirs[key]!r}, "
                                   f"the run config's is {ours[key]!r}")
-    for (name, p), entry, arr in zip(model.params.items(), entries, arrays):
-        p.data = arr.astype(p.dtype, copy=False)
+
+
+def _fill_params(model: UShapedTransformer, manifest: dict, payload: np.ndarray) -> None:
+    """Point every parameter at its slice of the payload, a float32 view (a
+    copy for another dtype). The model's config is the manifest's, so its
+    parameters are the ones the manifest was checked against."""
+    offset = 0
+    for (name, p), entry in zip(model.params.items(), manifest["params"]):
+        p.data = payload[offset:offset + p.size].reshape(p.shape).astype(p.dtype, copy=False)
+        offset += p.size
         model.params.set_frozen(name, entry["frozen"])
     model.params.zero_grads()
 
@@ -508,17 +506,18 @@ def load_checkpoint(path) -> tuple[UShapedTransformer, dict]:
     """Rebuild a model from the checkpoint's own embedded config."""
     manifest, config, payload = _parse_checkpoint(path)
     model = UShapedTransformer(config, seed=None)
-    _fill_params(model, manifest, config, payload, path)
+    _fill_params(model, manifest, payload)
     return model, manifest
 
 
 def apply_checkpoint(model: UShapedTransformer, path) -> dict:
     """Load a checkpoint into an existing model of the same config; the first
-    parameter name or shape, else config field, that disagrees is named in
-    the error. Every parameter is overwritten, so the model may be built
+    config field that disagrees is named in the error, before any parameter
+    is written. Every parameter is overwritten, so the model may be built
     with ``seed=None``."""
     manifest, config, payload = _parse_checkpoint(path)
-    _fill_params(model, manifest, config, payload, path)
+    check_model_config(path, config, model.config)
+    _fill_params(model, manifest, payload)
     return manifest
 
 

@@ -1,6 +1,7 @@
 """Property tests: no mutation of a valid checkpoint, of the input CSV or of
-the run config escapes ``utsf forecast`` as a traceback; each ends in
-success, a named error (2) or a numeric failure (3)."""
+the run config escapes ``utsf forecast`` as a traceback, and no mutation of
+a dataset registry escapes ``utsf pretrain``; each ends in success, a named
+error (2) or a numeric failure (3)."""
 
 import json
 import struct
@@ -11,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from utsf.cli import main  # noqa: E402
-from utsf.data import make_sine_frame, save_csv_dataset  # noqa: E402
+from utsf.data import make_log_frame, make_sine_frame, save_csv_dataset  # noqa: E402
 from utsf.model import UShapedTransformer, preset  # noqa: E402
 from utsf.training import save_checkpoint  # noqa: E402
 
@@ -23,6 +24,8 @@ def workspace(tmp_path_factory):
     save_csv_dataset(make_sine_frame("probe", n_channels=1, length=40, period=16.0, seed=7),
                      root / "probe.csv")
     save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), root / "ck.bin")
+    save_csv_dataset(make_sine_frame("sine", n_channels=2, length=160, period=16.0, seed=0), root / "sine.csv")
+    save_csv_dataset(make_log_frame("log", length=120), root / "log.csv")
     blob = (root / "ck.bin").read_bytes()
     n = struct.unpack("<Q", blob[:8])[0]
     return root, blob, json.loads(blob[8:8 + n]), blob[8 + n:]
@@ -140,9 +143,6 @@ _RUN_PATHS = ([(k,) for k in _RUN] + [("model", k) for k in preset("tiny").to_di
               + [("model", k) for k in ("preset", "patch_stride", "dropout", "extra")]
               + [("sampler", k) for k in ("stride", "jitter", "seed")]
               + [("trainer", k) for k in _RUN["trainer"]] + [("turbo",)])
-# model sizes past a few thousand make forecast allocate or loop in proportion
-# before the checkpoint is compared, so mutated integers stay small
-_CONFIG_JSON = _json_values(st.integers(-2048, 2048))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -152,7 +152,7 @@ def test_mutated_run_config_forecast_exits_0_2_or_3(workspace, data):
     edited = json.loads(json.dumps(_RUN))
     target, key = _walk(edited, data.draw(st.sampled_from(_RUN_PATHS)))
     if data.draw(st.booleans()):
-        target[key] = data.draw(_CONFIG_JSON)
+        target[key] = data.draw(_JSON)
     else:
         target.pop(key, None)
     text = json.dumps(edited)
@@ -160,3 +160,32 @@ def test_mutated_run_config_forecast_exits_0_2_or_3(workspace, data):
         text = text[:data.draw(st.integers(0, len(text) - 1))]
     (root / "mutant.json").write_text(text)
     assert _forecast(root, config="mutant.json") in (0, 2, 3)
+
+
+_REGISTRY = {"sine": {"path": "sine.csv", "splits": [0.7, 0.1, 0.2]}, "log": {"path": "log.csv"}}
+_REGISTRY_PATHS = ([(k,) for k in _REGISTRY] + [("sine", "path"), ("sine", "splits"), ("sine", "extra"),
+                   ("log", "path"), ("log", "splits"), ("other",)] + [("sine", "splits", i) for i in range(3)])
+_REGISTRY_VALUES = (_JSON | st.sampled_from([10 ** 400, -10 ** 400, 2 ** 1024, 1e308, -0.0, 0.5])
+                    | st.sampled_from(["sine.csv", "log.csv", "probe.csv", "run.json", "", ".", "missing.csv",
+                                       "/dev/null", "../fuzz"]))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_registry_pretrain_exits_0_2_or_3(workspace, data):
+    root = workspace[0]
+    edited = json.loads(json.dumps(_REGISTRY))
+    target, key = _walk(edited, data.draw(st.sampled_from(_REGISTRY_PATHS)))
+    if data.draw(st.booleans()):
+        target[key] = data.draw(_REGISTRY_VALUES)
+    elif isinstance(target, list):  # a split fraction
+        del target[key]
+    else:
+        target.pop(key, None)
+    text = json.dumps(edited)
+    if data.draw(st.integers(0, 4)) == 0:
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    (root / "registry.json").write_text(text)
+    (root / "train.json").write_text(json.dumps({"model": {"preset": "tiny"}, "registry": "registry.json",
+                                                 "trainer": {"steps_per_epoch": 2}, "seed": 0}))
+    assert main(["pretrain", "--config", str(root / "train.json"), "--out", str(root / "trained")]) in (0, 2, 3)

@@ -8,6 +8,8 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +99,23 @@ def test_numeric_failure_exits_3_and_writes_no_resolved_config(workspace, capsys
     assert err.startswith("numeric failure: pretrain aborted at epoch 0, step 1 (dataset sine, channel ")
     assert err.endswith("): non-finite value produced by op 'mul'\n")
     assert not (out / "resolved_config.json").exists()
+    # numpy's overflow warning, raised as an error, is a numeric failure too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("pretrain", "--config", workspace / "hot.json", "--out", out) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: overflow encountered")
+    assert not (out / "resolved_config.json").exists()
+
+
+def test_a_denormalized_forecast_that_overflows_exits_3(workspace, capsys):
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
+    (workspace / "big.csv").write_text("v\n" + "".join(("0\n", "3.3e38\n")[i % 2] for i in range(40)))
+    out = workspace / "big"
+    with np.errstate(over="ignore"):  # the run's own message names the overflow
+        assert run_cli("forecast", "--config", workspace / "run.json", "--out", out, "--denormalize",
+                       "--checkpoint", workspace / "ck.bin", "--input", workspace / "big.csv") == 3
+    assert "numeric failure: the denormalized forecast overflows float32" in capsys.readouterr().err
+    assert not (out / "forecast.csv").exists()
 
 
 def test_finetune_without_checkpoint_is_usage_error(workspace, capsys):
@@ -341,7 +360,13 @@ def test_config_errors_exit_2(workspace, capsys):
              ({"trainer": {"eps": float("nan")}}, "eps"),
              # a sampler seed equal to the run seed in value but not in type
              ({"seed": 1, "sampler": {"seed": True}}, "seed"),
-             ({"seed": 1, "sampler": {"seed": 1.0}}, "seed")]
+             ({"seed": 1, "sampler": {"seed": 1.0}}, "seed"),
+             # a model section without a preset names the keys it lacks
+             ({"model": {}}, "['lookback_len', 'horizon_len', 'patch_size']"),
+             ({"model": {"lookback_len": 32, "horizon_len": 32}}, "['patch_size']"),
+             # an integer a float cannot hold is refused, not converted
+             ({"trainer": {"lr": 10 ** 400}}, "'lr' is an integer too large for a float"),
+             ({"trainer": {"eps": 10 ** 400}}, "'eps' is an integer too large for a float")]
     for override, name in wrong:
         bad.write_text(json.dumps({"model": {"preset": "tiny"}, **override}))
         assert run_cli("pretrain", "--config", bad, "--out", workspace / "x5") == 2, override
@@ -353,7 +378,8 @@ def test_config_errors_exit_2(workspace, capsys):
     assert "'abc'" in capsys.readouterr().err
 
     # wrong-typed registry entries are config errors naming the entry
-    for entry in ({"path": 5}, {"path": "sine.csv", "splits": "abc"}, {"path": "sine.csv", "splits": 5}):
+    for entry in ({"path": 5}, {"path": "sine.csv", "splits": "abc"}, {"path": "sine.csv", "splits": 5},
+                  {"path": "sine.csv", "splits": [10 ** 400, 0, 0]}):
         (workspace / "odd.json").write_text(json.dumps({"odd": entry}))
         bad.write_text(json.dumps({"model": {"preset": "tiny"}, "registry": "odd.json"}))
         assert run_cli("pretrain", "--config", bad, "--out", workspace / "x6") == 2, entry
@@ -383,15 +409,31 @@ def test_malformed_checkpoint_manifest_exits_2(workspace, capsys):
                    "--checkpoint", workspace / "bad.bin", "--input", workspace / "probe.csv") == 2
     assert "params[0]" in capsys.readouterr().err
 
-    # same parameter names and shapes, but a run config the weights were not trained for
+    # a run config the weights were not trained for, with the same parameter
+    # names and shapes or far larger ones: named by field before its model is built
     run = json.loads((workspace / "run.json").read_text())
     for model, field in (({"preset": "tiny", "n_heads": 1}, "n_heads"),
-                         ({"preset": "tiny", "lookback_len": 48, "horizon_len": 16}, "lookback_len")):
+                         ({"preset": "tiny", "lookback_len": 48, "horizon_len": 16}, "lookback_len"),
+                         ({"preset": "tiny", "d_model": 2 ** 40}, "d_model"),
+                         ({"preset": "tiny", "n_layers_per_group": 5000}, "n_layers_per_group")):
         (workspace / "other.json").write_text(json.dumps({**run, "model": model}))
-        assert run_cli("forecast", "--config", workspace / "other.json", "--out", workspace / field,
-                       "--checkpoint", workspace / "ck.bin", "--input", workspace / "probe.csv") == 2
-        assert f"'{field}'" in capsys.readouterr().err
+        tracemalloc.start()
+        try:
+            assert run_cli("forecast", "--config", workspace / "other.json", "--out", workspace / field,
+                           "--checkpoint", workspace / "ck.bin", "--input", workspace / "probe.csv") == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"checkpoint model config '{field}' is " in capsys.readouterr().err
         assert not (workspace / field / "forecast.csv").exists()
+        assert peak < 2 * 2 ** 20, (field, peak)
+
+
+def test_an_integer_float_field_is_resolved_as_written(workspace):
+    run = json.loads((workspace / "run.json").read_text())
+    (workspace / "int.json").write_text(json.dumps({**run, "trainer": {**run["trainer"], "beta1": 0}}))
+    assert run_cli("pretrain", "--config", workspace / "int.json", "--out", workspace / "int") == 0
+    assert '"beta1": 0,' in (workspace / "int" / "resolved_config.json").read_text()
 
 
 def test_unreadable_input_files_exit_2(workspace, capsys):

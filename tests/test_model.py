@@ -10,7 +10,7 @@ import pytest
 from utsf import tensor as T
 from utsf.errors import ConfigError, DimensionError, UsageError
 from utsf.model import (LinearBaseline, ModelConfig, ParameterStore,
-                        UShapedTransformer, patch_merge_naive, preset)
+                        UShapedTransformer, param_layout, patch_merge_naive, preset)
 from utsf.tensor import GradTape, Tensor
 
 F64 = np.float64
@@ -102,6 +102,16 @@ def test_parameter_store_contracts():
     store.set_frozen("a", False)
     assert a.requires_grad and not store.frozen("a")
     assert [n for n, _ in store.trainable()] == ["a", "b"]
+
+
+def test_param_layout_is_the_built_model_and_is_lazy():
+    for name in ("tiny", "small"):
+        m = UShapedTransformer(preset(name), seed=None)
+        assert [(n, s) for n, s, _ in param_layout(m.config)] == [(n, p.shape) for n, p in m.params.items()]
+    assert len(list(param_layout(preset("tiny")))) == 59
+    # a config that lays out a billion layers per group yields its first entries at once
+    huge = param_layout(replace(preset("tiny"), n_layers_per_group=10 ** 9))
+    assert [next(huge)[0] for _ in range(4)] == ["embed.w", "embed.b", "pos", "enc1.layer0.ln1.g"]
 
 
 def test_seeded_init_is_pinned_and_placeholders_draw_nothing():

@@ -607,6 +607,14 @@ def test_apply_checkpoint_overwrites_in_place(tmp_path):
     with pytest.raises(CheckpointError, match=r"'n_heads' is 2, the run config's is 1"):
         apply_checkpoint(other, path)
     assert backbone_hash(other) == before
+    # another preset: refused by its first differing field, not by a parameter
+    small = tmp_path / "small.bin"
+    save_checkpoint(UShapedTransformer(preset("small"), seed=0), small)
+    base = UShapedTransformer(preset("base"), seed=None)
+    with pytest.raises(CheckpointError, match=r"'lookback_len' is 512, the run config's is 3072"):
+        apply_checkpoint(base, small)
+    assert all(not p.data.flags.writeable for n, p in base.params.items() if n.endswith(".w")), \
+        "a refused checkpoint wrote parameters"
 
 
 def test_loaded_parameters_are_views_of_one_payload_buffer(tmp_path):
@@ -630,12 +638,13 @@ def test_loaded_parameters_are_views_of_one_payload_buffer(tmp_path):
 
 
 def test_checkpoint_shape_mismatch_names_the_parameter(tmp_path):
-    small = UShapedTransformer(preset("small"), seed=0)
-    path = tmp_path / "small.bin"
-    save_checkpoint(small, path)
-    base = UShapedTransformer(preset("base"), seed=0)
-    with pytest.raises(CheckpointError, match=r"'pos'"):
-        apply_checkpoint(base, path)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(tiny_model(), path)
+    # a manifest whose 'pos' entry disagrees with the layout of its own config
+    doctored = rewrite_manifest(path, tmp_path / "pos.bin", lambda mf: mf["params"][2].update(shape=[16, 4]))
+    for load in (load_checkpoint, lambda p: apply_checkpoint(UShapedTransformer(preset("tiny"), seed=None), p)):
+        with pytest.raises(CheckpointError, match=r"'pos'"):
+            load(doctored)
 
 
 def test_checkpoint_truncation_detected(tmp_path):
@@ -680,6 +689,17 @@ def test_checkpoint_version_and_manifest_errors(tmp_path):
         r"params\[4\]": lambda mf: mf["params"][4].update(frozen=1),
         r"params\[5\]": lambda mf: mf["params"][5].update(shape=[True]),
         "'seed'": lambda mf: mf.update(seed="abc"),
+        # the list is compared with its config's layout: one entry too few or too many
+        r"params\[58\] is missing; its config lays out 'head.forecast.b' of shape \[8\]":
+            lambda mf: mf["params"].pop(),
+        r"params\[59\] is past the 59 parameters": lambda mf: mf["params"].append(mf["params"][0]),
+        r"params\[6\] must be 'enc1.layer0.attn.q.b' of shape \[8\]":
+            lambda mf: mf["params"][6].update(shape=[1.0 * 8]),
+        # tiny's 59 entries under a config of 5000 layers per group: refused
+        # at the first entry past enc1.layer0, before any model is built
+        r"params\[19\] must be 'enc1.layer1.ln1.g' of shape \[8\]":
+            lambda mf: mf["config"].update(n_layers_per_group=5000),
+        "manifest field 'config': model config is missing required keys": lambda mf: mf.update(config={}),
         "patch_stride": lambda mf: mf["config"].update(patch_stride=4),
         "dropout": lambda mf: mf["config"].update(dropout=0.5),
     }
