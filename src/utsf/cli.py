@@ -21,7 +21,7 @@ from . import data as D
 from . import tensor as T
 from . import training as TR
 from .errors import CheckpointError, ConfigError, IngestionError, NumericError, UsageError
-from .model import LinearBaseline, ModelConfig, UShapedTransformer
+from .model import LinearBaseline, ModelConfig, UShapedTransformer, config_from_dict, config_to_dict
 from .tensor import Tensor, finite_diff_check
 
 _RUN_KEYS = {"model", "sampler", "trainer", "registry", "seed"}
@@ -55,14 +55,14 @@ class RunConfig:
                 raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         seed = file_seed if seed_override is None else seed_override
         section = raw.get("sampler", {})
-        sampler = D.SamplerConfig.from_dict(section)
+        sampler = config_from_dict(D.SamplerConfig, section, "sampler")
         # the run seed sets the jitter seed; a resolved config repeats it
         if "seed" in section and sampler.seed != file_seed:
             raise ConfigError(f"sampler seed {sampler.seed!r} differs from the run seed {file_seed!r}")
         return cls(
             model=ModelConfig.from_dict(raw["model"]),
             sampler=replace(sampler, seed=seed),
-            trainer=TR.TrainerConfig.from_dict(raw.get("trainer", {})),
+            trainer=config_from_dict(TR.TrainerConfig, raw.get("trainer", {}), "trainer"),
             registry=registry,
             seed=seed,
             config_dir=path.parent,
@@ -70,9 +70,9 @@ class RunConfig:
 
     def resolved(self) -> dict:
         return {
-            "model": self.model.to_dict(),
-            "sampler": self.sampler.to_dict(),
-            "trainer": self.trainer.to_dict(),
+            "model": config_to_dict(self.model),
+            "sampler": config_to_dict(self.sampler),
+            "trainer": config_to_dict(self.trainer),
             "registry": self.registry,
             "seed": self.seed,
         }
@@ -106,7 +106,8 @@ def _load_model(cfg: RunConfig, path) -> UShapedTransformer:
 def _train(cfg: RunConfig, model, frames: dict, phase: str, epoch_fn) -> TR.TrainReport:
     """Run ``epoch_fn`` for each configured epoch from the run seed, logging
     each epoch's mean loss."""
-    optimizer = TR.Adam.from_config(model.params, cfg.trainer)
+    optimizer = TR.Adam(model.params, lr=cfg.trainer.lr, beta1=cfg.trainer.beta1,
+                        beta2=cfg.trainer.beta2, eps=cfg.trainer.eps)
     rng = np.random.default_rng(cfg.seed)
     report = TR.TrainReport()
     for epoch in range(cfg.trainer.epochs):

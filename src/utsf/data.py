@@ -15,14 +15,14 @@ import os
 import stat
 import warnings
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, IngestionError, NumericError, UsageError
-from .model import ModelConfig, config_from_dict, float_overflows
+from .model import ModelConfig, float_overflows
 from .tensor import Tensor
 
 # below this the window is treated as flat and only centered, never scaled
@@ -253,13 +253,6 @@ class SamplerConfig:
     def __post_init__(self):
         if self.stride < 1:
             raise ConfigError(f"sampler stride must be >= 1, got {self.stride}")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, raw) -> "SamplerConfig":
-        return config_from_dict(cls, raw, "sampler")
 
 
 def window_starts(usable_len: int, window_len: int, sampler: SamplerConfig,

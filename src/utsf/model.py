@@ -17,6 +17,7 @@ window, so row b of the output is what window b alone would give.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Iterator
@@ -27,6 +28,9 @@ from . import tensor as T
 from .errors import ConfigError, DimensionError, UsageError
 from .tensor import Tensor
 
+
+# UShapedTransformer refuses to build a model of more parameter scalars than this
+MAX_PARAMS = 2 ** 31
 
 # JSON value types each config field annotation accepts (annotations are strings
 # under ``from __future__ import annotations``); a bool is not a number
@@ -58,6 +62,12 @@ def config_from_dict(cls, raw, section: str, base=None):
     if missing:
         raise ConfigError(f"{section} config is missing required keys: {missing}")
     return cls(**raw)
+
+
+def config_to_dict(config) -> dict:
+    """The JSON object of a config dataclass, every field by name: what
+    ``config_from_dict`` reads back."""
+    return {f.name: getattr(config, f.name) for f in fields(config)}
 
 
 def float_overflows(value) -> bool:
@@ -110,24 +120,14 @@ class ModelConfig:
             raise UsageError(f"level {level} outside 1..{self.n_levels}")
         return self.n_patches >> (level - 1), self.d_model << (level - 1)
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @classmethod
     def from_dict(cls, raw) -> "ModelConfig":
-        """Explicit fields over an optional ``preset``. Patches never overlap
-        and there is no dropout: the keys ``patch_stride`` and ``dropout``,
-        which older configs and checkpoints carry, load only at that value."""
+        """Explicit fields over an optional ``preset``."""
         if not isinstance(raw, dict):
             raise ConfigError(f"model config must be a JSON object, got {type(raw).__name__}")
         raw = dict(raw)
-        name, stride, dropout = raw.pop("preset", None), raw.pop("patch_stride", None), raw.pop("dropout", 0)
-        config = config_from_dict(cls, raw, "model", None if name is None else preset(name))
-        if stride is not None and not (type(stride) is int and stride == config.patch_size):
-            raise ConfigError("patch_stride must equal patch_size (non-overlapping patches only)")
-        if type(dropout) not in (int, float) or dropout != 0:
-            raise ConfigError("dropout is not implemented; only rate 0 is accepted")
-        return config
+        name = raw.pop("preset", None)
+        return config_from_dict(cls, raw, "model", None if name is None else preset(name))
 
 
 _PRESETS = {
@@ -262,6 +262,23 @@ def param_layout(config: ModelConfig) -> Iterator[tuple[str, tuple, tuple]]:
     yield from linear("head.forecast", config.d_model, config.patch_size)
 
 
+def _check_size(config: ModelConfig) -> None:
+    """Refuse a config whose parameters hold more than ``MAX_PARAMS``
+    scalars, naming the entry at which a running count over its layout
+    passes the bound. Every layer of a group has its first layer's shapes,
+    so the layout is walked with one layer per group and each first-layer
+    entry counts once per layer: a few dozen steps, allocating no
+    parameter, whatever ``n_layers_per_group`` claims."""
+    count, layers = 0, config.n_layers_per_group
+    for name, shape, _ in param_layout(replace(config, n_layers_per_group=1)):
+        copies = layers if ".layer0." in name else 1
+        count += copies * math.prod(shape)
+        if count > MAX_PARAMS:
+            where = f" in each of {layers} layers" if copies > 1 else ""
+            raise ConfigError(f"model too large to build: its parameters pass {MAX_PARAMS} scalars "
+                              f"at '{name}' of shape {list(shape)}{where}")
+
+
 class UShapedTransformer:
     """The backbone plus reconstruction and forecast heads.
 
@@ -280,6 +297,7 @@ class UShapedTransformer:
         self.config = config
         self.dtype = np.dtype(dtype)
         self.params = ParameterStore()
+        _check_size(config)
         rng = None if seed is None else np.random.default_rng(seed)
         for name, shape, init in param_layout(config):
             self.params.add(name, Tensor(_init_param(rng, shape, init, self.dtype), dtype=self.dtype))
@@ -426,11 +444,12 @@ def patch_merge_naive(tokens: Tensor) -> Tensor:
 class LinearBaseline:
     """One shared affine map from L inputs to T outputs per channel."""
 
-    def __init__(self, lookback_len: int, horizon_len: int, seed: int = 0, dtype=T.DEFAULT_DTYPE):
+    def __init__(self, lookback_len: int, horizon_len: int, seed: int = 0):
         self.lookback_len = lookback_len
         self.horizon_len = horizon_len
         self.params = ParameterStore()
         rng = np.random.default_rng(seed)
+        dtype = T.DEFAULT_DTYPE
         self.params.add("w", Tensor(_init_param(rng, (lookback_len, horizon_len), ("fan_in", lookback_len), dtype)))
         self.params.add("b", Tensor(_init_param(rng, (horizon_len,), ("const", 0.0), dtype)))
 

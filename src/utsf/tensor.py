@@ -35,6 +35,8 @@ import numpy as np
 from .errors import DimensionError, NumericError, UsageError
 
 DEFAULT_DTYPE = np.float32
+# layer_norm adds this to each slice's variance before the square root
+LAYER_NORM_EPS = 1e-5
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
@@ -469,10 +471,8 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return record_op("softmax_lastdim", s, (x,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each last-axis slice to mean 0 / population variance 1, then affine."""
-    if eps <= 0:
-        raise UsageError(f"layer_norm eps must be > 0, got {eps}")
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(f"layer_norm gain/bias must be ({d},), got {gain.shape}, {bias.shape}")
@@ -480,7 +480,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     # np.var form them (a pairwise sum divided by d), so the bits match theirs
     xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
     var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
     out = xhat * gain.data
     out += bias.data

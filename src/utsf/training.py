@@ -9,7 +9,7 @@ import math
 import os
 import struct
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from . import data as D
 from . import tensor as T
 from .errors import CheckpointError, ConfigError, NumericError, UsageError
-from .model import LinearBaseline, ModelConfig, UShapedTransformer, config_from_dict, param_layout
+from .model import LinearBaseline, ModelConfig, UShapedTransformer, config_to_dict, param_layout
 from .tensor import GradTape, Tensor
 
 MAPE_FLOOR = 0.1
@@ -45,13 +45,6 @@ class TrainerConfig:
             raise ConfigError("epochs and steps_per_epoch must be >= 1")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, raw) -> "TrainerConfig":
-        return config_from_dict(cls, raw, "trainer")
 
 
 def compute_metrics(pred, truth) -> dict:
@@ -94,10 +87,6 @@ class Adam:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self._scratch: dict[np.dtype, np.ndarray] = {}
-
-    @classmethod
-    def from_config(cls, params, cfg: TrainerConfig) -> "Adam":
-        return cls(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
 
     def step(self) -> None:
         """Update every trainable entry, or none: every gradient is checked
@@ -396,7 +385,7 @@ def save_checkpoint(model: UShapedTransformer, path, seed: int = 0) -> None:
         raise UsageError(f"checkpoint seed must be a non-negative integer, got {seed!r}")
     manifest = {
         "format_version": CHECKPOINT_VERSION,
-        "config": model.config.to_dict(),
+        "config": config_to_dict(model.config),
         "params": [{"name": name, "shape": list(p.shape), "frozen": model.params.frozen(name)}
                    for name, p in model.params.items()],
         "seed": int(seed),
@@ -483,7 +472,7 @@ def _read_manifest(fh, size: int, path) -> tuple[dict, ModelConfig, int]:
 def check_model_config(path, config: ModelConfig, run_config: ModelConfig) -> None:
     """Name the first field in which the model config of the checkpoint at
     ``path`` differs from the run config's."""
-    ours, theirs = run_config.to_dict(), config.to_dict()
+    ours, theirs = config_to_dict(run_config), config_to_dict(config)
     for key in ours:
         if ours[key] != theirs[key]:
             raise CheckpointError(f"{path}: checkpoint model config '{key}' is {theirs[key]!r}, "

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from utsf.cli import main  # noqa: E402
 from utsf.data import make_log_frame, make_sine_frame, save_csv_dataset  # noqa: E402
-from utsf.model import UShapedTransformer, preset  # noqa: E402
+from utsf.model import UShapedTransformer, config_to_dict, preset  # noqa: E402
 from utsf.training import save_checkpoint  # noqa: E402
 
 
@@ -33,7 +33,7 @@ def workspace(tmp_path_factory):
 
 def _manifest_paths():
     """Key paths into the manifest: its fields, the config's and one params entry's."""
-    config = preset("tiny").to_dict()
+    config = config_to_dict(preset("tiny"))
     paths = [(k,) for k in ("format_version", "config", "params", "seed")]
     paths += [("config", k) for k in config] + [("config", "patch_stride"), ("config", "dropout")]
     paths += [("params", 0), ("params", 3, "name"), ("params", 3, "shape"), ("params", 3, "frozen"),
@@ -139,7 +139,7 @@ def test_any_csv_input_forecast_exits_0_2_or_3(workspace, text):
 _RUN = {"model": {"preset": "tiny"}, "sampler": {"stride": 8, "jitter": True},
         "trainer": {"lr": 1e-3, "epochs": 1, "steps_per_epoch": 25}, "registry": "datasets.json",
         "seed": 0}
-_RUN_PATHS = ([(k,) for k in _RUN] + [("model", k) for k in preset("tiny").to_dict()]
+_RUN_PATHS = ([(k,) for k in _RUN] + [("model", k) for k in config_to_dict(preset("tiny"))]
               + [("model", k) for k in ("preset", "patch_stride", "dropout", "extra")]
               + [("sampler", k) for k in ("stride", "jitter", "seed")]
               + [("trainer", k) for k in _RUN["trainer"]] + [("turbo",)])

@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -210,6 +211,16 @@ def test_forecast_bytes_are_pinned_and_the_parser_is_built_once(workspace):
     assert build_parser.cache_info().misses == 1  # one parser for all four requests
 
 
+def test_resolved_config_bytes_are_pinned(workspace):
+    # the resolved config a forecast writes for the workspace's run config:
+    # the config reader and writer may change, the bytes may not
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
+    assert run_cli("forecast", "--config", workspace / "run.json", "--out", workspace / "fc",
+                   "--checkpoint", workspace / "ck.bin", "--input", workspace / "probe.csv") == 0
+    digest = hashlib.sha256((workspace / "fc" / "resolved_config.json").read_bytes()).hexdigest()
+    assert digest == "e613cc19b563c7b19f0638fd054f1765fbcb2cff2dbab9a48beb7629e92c2f92"
+
+
 def test_checkpoint_payload_of_the_wrong_size_exits_2_and_loads_nothing(workspace, capsys):
     save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
     blob = (workspace / "ck.bin").read_bytes()
@@ -354,8 +365,9 @@ def test_config_errors_exit_2(workspace, capsys):
              ({"sampler": {"stride": "8"}}, "stride"), ({"sampler": {"jitter": 1}}, "jitter"),
              ({"seed": "abc"}, "seed"), ({"seed": True}, "seed"), ({"model": [1]}, "model"),
              ({"trainer": [1]}, "trainer"), ({"registry": 5}, "registry"),
-             ({"model": {"preset": "tiny", "patch_stride": 4}}, "patch_stride"),
-             ({"model": {"preset": "tiny", "dropout": 0.1}}, "dropout"),
+             # the legacy keys, even at the one value they once loaded at
+             ({"model": {"preset": "tiny", "patch_stride": 8}}, "patch_stride"),
+             ({"model": {"preset": "tiny", "dropout": 0}}, "dropout"),
              ({"trainer": {"lr": float("nan")}}, "lr"), ({"trainer": {"lr": float("inf")}}, "lr"),
              ({"trainer": {"eps": float("nan")}}, "eps"),
              # a sampler seed equal to the run seed in value but not in type
@@ -427,6 +439,29 @@ def test_malformed_checkpoint_manifest_exits_2(workspace, capsys):
         assert f"checkpoint model config '{field}' is " in capsys.readouterr().err
         assert not (workspace / field / "forecast.csv").exists()
         assert peak < 2 * 2 ** 20, (field, peak)
+
+
+def test_pretrain_refuses_a_model_too_large_to_build(workspace, capsys):
+    # past 2**31 parameter scalars the build names the parameter that passes
+    # the bound, before it allocates any; a billion layers are refused as fast
+    run = json.loads((workspace / "run.json").read_text())
+    for model, named in (({"preset": "tiny", "lookback_len": 10 ** 400}, "at 'pos' of shape [125"),
+                         ({"preset": "tiny", "d_model": 2 ** 40}, "at 'embed.w' of shape [1099511627776, 8]"),
+                         ({"preset": "tiny", "n_layers_per_group": 10 ** 9},
+                          "at 'enc1.layer0.ln1.g' of shape [8] in each of 1000000000 layers")):
+        (workspace / "big.json").write_text(json.dumps({**run, "model": model}))
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            assert run_cli("pretrain", "--config", workspace / "big.json", "--out", workspace / "big") == 2
+            seconds, peak = time.perf_counter() - t0, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err.startswith("error: model too large to build: its parameters pass 2147483648 scalars "), err
+        assert named in err and "Traceback" not in err, err
+        assert seconds < 1.0 and peak < 2 * 2 ** 20, (model, seconds, peak)
+        assert not (workspace / "big" / "checkpoint.bin").exists()
 
 
 def test_an_integer_float_field_is_resolved_as_written(workspace):

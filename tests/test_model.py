@@ -1,15 +1,17 @@
 """Backbone architecture contracts: config tower, merges, skips, heads."""
 
 import hashlib
+import math
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import utsf.model
 from utsf import tensor as T
 from utsf.errors import ConfigError, DimensionError, UsageError
-from utsf.model import (LinearBaseline, ModelConfig, ParameterStore,
+from utsf.model import (LinearBaseline, ModelConfig, ParameterStore, config_to_dict,
                         UShapedTransformer, param_layout, patch_merge_naive, preset)
 from utsf.tensor import GradTape, Tensor
 
@@ -54,18 +56,15 @@ def test_config_validation():
         ModelConfig(lookback_len=32, horizon_len=32, patch_size=8, d_model=8, n_heads=2, mask_ratio=1.5)
     with pytest.raises(ConfigError, match="halved"):  # refused without building 2**(2**62) first
         ModelConfig(lookback_len=32, horizon_len=32, patch_size=8, d_model=8, n_heads=2, n_levels=2**62)
-    # legacy keys load at their one implemented value and are never written back
-    for legacy in ({"patch_stride": 8, "dropout": 0.0}, {"patch_stride": None, "dropout": 0}):
-        assert ModelConfig.from_dict({"preset": "tiny", **legacy}) == preset("tiny")
-    assert set(preset("tiny").to_dict()).isdisjoint({"patch_stride", "dropout"})
-    for legacy in ({"patch_stride": 4}, {"patch_stride": True}, {"dropout": 0.1}, {"dropout": False}):
-        with pytest.raises(ConfigError):
-            ModelConfig.from_dict({"preset": "tiny", **legacy})
+    # the legacy keys are unknown keys, even at the one value they once loaded at
+    for key, value in (("patch_stride", 8), ("patch_stride", None), ("dropout", 0.0), ("dropout", 0.1)):
+        with pytest.raises(ConfigError, match=rf"unknown model config keys: \['{key}'\]"):
+            ModelConfig.from_dict({"preset": "tiny", key: value})
 
 
 def test_config_dict_round_trip_and_unknown_keys():
     cfg = preset("tiny")
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig.from_dict(config_to_dict(cfg)) == cfg
     assert ModelConfig.from_dict({"preset": "tiny", "mask_ratio": 0.25}).mask_ratio == 0.25
     with pytest.raises(ConfigError):
         ModelConfig.from_dict({"preset": "tiny", "n_tokens": 8})
@@ -112,6 +111,18 @@ def test_param_layout_is_the_built_model_and_is_lazy():
     # a config that lays out a billion layers per group yields its first entries at once
     huge = param_layout(replace(preset("tiny"), n_layers_per_group=10 ** 9))
     assert [next(huge)[0] for _ in range(4)] == ["embed.w", "embed.b", "pos", "enc1.layer0.ln1.g"]
+
+
+def test_the_build_refuses_a_model_past_the_size_bound(monkeypatch):
+    # two layers per group: the count multiplies first-layer entries, and
+    # must equal the full layout's, so the bound is met at the last entry
+    config = replace(preset("tiny"), n_layers_per_group=2)
+    total = sum(math.prod(shape) for _, shape, _ in param_layout(config))
+    monkeypatch.setattr(utsf.model, "MAX_PARAMS", total)
+    assert UShapedTransformer(config, seed=0).params.names() == [n for n, _, _ in param_layout(config)]
+    monkeypatch.setattr(utsf.model, "MAX_PARAMS", total - 1)
+    with pytest.raises(ConfigError, match=rf"pass {total - 1} scalars at 'head.forecast.b' of shape \[8\]$"):
+        UShapedTransformer(config, seed=None)
 
 
 def test_seeded_init_is_pinned_and_placeholders_draw_nothing():

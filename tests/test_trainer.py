@@ -4,6 +4,7 @@ import hashlib
 import json
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ import utsf.data
 from utsf import tensor as T
 from utsf.data import SamplerConfig, build_model_input, make_sine_frame, make_window_sample
 from utsf.errors import CheckpointError, ConfigError, NumericError, UsageError
-from utsf.model import LinearBaseline, ModelConfig, ParameterStore, UShapedTransformer, preset
+from utsf.model import (LinearBaseline, ParameterStore, UShapedTransformer, config_from_dict, config_to_dict,
+                        preset)
 from utsf.tensor import GradTape, Tensor
 from utsf.training import (EVAL_CHUNK, Adam, BaselinePredictor, LastValuePredictor, ModelPredictor,
                            OraclePredictor, TrainerConfig, TrainReport,
@@ -261,16 +263,16 @@ def test_small_training_bytes_are_pinned(dtype, params_digest, losses_digest):
 
 def test_trainer_config_round_trip_and_validation():
     cfg = TrainerConfig(lr=1e-3, epochs=2, steps_per_epoch=50)
-    assert TrainerConfig.from_dict(cfg.to_dict()) == cfg
+    assert config_from_dict(TrainerConfig, config_to_dict(cfg), "trainer") == cfg
     with pytest.raises(ConfigError):
         TrainerConfig(lr=-1.0)
     with pytest.raises(ConfigError):
         TrainerConfig(steps_per_epoch=0)
     with pytest.raises(ConfigError):
-        TrainerConfig.from_dict({"lr": 1e-3, "momentum": 0.9})
+        config_from_dict(TrainerConfig, {"lr": 1e-3, "momentum": 0.9}, "trainer")
     for bad in ({"lr": float("nan")}, {"lr": float("inf")}, {"eps": float("nan")}, {"eps": float("inf")}):
         with pytest.raises(ConfigError, match="finite"):
-            TrainerConfig.from_dict(bad)
+            config_from_dict(TrainerConfig, bad, "trainer")
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +432,7 @@ def test_non_finite_gradient_names_phase_epoch_and_step(phase, monkeypatch):
 def test_train_linear_baseline_runs_and_moves_weights():
     b = LinearBaseline(32, 32, seed=0)
     before = b.params["w"].data.copy()
-    rep = baseline_epoch(b, sine_frames(), SAMPLER, Adam.from_config(b.params, TrainerConfig(lr=1e-2)),
+    rep = baseline_epoch(b, sine_frames(), SAMPLER, Adam(b.params, lr=1e-2),
                          steps=15, rng=np.random.default_rng(0))
     assert len(rep.steps) == 15
     assert np.isfinite(rep.steps).all()
@@ -541,7 +543,7 @@ def _joined_checkpoint_bytes(model, seed):
     parameter's float32 bytes joined, the reference a streamed save must match."""
     manifest = {
         "format_version": 1,
-        "config": model.config.to_dict(),
+        "config": config_to_dict(model.config),
         "params": [{"name": n, "shape": list(p.shape), "frozen": model.params.frozen(n)}
                    for n, p in model.params.items()],
         "seed": seed,
@@ -602,7 +604,7 @@ def test_apply_checkpoint_overwrites_in_place(tmp_path):
     for (na, ta), (nb, tb) in zip(src.params.items(), blank.params.items()):
         assert na == nb and ta.data.tobytes() == tb.data.tobytes(), na
     # same names and shapes, other config: refused by field, nothing overwritten
-    other = UShapedTransformer(ModelConfig(**{**preset("tiny").to_dict(), "n_heads": 1}), seed=8)
+    other = UShapedTransformer(replace(preset("tiny"), n_heads=1), seed=8)
     before = backbone_hash(other)
     with pytest.raises(CheckpointError, match=r"'n_heads' is 2, the run config's is 1"):
         apply_checkpoint(other, path)
@@ -718,19 +720,27 @@ def test_checkpoint_version_and_manifest_errors(tmp_path):
         load_checkpoint(garbage)
 
 
-def test_checkpoint_with_legacy_config_keys_loads(tmp_path):
-    # earlier releases wrote patch_stride and dropout into every manifest
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    # the whole file of a seeded tiny checkpoint, manifest and payload: the
+    # config writer and the save path may change, the bytes they write may not
+    # (no BLAS call is involved)
+    save_checkpoint(tiny_model(seed=0), tmp_path / "ck.bin")
+    digest = hashlib.sha256((tmp_path / "ck.bin").read_bytes()).hexdigest()
+    assert digest == "36168c67b103d77e13304a4506c1d7e27e1d2301b357afef29672d1afca1ea2a"
+
+
+def test_checkpoint_with_legacy_config_keys_is_refused(tmp_path):
+    # early releases wrote patch_stride and dropout, at their one implemented
+    # value, into every manifest: they are unknown keys now
     m = tiny_model(seed=10)
     path = tmp_path / "ck.bin"
     save_checkpoint(m, path, seed=10)
     legacy = rewrite_manifest(path, tmp_path / "legacy.bin",
                               lambda mf: mf["config"].update(patch_stride=8, dropout=0.0))
-    loaded, manifest = load_checkpoint(legacy)
-    assert manifest["config"]["patch_stride"] == 8
-    assert loaded.config == m.config
-    assert backbone_hash(loaded) == backbone_hash(m)
-    x = Tensor(np.random.default_rng(11).standard_normal((1, 64)).astype(np.float32))
-    assert loaded.forecast(x)[0].data.tobytes() == m.forecast(x)[0].data.tobytes()
+    with pytest.raises(CheckpointError, match=r"unknown model config keys: \['dropout', 'patch_stride'\]"):
+        load_checkpoint(legacy)
+    with pytest.raises(CheckpointError, match="unknown model config keys"):
+        apply_checkpoint(UShapedTransformer(m.config, seed=None), legacy)
 
 
 def test_backbone_hash_ignores_heads():
