@@ -23,7 +23,6 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, IngestionError, NumericError, UsageError
 from .model import ModelConfig, float_overflows
-from .tensor import Tensor
 
 # below this the window is treated as flat and only centered, never scaled
 SIGMA_FLOOR = 0.01
@@ -356,7 +355,7 @@ def build_model_input(windows, config: ModelConfig) -> np.ndarray:
     padded = np.concatenate([arr, pad], axis=1)
     if padded.shape[1] == config.model_len:
         return padded
-    return T.adaptive_avg_pool1d(Tensor(padded), config.model_len).data
+    return T.adaptive_avg_pool1d(padded, config.model_len)
 
 
 def zero_mask_patches(n_patches: int, mask_ratio: float, rng: np.random.Generator) -> np.ndarray:

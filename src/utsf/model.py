@@ -29,7 +29,7 @@ from .errors import ConfigError, DimensionError, UsageError
 from .tensor import Tensor
 
 
-# UShapedTransformer refuses to build a model of more parameter scalars than this
+# UShapedTransformer refuses to draw a model of more parameter scalars than this
 MAX_PARAMS = 2 ** 31
 
 # JSON value types each config field annotation accepts (annotations are strings
@@ -205,15 +205,12 @@ class ParameterStore:
             t.zero_grad()
 
 
-def _init_param(rng: np.random.Generator | None, shape: tuple, init: tuple, dtype) -> np.ndarray:
+def _init_param(rng: np.random.Generator, shape: tuple, init: tuple, dtype) -> np.ndarray:
     """One parameter's initial value: ``("fan_in", n)`` is uniform in
-    +-1/sqrt(n), ``("normal", std)`` centred, ``("const", c)`` constant. With
-    ``rng=None`` random values are read-only zeros that allocate nothing."""
+    +-1/sqrt(n), ``("normal", std)`` centred, ``("const", c)`` constant."""
     kind, arg = init
     if kind == "const":
         return np.full(shape, arg, dtype=dtype)
-    if rng is None:  # a zero-stride view of one scalar
-        return np.broadcast_to(np.zeros((), dtype=dtype), shape)
     if kind == "fan_in":
         bound = 1.0 / np.sqrt(arg)
         return rng.uniform(-bound, bound, size=shape).astype(dtype)
@@ -285,22 +282,30 @@ class UShapedTransformer:
     Channel handling is channel-independent: every series channel passes
     through the same weights as a univariate row of a (B, L + T) batch.
 
-    ``seed`` draws the initial weights. ``seed=None`` draws nothing: random
-    initial values become read-only zero placeholders that allocate no
-    memory, for a model whose every parameter a checkpoint is about to
-    overwrite. Such a model cannot be trained until a checkpoint fills it.
+    The parameters are drawn from ``seed``, or taken from ``values``: one
+    array per ``param_layout`` entry, in its order, as a checkpoint's payload
+    gives them (``training.load_checkpoint``). Taking them draws nothing and
+    skips the size check, which the checkpoint's manifest has passed.
     """
 
     HEAD_PREFIX = "head."
 
-    def __init__(self, config: ModelConfig, seed: int | None = 0, dtype=T.DEFAULT_DTYPE):
+    def __init__(self, config: ModelConfig, seed: int = 0, dtype=T.DEFAULT_DTYPE, values=None):
         self.config = config
         self.dtype = np.dtype(dtype)
         self.params = ParameterStore()
-        _check_size(config)
-        rng = None if seed is None else np.random.default_rng(seed)
-        for name, shape, init in param_layout(config):
-            self.params.add(name, Tensor(_init_param(rng, shape, init, self.dtype), dtype=self.dtype))
+        if values is None:
+            # default_rng(None) would draw from OS entropy, not reproducibly
+            if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+                raise UsageError(f"model seed must be a non-negative integer, got {seed!r}; "
+                                 f"a checkpoint's model is built by training.load_checkpoint")
+            _check_size(config)
+            rng = np.random.default_rng(seed)
+            for name, shape, init in param_layout(config):
+                self.params.add(name, Tensor(_init_param(rng, shape, init, self.dtype), dtype=self.dtype))
+            return
+        for (name, _, _), value in zip(param_layout(config), values, strict=True):
+            self.params.add(name, Tensor(value, dtype=self.dtype))
 
     # -- freezing ------------------------------------------------------------
 

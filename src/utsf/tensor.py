@@ -3,9 +3,8 @@
 The op set covers exactly what the forecasting backbone needs: matmul, the
 fused affine map ``linear`` and fused multi-head ``attention``, stride-2
 convolution / transpose convolution and pointwise convolution over
-token-major ``(tokens, channels)`` sequences, adaptive average pooling,
-softmax, layer norm, GELU, and elementwise arithmetic, all on Tensor
-operands. Scalars are 32-bit by default; build tensors with
+token-major ``(tokens, channels)`` sequences, softmax, layer norm, GELU,
+and elementwise arithmetic, all on Tensor operands. Scalars are 32-bit by default; build tensors with
 ``dtype=np.float64`` for gradient verification.
 
 Every forward op validates that its output is finite and raises
@@ -422,12 +421,13 @@ def pointwise_conv(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return linear(x, transpose(weight, (1, 0)), bias)
 
 
-def adaptive_avg_pool1d(x: Tensor, out_len: int) -> Tensor:
+def adaptive_avg_pool1d(x: np.ndarray, out_len: int) -> np.ndarray:
     """Mean over bins [floor(t*L/out), ceil((t+1)*L/out)) per output position t.
 
     Bins may overlap by one element when lengths are incommensurate. Each
-    bin's sum is a difference of float64 prefix sums, so forward and VJP
-    cost O(L + out) whatever the ratio of the lengths.
+    bin's sum is a difference of float64 prefix sums, so it costs O(L + out)
+    whatever the ratio of the lengths. Data preparation, not a tape op:
+    takes and returns an ndarray ``[C, L]``, ``x`` itself when the lengths agree.
     """
     if x.ndim != 2:
         raise DimensionError(f"adaptive_avg_pool1d expects x[C,L], got {x.shape}")
@@ -441,18 +441,8 @@ def adaptive_avg_pool1d(x: Tensor, out_len: int) -> Tensor:
     ends = -((-(t + 1) * l_in) // out_len)  # ceil
     inv_counts = 1.0 / (ends - starts)
     prefix = np.zeros((n_rows, l_in + 1))
-    np.cumsum(x.data, axis=1, dtype=np.float64, out=prefix[:, 1:])
-    out = ((prefix[:, ends] - prefix[:, starts]) * inv_counts).astype(x.dtype)
-
-    def vjp(g):
-        # each bin spreads g/count over [start, end): mark the edges, then integrate
-        w = g * inv_counts
-        edges = np.zeros((n_rows, l_in + 1))
-        np.add.at(edges, (slice(None), starts), w)
-        np.subtract.at(edges, (slice(None), ends), w)
-        return (np.cumsum(edges[:, :l_in], axis=1).astype(g.dtype),)
-
-    return record_op("adaptive_avg_pool1d", out, (x,), vjp)
+    np.cumsum(x, axis=1, dtype=np.float64, out=prefix[:, 1:])
+    return ((prefix[:, ends] - prefix[:, starts]) * inv_counts).astype(x.dtype)
 
 
 # ---------------------------------------------------------------------------

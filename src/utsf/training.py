@@ -104,8 +104,7 @@ class Adam:
             if not T.all_finite(g):
                 raise NumericError(f"non-finite gradient for parameter '{name}'")
             if not (p.data.flags.writeable and p.data.flags.c_contiguous):
-                raise UsageError(f"parameter '{name}' is not writable C-contiguous data; a model "
-                                 f"built with seed=None trains only once a checkpoint fills it")
+                raise UsageError(f"parameter '{name}' is not writable C-contiguous data")
             if g.shape != p.shape:
                 raise UsageError(f"gradient of parameter '{name}' has shape {g.shape}, not {p.shape}")
         self.t += 1
@@ -479,34 +478,36 @@ def check_model_config(path, config: ModelConfig, run_config: ModelConfig) -> No
                                   f"the run config's is {ours[key]!r}")
 
 
-def _fill_params(model: UShapedTransformer, manifest: dict, payload: np.ndarray) -> None:
-    """Point every parameter at its slice of the payload, a float32 view (a
-    copy for another dtype). The model's config is the manifest's, so its
-    parameters are the ones the manifest was checked against."""
+def _payload_values(config: ModelConfig, payload: np.ndarray, dtype):
+    """Each parameter's slice of the payload, in ``param_layout`` order: a
+    float32 view, or a copy for another dtype."""
     offset = 0
-    for (name, p), entry in zip(model.params.items(), manifest["params"]):
-        p.data = payload[offset:offset + p.size].reshape(p.shape).astype(p.dtype, copy=False)
-        offset += p.size
-        model.params.set_frozen(name, entry["frozen"])
-    model.params.zero_grads()
+    for _, shape, _ in param_layout(config):
+        size = math.prod(shape)
+        yield payload[offset:offset + size].reshape(shape).astype(dtype, copy=False)
+        offset += size
 
 
 def load_checkpoint(path) -> tuple[UShapedTransformer, dict]:
-    """Rebuild a model from the checkpoint's own embedded config."""
+    """Rebuild a model from the checkpoint's own embedded config and payload."""
     manifest, config, payload = _parse_checkpoint(path)
-    model = UShapedTransformer(config, seed=None)
-    _fill_params(model, manifest, payload)
+    model = UShapedTransformer(config, values=_payload_values(config, payload, T.DEFAULT_DTYPE))
+    for entry in manifest["params"]:
+        model.params.set_frozen(entry["name"], entry["frozen"])
     return model, manifest
 
 
 def apply_checkpoint(model: UShapedTransformer, path) -> dict:
     """Load a checkpoint into an existing model of the same config; the first
     config field that disagrees is named in the error, before any parameter
-    is written. Every parameter is overwritten, so the model may be built
-    with ``seed=None``."""
+    is written. Every parameter is overwritten."""
     manifest, config, payload = _parse_checkpoint(path)
     check_model_config(path, config, model.config)
-    _fill_params(model, manifest, payload)
+    values = _payload_values(config, payload, model.dtype)
+    for (name, p), value, entry in zip(model.params.items(), values, manifest["params"]):
+        p.data = value
+        model.params.set_frozen(name, entry["frozen"])
+    model.params.zero_grads()
     return manifest
 
 

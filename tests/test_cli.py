@@ -158,6 +158,14 @@ def test_eval_requires_checkpoint_or_stub(workspace):
                    "--out", workspace / "ev3") == 2
 
 
+def test_eval_refuses_checkpoint_and_stub_together(workspace, capsys):
+    # a stub would otherwise run and the checkpoint go unread
+    assert run_cli("eval", "--config", workspace / "run.json", "--out", workspace / "ev5",
+                   "--stub", "oracle", "--checkpoint", workspace / "missing.bin") == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (workspace / "ev5").exists()
+
+
 def test_eval_rejects_out_of_range_horizon(workspace):
     assert run_cli("eval", "--config", workspace / "run.json",
                    "--out", workspace / "ev4", "--stub", "oracle",

@@ -338,20 +338,20 @@ def test_pointwise_matches_per_column_matmul():
 
 
 def test_pool_identity_and_equal_bins():
-    x = Tensor([[1.0, 2.0, 3.0, 4.0]])
+    x = np.array([[1.0, 2.0, 3.0, 4.0]], dtype=F32)
     assert T.adaptive_avg_pool1d(x, 4) is x
     out = T.adaptive_avg_pool1d(x, 2)
-    assert np.array_equal(out.data, np.array([[1.5, 3.5]], dtype=F32))
+    assert np.array_equal(out, np.array([[1.5, 3.5]], dtype=F32))
 
 
 def test_pool_constant_and_overlapping_bins():
-    const = T.adaptive_avg_pool1d(Tensor(np.full((2, 7), 3.25)), 3)
-    assert np.allclose(const.data, 3.25, atol=1e-7)
+    const = T.adaptive_avg_pool1d(np.full((2, 7), 3.25, dtype=F32), 3)
+    assert const.dtype == F32 and np.allclose(const, 3.25, atol=1e-7)
     # 5 -> 3: bins [0,2), [1,4), [3,5) per the floor/ceil rule; middle bin overlaps both
     a = np.array([[1.0, 2.0, 3.0, 4.0, 5.0]])
-    out = T.adaptive_avg_pool1d(Tensor(a, dtype=F64), 3)
+    out = T.adaptive_avg_pool1d(a, 3)
     want = [1.5, 3.0, 4.5]
-    assert np.allclose(out.data[0], want, atol=1e-12)
+    assert np.allclose(out[0], want, atol=1e-12)
 
 
 def _dense_pool_matrix(l_in, out_len):
@@ -370,16 +370,10 @@ def _dense_pool_matrix(l_in, out_len):
 @pytest.mark.parametrize("dtype", [F32, F64])
 def test_pool_matches_dense_averaging_matrix(l_in, out_len, dtype):
     rng = np.random.default_rng(l_in * 31 + out_len)
-    x = Tensor(rng.standard_normal((2, l_in)), requires_grad=True, dtype=dtype)
-    g = rng.standard_normal((2, out_len))
-    m = _dense_pool_matrix(l_in, out_len)
-    with GradTape() as tape:
-        out = T.adaptive_avg_pool1d(x, out_len)
-        loss = T.sum_all(T.mul(out, Tensor(g, dtype=dtype)))
-    tape.backward(loss)
-    assert out.dtype == dtype and x.grad.dtype == dtype
-    assert np.abs(out.data - x.data.astype(F64) @ m.T).max() < 1e-6
-    assert np.abs(x.grad - g @ m).max() < 1e-6
+    x = rng.standard_normal((2, l_in)).astype(dtype)
+    out = T.adaptive_avg_pool1d(x, out_len)
+    assert out.dtype == dtype
+    assert np.abs(out - x.astype(F64) @ _dense_pool_matrix(l_in, out_len).T).max() < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +607,6 @@ def _fd_cases(rng, dtype):
                   {"x": t(4, 3), "w": w, "b": t(2)}),
         "pointwise": (lambda i: sq(T.pointwise_conv(i["x"], i["w"], i["b"])),
                       {"x": t(5, 2), "w": t(4, 2), "b": t(4)}),
-        "pool": (lambda i: sq(T.adaptive_avg_pool1d(i["x"], 3)), {"x": t(2, 7)}),
         "softmax": (lambda i: sq(T.softmax_lastdim(i["x"])), {"x": t(3, 5)}),
         "layer_norm": (lambda i: sq(T.layer_norm(i["x"], i["g"], i["b"])),
                        {"x": t(4, 6), "g": t(6), "b": t(6)}),

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import utsf.data
+import utsf.model
 from utsf import tensor as T
 from utsf.data import SamplerConfig, build_model_input, make_sine_frame, make_window_sample
 from utsf.errors import CheckpointError, ConfigError, NumericError, UsageError
@@ -191,24 +192,20 @@ def test_adam_blocked_update_is_bitwise_the_whole_array_update(dtype):
                 assert got.dtype == dtype and got.tobytes() == want.tobytes(), (t, name)
 
 
-def test_adam_refuses_an_unfilled_model_before_it_changes_anything(tmp_path):
-    blank = UShapedTransformer(preset("tiny"), seed=None)
-    opt = Adam(blank.params, lr=1e-3)
-    with pytest.raises(UsageError, match="'embed.w' is not writable C-contiguous data"):
-        pretrain_epoch(blank, sine_frames(), SAMPLER, opt, 1, np.random.default_rng(0))
-    assert opt.t == 0 and opt.m == {} and opt.v == {}
-    # filled, it trains; a parameter that later turns read-only stops the
+def test_adam_refuses_a_read_only_parameter_before_it_changes_anything(tmp_path):
+    # a loaded model trains; a parameter that later turns read-only stops the
     # whole step, even when it is the last one
     save_checkpoint(tiny_model(seed=3), tmp_path / "ck.bin")
-    apply_checkpoint(blank, tmp_path / "ck.bin")
-    pretrain_epoch(blank, sine_frames(), SAMPLER, opt, 1, np.random.default_rng(0))
-    last, p = list(blank.params.trainable())[-1]
+    model, _ = load_checkpoint(tmp_path / "ck.bin")
+    opt = Adam(model.params, lr=1e-3)
+    pretrain_epoch(model, sine_frames(), SAMPLER, opt, 1, np.random.default_rng(0))
+    last, p = list(model.params.trainable())[-1]
     p.data.flags.writeable = False
-    state = {n: (q.data.copy(), opt.m[n].copy(), opt.v[n].copy()) for n, q in blank.params.items()}
+    state = {n: (q.data.copy(), opt.m[n].copy(), opt.v[n].copy()) for n, q in model.params.items()}
     with pytest.raises(UsageError, match=f"'{last}' is not writable"):
         opt.step()
     assert opt.t == 1
-    for n, q in blank.params.items():
+    for n, q in model.params.items():
         assert all(np.array_equal(a, b) for a, b in zip((q.data, opt.m[n], opt.v[n]), state[n])), n
     p.data.flags.writeable = True
     p.grad = np.zeros(1, p.dtype)
@@ -598,10 +595,7 @@ def test_apply_checkpoint_overwrites_in_place(tmp_path):
     assert backbone_hash(dst) != backbone_hash(src)
     apply_checkpoint(dst, path)
     assert backbone_hash(dst) == backbone_hash(src)
-    # a model built without drawing initial values is filled completely
-    blank = UShapedTransformer(preset("tiny"), seed=None)
-    apply_checkpoint(blank, path)
-    for (na, ta), (nb, tb) in zip(src.params.items(), blank.params.items()):
+    for (na, ta), (nb, tb) in zip(src.params.items(), dst.params.items()):
         assert na == nb and ta.data.tobytes() == tb.data.tobytes(), na
     # same names and shapes, other config: refused by field, nothing overwritten
     other = UShapedTransformer(replace(preset("tiny"), n_heads=1), seed=8)
@@ -612,18 +606,36 @@ def test_apply_checkpoint_overwrites_in_place(tmp_path):
     # another preset: refused by its first differing field, not by a parameter
     small = tmp_path / "small.bin"
     save_checkpoint(UShapedTransformer(preset("small"), seed=0), small)
-    base = UShapedTransformer(preset("base"), seed=None)
+    base = UShapedTransformer(preset("base"), seed=0)
+    before = [p.data.tobytes() for _, p in base.params.items()]
     with pytest.raises(CheckpointError, match=r"'lookback_len' is 512, the run config's is 3072"):
         apply_checkpoint(base, small)
-    assert all(not p.data.flags.writeable for n, p in base.params.items() if n.endswith(".w")), \
-        "a refused checkpoint wrote parameters"
+    assert [p.data.tobytes() for _, p in base.params.items()] == before, "a refused checkpoint wrote parameters"
+
+
+def test_a_load_draws_nothing_and_runs_no_size_check(tmp_path, monkeypatch):
+    src = tiny_model(seed=7)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(src, path)
+    frames, rng = sine_frames(), np.random.default_rng(0)
+    # the manifest check bounds a checkpoint's size, so a load needs neither
+    monkeypatch.setattr(utsf.model, "MAX_PARAMS", 0)
+    with monkeypatch.context() as m:
+        def no_draws(*args):
+            raise AssertionError("a load drew initial values")
+        m.setattr(np.random, "default_rng", no_draws)
+        loaded, _ = load_checkpoint(path)
+    for (na, ta), (nb, tb) in zip(src.params.items(), loaded.params.items()):
+        assert na == nb and ta.data.tobytes() == tb.data.tobytes(), na
+    report = pretrain_epoch(loaded, frames, SAMPLER, Adam(loaded.params, lr=1e-3), 1, rng)
+    assert len(report.steps) == 1 and backbone_hash(loaded) != backbone_hash(src)
 
 
 def test_loaded_parameters_are_views_of_one_payload_buffer(tmp_path):
     src = tiny_model(seed=7)
     path = tmp_path / "ck.bin"
     save_checkpoint(src, path)
-    for loaded in (load_checkpoint(path)[0], UShapedTransformer(preset("tiny"), seed=None)):
+    for loaded in (load_checkpoint(path)[0], tiny_model(seed=8)):
         apply_checkpoint(loaded, path)
         buffer = next(loaded.params.items())[1].data.base
         assert buffer is not None and buffer.dtype == np.float32
@@ -632,7 +644,7 @@ def test_loaded_parameters_are_views_of_one_payload_buffer(tmp_path):
             assert p.data.tobytes() == src.params[name].data.tobytes(), name
         assert buffer.nbytes == sum(p.data.nbytes for _, p in loaded.params.items())
     # a float64 model gets its own copy of each value
-    wide = UShapedTransformer(preset("tiny"), seed=None, dtype=np.float64)
+    wide = UShapedTransformer(preset("tiny"), seed=8, dtype=np.float64)
     apply_checkpoint(wide, path)
     for name, p in wide.params.items():
         assert p.dtype == np.float64 and not np.shares_memory(p.data, buffer), name
@@ -644,7 +656,7 @@ def test_checkpoint_shape_mismatch_names_the_parameter(tmp_path):
     save_checkpoint(tiny_model(), path)
     # a manifest whose 'pos' entry disagrees with the layout of its own config
     doctored = rewrite_manifest(path, tmp_path / "pos.bin", lambda mf: mf["params"][2].update(shape=[16, 4]))
-    for load in (load_checkpoint, lambda p: apply_checkpoint(UShapedTransformer(preset("tiny"), seed=None), p)):
+    for load in (load_checkpoint, lambda p: apply_checkpoint(tiny_model(seed=8), p)):
         with pytest.raises(CheckpointError, match=r"'pos'"):
             load(doctored)
 
@@ -740,7 +752,7 @@ def test_checkpoint_with_legacy_config_keys_is_refused(tmp_path):
     with pytest.raises(CheckpointError, match=r"unknown model config keys: \['dropout', 'patch_stride'\]"):
         load_checkpoint(legacy)
     with pytest.raises(CheckpointError, match="unknown model config keys"):
-        apply_checkpoint(UShapedTransformer(m.config, seed=None), legacy)
+        apply_checkpoint(UShapedTransformer(m.config, seed=0), legacy)
 
 
 def test_backbone_hash_ignores_heads():
