@@ -1,7 +1,7 @@
 """U-shaped transformer for long-horizon time-series forecasting, with its
 own minimal autodiff core, data pipeline, two-stage trainer, and CLI."""
 
-from .data import SamplerConfig, SeriesFrame, WindowSample
+from .data import SamplerConfig, SeriesFrame
 from .errors import (CheckpointError, ConfigError, DimensionError,
                      IngestionError, NumericError, UsageError)
 from .model import (AttentionMap, LinearBaseline, ModelConfig, ParameterStore,
@@ -18,7 +18,7 @@ __all__ = [
     "GradTape", "IngestionError", "LinearBaseline", "ModelConfig",
     "NumericError", "ParameterStore", "SamplerConfig",
     "SeriesFrame", "Tensor", "TrainerConfig", "TrainReport", "UsageError",
-    "UShapedTransformer", "WindowSample", "backbone_hash", "compute_metrics",
+    "UShapedTransformer", "backbone_hash", "compute_metrics",
     "evaluate", "finite_diff_check", "load_checkpoint", "patch_merge_naive",
     "preset", "save_checkpoint",
 ]

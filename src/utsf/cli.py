@@ -106,8 +106,7 @@ def _load_model(cfg: RunConfig, path) -> UShapedTransformer:
 def _train(cfg: RunConfig, model, frames: dict, phase: str, epoch_fn) -> TR.TrainReport:
     """Run ``epoch_fn`` for each configured epoch from the run seed, logging
     each epoch's mean loss."""
-    optimizer = TR.Adam(model.params, lr=cfg.trainer.lr, beta1=cfg.trainer.beta1,
-                        beta2=cfg.trainer.beta2, eps=cfg.trainer.eps)
+    optimizer = TR.Adam(model.params, lr=cfg.trainer.lr)
     rng = np.random.default_rng(cfg.seed)
     report = TR.TrainReport()
     for epoch in range(cfg.trainer.epochs):

@@ -13,7 +13,6 @@ import errno
 import json
 import os
 import stat
-import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -268,7 +267,6 @@ def window_starts(usable_len: int, window_len: int, sampler: SamplerConfig,
     half = tau // 2
     n = (usable_len - window_len - half) // tau + 1 if usable_len >= window_len else 0
     if n <= 0:
-        warnings.warn(f"no windows: length {window_len} does not fit in {usable_len} at stride {tau}")
         return np.zeros(0, dtype=np.int64)
     starts = np.arange(n, dtype=np.int64) * tau
     if sampler.jitter and half > 0:
@@ -278,11 +276,11 @@ def window_starts(usable_len: int, window_len: int, sampler: SamplerConfig,
 
 
 def jittered_windows(frame: SeriesFrame, window_len: int, sampler: SamplerConfig,
-                     split: str = "train", epoch: int = 0) -> np.ndarray:
-    """Absolute start indices of windows lying fully inside one split."""
-    lo, hi = frame.split_bounds(split)
+                     epoch: int = 0) -> np.ndarray:
+    """Start indices of the windows lying fully inside the train split."""
+    _, n_train = frame.split_bounds("train")
     salt = zlib.crc32(frame.dataset_id.encode())
-    return lo + window_starts(hi - lo, window_len, sampler, epoch, salt)
+    return window_starts(n_train, window_len, sampler, epoch, salt)
 
 
 def weighted_sample(datasets: list, rng: np.random.Generator) -> str:
@@ -390,23 +388,11 @@ def mask_series(series, mask: np.ndarray, patch_size: int) -> np.ndarray:
     return arr
 
 
-@dataclass
-class WindowSample:
-    """One normalized (input, target) pair with its restore statistics."""
-
-    input: np.ndarray   # [1, L] normalized
-    target: np.ndarray  # [1, T] normalized with the input window's stats
-    mu: float
-    sigma: float
-    dataset_id: str
-    channel: int
-    start: int
-
-
 def make_window_sample(frame: SeriesFrame, channel: int, start: int,
-                       lookback_len: int, horizon_len: int) -> WindowSample:
-    """Cut a contiguous lookback+horizon segment; both parts share the
-    input window's (mu, sigma) so the target stays invertible."""
+                       lookback_len: int, horizon_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cut a contiguous lookback+horizon segment into its normalized
+    ([1, L] input, [1, T] target) pair; the target is normalized with the
+    input window's (mu, sigma), so it stays invertible."""
     end = start + lookback_len + horizon_len
     if start < 0 or end > frame.length:
         raise UsageError(f"window [{start}, {end}) outside series of length {frame.length}")
@@ -415,7 +401,7 @@ def make_window_sample(frame: SeriesFrame, channel: int, start: int,
     raw_target = seg[lookback_len:].reshape(1, -1)
     norm_input, mu, sigma = normalize_sample(raw_input)
     norm_target = apply_normalization(raw_target, mu, sigma)
-    return WindowSample(norm_input, norm_target, mu, sigma, frame.dataset_id, channel, start)
+    return norm_input, norm_target
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Dense tensors with reverse-mode automatic differentiation on numpy.
 
-The op set covers exactly what the forecasting backbone needs: matmul, the
-fused affine map ``linear`` and fused multi-head ``attention``, stride-2
-convolution / transpose convolution and pointwise convolution over
-token-major ``(tokens, channels)`` sequences, softmax, layer norm, GELU,
-and elementwise arithmetic, all on Tensor operands. Scalars are 32-bit by default; build tensors with
-``dtype=np.float64`` for gradient verification.
+The model and its training losses record the fused affine map ``linear``,
+fused multi-head ``attention``, the stride-2 convolution and transpose
+convolution and the pointwise convolution over token-major
+``(tokens, channels)`` sequences, ``layer_norm``, ``gelu``,
+``add``/``sub``/``mul``, ``reshape``/``transpose``/``narrow`` and
+``mean_all``, all on Tensor operands. ``matmul``, ``softmax_lastdim``,
+``neg``, ``sum_all`` and ``concat`` stay only for the gradient suite,
+``patch_merge_naive`` and the benchmark's tracer and smoke test. Scalars
+are 32-bit by default; build tensors with ``dtype=np.float64`` for gradient
+verification.
 
 Every forward op validates that its output is finite and raises
 ``NumericError`` naming the op otherwise, so instabilities surface where

@@ -27,6 +27,8 @@ EVAL_CHUNK = 32
 # Adam.step updates a parameter this many elements at a time, so its scratch
 # is two such blocks per dtype however large the parameter
 ADAM_BLOCK = 65536
+# Adam's moment decays and the guard added to its denominator: fixed, not settings
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -34,17 +36,12 @@ class TrainerConfig:
     lr: float = 1e-4
     epochs: int = 1
     steps_per_epoch: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
-        if not (0 < self.lr < math.inf and 0 < self.eps < math.inf):
-            raise ConfigError(f"lr and eps must be finite and positive, got {self.lr}, {self.eps}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if self.epochs < 1 or self.steps_per_epoch < 1:
             raise ConfigError("epochs and steps_per_epoch must be >= 1")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
 
 
 def compute_metrics(pred, truth) -> dict:
@@ -68,21 +65,19 @@ def compute_metrics(pred, truth) -> dict:
 
 class Adam:
     """Adam with bias correction over the trainable entries of a
-    ParameterStore. Frozen entries are never touched, whatever their
-    gradients; they are tape constants, so backward computes none for them.
+    ParameterStore. β1, β2 and ε are the constants ``ADAM_BETA1``,
+    ``ADAM_BETA2`` and ``ADAM_EPS``; the learning rate is the one setting.
+    Frozen entries are never touched, whatever their gradients; they are
+    tape constants, so backward computes none for them.
 
     Moment state exists only for entries that have been updated: each
     entry's ``m``/``v`` are allocated at its first update, since freezing
     may change after construction. Zero moments make that first update
     identical to one from state allocated up front."""
 
-    def __init__(self, params, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -108,7 +103,7 @@ class Adam:
             if g.shape != p.shape:
                 raise UsageError(f"gradient of parameter '{name}' has shape {g.shape}, not {p.shape}")
         self.t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, self.lr, ADAM_EPS
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for name, p, g in entries:
@@ -184,13 +179,16 @@ class TrainReport:
 
 
 def _window_table(frames: dict, window_len: int, sampler: D.SamplerConfig, epoch: int) -> dict:
+    """Each dataset's train-split window starts; a dataset whose train split
+    holds no window is a config error naming it."""
     table = {}
     for ds_id in sorted(frames):
-        starts = D.jittered_windows(frames[ds_id], window_len, sampler, "train", epoch)
-        if len(starts):
-            table[ds_id] = starts
-    if not table:
-        raise ConfigError(f"no 'train' windows of length {window_len} in any dataset")
+        starts = D.jittered_windows(frames[ds_id], window_len, sampler, epoch)
+        if not len(starts):
+            _, n_train = frames[ds_id].split_bounds("train")
+            raise ConfigError(f"dataset '{ds_id}': its train split of {n_train} steps holds no "
+                              f"window of length {window_len} at stride {sampler.stride}")
+        table[ds_id] = starts
     return table
 
 
@@ -205,7 +203,7 @@ def _draw_window_epoch(phase: str, step_loss, optimizer: Adam, frames: dict,
                        report: TrainReport | None) -> TrainReport:
     """One epoch over train-split windows: each step draws a dataset
     uniformly, then a start and a channel, cuts that window's normalized
-    ``D.WindowSample`` and minimizes ``step_loss(sample)``, which may draw
+    ``(x, y)`` pair and minimizes ``step_loss(x, y)``, which may draw
     further from ``rng``."""
     report = report if report is not None else TrainReport()
     table = _window_table(frames, lookback_len + horizon_len, sampler, epoch)
@@ -217,11 +215,11 @@ def _draw_window_epoch(phase: str, step_loss, optimizer: Adam, frames: dict,
         starts = table[ds_id]
         start = int(starts[int(rng.integers(len(starts)))])
         channel = int(rng.integers(frame.n_channels))
-        sample = D.make_window_sample(frame, channel, start, lookback_len, horizon_len)
+        x, y = D.make_window_sample(frame, channel, start, lookback_len, horizon_len)
         try:
             optimizer.params.zero_grads()
             with GradTape() as tape:
-                loss = step_loss(sample)
+                loss = step_loss(x, y)
             tape.backward(loss)
             optimizer.step()
             report.add_step(loss.item())
@@ -239,10 +237,10 @@ def pretrain_epoch(model: UShapedTransformer, frames: dict, sampler: D.SamplerCo
     MSE against the unmasked source over all patches, updates to everything."""
     cfg = model.config
 
-    def step_loss(sample):
+    def step_loss(x, _):
         mask = D.zero_mask_patches(cfg.n_patches, cfg.mask_ratio, rng)
-        pred, _ = model.reconstruct(Tensor(D.mask_series(sample.input, mask, cfg.patch_size)))
-        return _mse_loss(pred, Tensor(sample.input))
+        pred, _ = model.reconstruct(Tensor(D.mask_series(x, mask, cfg.patch_size)))
+        return _mse_loss(pred, Tensor(x))
 
     return _draw_window_epoch("pretrain", step_loss, optimizer, frames, sampler,
                               cfg.model_len, 0, steps, rng, epoch, report)
@@ -258,9 +256,9 @@ def finetune_epoch(model: UShapedTransformer, frames: dict, sampler: D.SamplerCo
         raise ConfigError(f"finetune requires a frozen backbone; unfrozen: {unfrozen[:4]}")
     cfg = model.config
 
-    def step_loss(sample):
-        pred, _ = model.forecast(Tensor(D.build_model_input(sample.input, cfg)))
-        return _mse_loss(pred, Tensor(sample.target))
+    def step_loss(x, y):
+        pred, _ = model.forecast(Tensor(D.build_model_input(x, cfg)))
+        return _mse_loss(pred, Tensor(y))
 
     return _draw_window_epoch("finetune", step_loss, optimizer, frames, sampler,
                               cfg.lookback_len, cfg.horizon_len, steps, rng, epoch, report)
@@ -272,8 +270,8 @@ def baseline_epoch(baseline: LinearBaseline, frames: dict, sampler: D.SamplerCon
     """Forecast epoch of the affine baseline over the windows the model's head
     sees, for a like-for-like comparison row."""
 
-    def step_loss(sample):
-        return _mse_loss(baseline.forward(Tensor(sample.input)), Tensor(sample.target))
+    def step_loss(x, y):
+        return _mse_loss(baseline.forward(Tensor(x)), Tensor(y))
 
     return _draw_window_epoch("baseline", step_loss, optimizer, frames, sampler,
                               baseline.lookback_len, baseline.horizon_len, steps, rng, epoch, report)
@@ -351,8 +349,8 @@ def evaluate(predict, frame: D.SeriesFrame, lookback_len: int, horizon_len: int,
         )
     samples = [D.make_window_sample(frame, channel, start, lookback_len, horizon_len)
                for channel in range(frame.n_channels) for start in starts]
-    input_mat = np.concatenate([s.input for s in samples])
-    truth_mat = np.concatenate([s.target for s in samples])
+    input_mat = np.concatenate([x for x, _ in samples])
+    truth_mat = np.concatenate([y for _, y in samples])
     preds = []
     for i in range(0, len(samples), EVAL_CHUNK):
         truth = truth_mat[i:i + EVAL_CHUNK]

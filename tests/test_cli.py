@@ -226,7 +226,7 @@ def test_resolved_config_bytes_are_pinned(workspace):
     assert run_cli("forecast", "--config", workspace / "run.json", "--out", workspace / "fc",
                    "--checkpoint", workspace / "ck.bin", "--input", workspace / "probe.csv") == 0
     digest = hashlib.sha256((workspace / "fc" / "resolved_config.json").read_bytes()).hexdigest()
-    assert digest == "e613cc19b563c7b19f0638fd054f1765fbcb2cff2dbab9a48beb7629e92c2f92"
+    assert digest == "fdb865ee4e3b5f6c06d4772a8b9fd9c015b30ed490228afa484d2abfc2e06b56"
 
 
 def test_checkpoint_payload_of_the_wrong_size_exits_2_and_loads_nothing(workspace, capsys):
@@ -377,7 +377,9 @@ def test_config_errors_exit_2(workspace, capsys):
              ({"model": {"preset": "tiny", "patch_stride": 8}}, "patch_stride"),
              ({"model": {"preset": "tiny", "dropout": 0}}, "dropout"),
              ({"trainer": {"lr": float("nan")}}, "lr"), ({"trainer": {"lr": float("inf")}}, "lr"),
-             ({"trainer": {"eps": float("nan")}}, "eps"),
+             # Adam's constants, even at the values they once defaulted to
+             ({"trainer": {"beta1": 0.9}}, "beta1"), ({"trainer": {"beta2": 0.999}}, "beta2"),
+             ({"trainer": {"eps": 1e-8}}, "eps"),
              # a sampler seed equal to the run seed in value but not in type
              ({"seed": 1, "sampler": {"seed": True}}, "seed"),
              ({"seed": 1, "sampler": {"seed": 1.0}}, "seed"),
@@ -385,8 +387,7 @@ def test_config_errors_exit_2(workspace, capsys):
              ({"model": {}}, "['lookback_len', 'horizon_len', 'patch_size']"),
              ({"model": {"lookback_len": 32, "horizon_len": 32}}, "['patch_size']"),
              # an integer a float cannot hold is refused, not converted
-             ({"trainer": {"lr": 10 ** 400}}, "'lr' is an integer too large for a float"),
-             ({"trainer": {"eps": 10 ** 400}}, "'eps' is an integer too large for a float")]
+             ({"trainer": {"lr": 10 ** 400}}, "'lr' is an integer too large for a float")]
     for override, name in wrong:
         bad.write_text(json.dumps({"model": {"preset": "tiny"}, **override}))
         assert run_cli("pretrain", "--config", bad, "--out", workspace / "x5") == 2, override
@@ -474,9 +475,28 @@ def test_pretrain_refuses_a_model_too_large_to_build(workspace, capsys):
 
 def test_an_integer_float_field_is_resolved_as_written(workspace):
     run = json.loads((workspace / "run.json").read_text())
-    (workspace / "int.json").write_text(json.dumps({**run, "trainer": {**run["trainer"], "beta1": 0}}))
+    (workspace / "int.json").write_text(json.dumps({**run, "trainer": {**run["trainer"], "lr": 1}}))
     assert run_cli("pretrain", "--config", workspace / "int.json", "--out", workspace / "int") == 0
-    assert '"beta1": 0,' in (workspace / "int" / "resolved_config.json").read_text()
+    assert '"lr": 1,' in (workspace / "int" / "resolved_config.json").read_text()
+
+
+def test_a_dataset_without_a_train_window_exits_2_and_is_named(workspace, capsys, monkeypatch):
+    # tiny's pretraining window is 64 steps; a 50-step series has a 35-step train split
+    save_csv_dataset(make_sine_frame("short", n_channels=1, length=50, period=16.0, seed=1),
+                     workspace / "short.csv")
+    (workspace / "datasets.json").write_text(json.dumps({"sine": {"path": "sine.csv"},
+                                                         "short": {"path": "short.csv"}}))
+    named = "dataset 'short': its train split of 35 steps holds no window of length 64 at stride 8"
+    for policy in ("default", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(policy)
+            assert run_cli("pretrain", "--config", workspace / "run.json", "--out", workspace / policy) == 2
+        assert named in capsys.readouterr().err, policy
+        assert not (workspace / policy / "checkpoint.bin").exists()
+    monkeypatch.setenv("PYTHONWARNINGS", "error")
+    proc = run_utsf("pretrain", "--config", workspace / "run.json", "--out", workspace / "sub")
+    assert proc.returncode == 2 and named in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_unreadable_input_files_exit_2(workspace, capsys):

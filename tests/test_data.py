@@ -211,12 +211,12 @@ def test_window_starts_vary_by_epoch_and_salt():
 
 
 def test_window_starts_warn_and_empty_when_too_short():
-    sampler = SamplerConfig(stride=4, jitter=True)
-    with pytest.warns(UserWarning, match="no windows"):
-        out = window_starts(10, 9, sampler)  # jitter margin eats the only slot
-    assert out.size == 0
+    # no window is an empty result, not a warning; the trainer names the dataset
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        out = window_starts(10, 9, SamplerConfig(stride=4, jitter=True))  # jitter margin eats the only slot
+        assert out.size == 0 and out.dtype == np.int64
+        assert window_starts(8, 9, SamplerConfig(stride=1, jitter=False)).size == 0
         assert window_starts(9, 9, SamplerConfig(stride=1, jitter=False)).tolist() == [0]
 
 
@@ -232,18 +232,20 @@ def test_jittered_windows_offsets_into_split():
     values = np.arange(200, dtype=np.float32).reshape(1, 200)
     frame = SeriesFrame("ds", ["c0"], values)
     sampler = SamplerConfig(stride=5, jitter=False)
-    starts = jittered_windows(frame, 10, sampler, split="validate")
-    lo, hi = frame.split_bounds("validate")
-    assert starts.size == 2
-    assert np.all(starts >= lo) and np.all(starts + 10 <= hi)
+    starts = jittered_windows(frame, 10, sampler)
+    lo, hi = frame.split_bounds("train")
+    assert (lo, hi) == (0, 140) and starts.tolist() == list(range(0, 130, 5))
+    for epoch in range(5):  # jitter never carries a window past the train split
+        jittered = jittered_windows(frame, 10, SamplerConfig(stride=5, jitter=True, seed=3), epoch)
+        assert jittered.size == 26 and np.all(jittered >= lo) and np.all(jittered + 10 <= hi)
 
 
 def test_jittered_windows_differ_across_datasets():
     # same geometry, different ids: the salt decorrelates the jitter
     sampler = SamplerConfig(stride=8, jitter=True, seed=0)
     vals = np.zeros((1, 600), dtype=np.float32)
-    a = jittered_windows(SeriesFrame("alpha", ["c"], vals), 16, sampler, "train")
-    b = jittered_windows(SeriesFrame("beta", ["c"], vals), 16, sampler, "train")
+    a = jittered_windows(SeriesFrame("alpha", ["c"], vals), 16, sampler)
+    b = jittered_windows(SeriesFrame("beta", ["c"], vals), 16, sampler)
     assert not np.array_equal(a, b)
 
 
@@ -395,12 +397,11 @@ def test_mask_series_zeroes_whole_patches():
 def test_make_window_sample_normalizes_target_with_input_stats():
     values = np.arange(100, dtype=np.float32).reshape(1, 100)
     frame = SeriesFrame("ds", ["c0"], values)
-    s = make_window_sample(frame, channel=0, start=10, lookback_len=8, horizon_len=4)
-    raw_in = values[0, 10:18]
-    _, mu, sigma = normalize_sample(raw_in)
-    assert s.mu == pytest.approx(mu) and s.sigma == pytest.approx(sigma)
-    assert np.allclose(denormalize(s.target, mu, sigma), values[0, 18:22], atol=1e-4)
-    assert s.input.shape == (1, 8) and s.target.shape == (1, 4)
+    x, y = make_window_sample(frame, channel=0, start=10, lookback_len=8, horizon_len=4)
+    norm_in, mu, sigma = normalize_sample(values[:, 10:18])
+    assert x.shape == (1, 8) and y.shape == (1, 4)
+    assert x.dtype == norm_in.dtype and x.tobytes() == norm_in.tobytes()
+    assert np.allclose(denormalize(y, mu, sigma), values[0, 18:22], atol=1e-4)
     with pytest.raises(UsageError):
         make_window_sample(frame, channel=0, start=95, lookback_len=8, horizon_len=4)
 

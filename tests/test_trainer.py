@@ -267,9 +267,12 @@ def test_trainer_config_round_trip_and_validation():
         TrainerConfig(steps_per_epoch=0)
     with pytest.raises(ConfigError):
         config_from_dict(TrainerConfig, {"lr": 1e-3, "momentum": 0.9}, "trainer")
-    for bad in ({"lr": float("nan")}, {"lr": float("inf")}, {"eps": float("nan")}, {"eps": float("inf")}):
+    for bad in ({"lr": float("nan")}, {"lr": float("inf")}):
         with pytest.raises(ConfigError, match="finite"):
             config_from_dict(TrainerConfig, bad, "trainer")
+    # Adam's beta1, beta2 and eps are constants, not settings
+    with pytest.raises(ConfigError, match="eps"):
+        config_from_dict(TrainerConfig, {"eps": 1e-8}, "trainer")
 
 
 # ---------------------------------------------------------------------------
@@ -412,18 +415,18 @@ def test_non_finite_gradient_names_phase_epoch_and_step(phase, monkeypatch):
 
     cut = []
 
-    def recorded(*args):
-        cut.append(make_window_sample(*args))
-        return cut[-1]
+    def recorded(frame, channel, start, *lengths):
+        cut.append((frame.dataset_id, channel, start))
+        return make_window_sample(frame, channel, start, *lengths)
 
     monkeypatch.setattr(GradTape, "backward", poisoned)
     monkeypatch.setattr(utsf.data, "make_window_sample", recorded)
     with pytest.raises(NumericError) as err:
         run()
     assert len(cut) == 3
-    w = cut[2]
-    assert str(err.value).startswith(f"{phase} aborted at {where} (dataset {w.dataset_id}, "
-                                     f"channel {w.channel}, start {w.start}): non-finite gradient")
+    dataset_id, channel, start = cut[2]
+    assert str(err.value).startswith(f"{phase} aborted at {where} (dataset {dataset_id}, "
+                                     f"channel {channel}, start {start}): non-finite gradient")
 
 
 def test_train_linear_baseline_runs_and_moves_weights():
@@ -487,10 +490,10 @@ def test_model_predictor_matches_direct_forward():
     preds, truths = [], []
     for channel in range(2):
         for start in range(lo, hi - 64 + 1, 64):
-            sample = make_window_sample(frame, channel, start, 32, 32)
-            pred, _ = m.forecast(Tensor(build_model_input(sample.input, m.config)))
+            x, y = make_window_sample(frame, channel, start, 32, 32)
+            pred, _ = m.forecast(Tensor(build_model_input(x, m.config)))
             preds.append(pred.data)
-            truths.append(sample.target)
+            truths.append(y)
     for h in (8, 32):
         want = compute_metrics(np.concatenate(preds)[:, :h], np.concatenate(truths)[:, :h])
         assert out[h]["n_windows"] == 74
