@@ -9,7 +9,9 @@ reproduces every output file byte for byte (timing goes to stderr only).
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -180,15 +182,16 @@ def cmd_eval(args, cfg: RunConfig, out: Path) -> None:
         _train(cfg, baseline, frames, "baseline", TR.baseline_epoch)
         run("linear", TR.BaselinePredictor(baseline))
 
-    lines = ["model,dataset,horizon,mse,mae,mape"]
+    # a dataset id may hold a comma, a quote or a line break: csv quotes it
+    body = io.StringIO()
+    rows = csv.writer(body, lineterminator="\n")
     for tag, per_ds in results.items():
         for ds_id, per_h in per_ds.items():
             for h, m in per_h.items():
-                lines.append(f"{tag},{ds_id},{h},{m['mse']:.8e},{m['mae']:.8e},{m['mape']:.8e}")
-    _write(out / "metrics.csv", "\n".join(lines) + "\n")
+                rows.writerow([tag, ds_id, h, f"{m['mse']:.8e}", f"{m['mae']:.8e}", f"{m['mape']:.8e}"])
+    _write(out / "metrics.csv", "model,dataset,horizon,mse,mae,mape\n" + body.getvalue())
     _write(out / "metrics.json", json.dumps(results, sort_keys=True, indent=2) + "\n")
-    for line in lines[1:]:
-        _log(line)
+    _log(body.getvalue().rstrip("\n"))
 
 
 def _forecast_request(args, cfg: RunConfig):

@@ -29,7 +29,7 @@ from .errors import ConfigError, DimensionError, UsageError
 from .tensor import Tensor
 
 
-# UShapedTransformer refuses to draw a model of more parameter scalars than this
+# param_count refuses a model of more parameter scalars than this, drawn or loaded
 MAX_PARAMS = 2 ** 31
 
 # JSON value types each config field annotation accepts (annotations are strings
@@ -219,8 +219,7 @@ def _init_param(rng: np.random.Generator, shape: tuple, init: tuple, dtype) -> n
 
 def param_layout(config: ModelConfig) -> Iterator[tuple[str, tuple, tuple]]:
     """``(name, shape, init)`` of every parameter, in checkpoint payload and
-    initial-draw order. Lazy, so a manifest can be compared with it entry by
-    entry whatever size ``config`` claims."""
+    initial-draw order: what a checkpoint's ``config`` implies of its payload."""
 
     def linear(name, d_in, d_out):
         yield f"{name}.w", (d_in, d_out), ("fan_in", d_in)
@@ -259,13 +258,13 @@ def param_layout(config: ModelConfig) -> Iterator[tuple[str, tuple, tuple]]:
     yield from linear("head.forecast", config.d_model, config.patch_size)
 
 
-def _check_size(config: ModelConfig) -> None:
-    """Refuse a config whose parameters hold more than ``MAX_PARAMS``
-    scalars, naming the entry at which a running count over its layout
-    passes the bound. Every layer of a group has its first layer's shapes,
-    so the layout is walked with one layer per group and each first-layer
-    entry counts once per layer: a few dozen steps, allocating no
-    parameter, whatever ``n_layers_per_group`` claims."""
+def param_count(config: ModelConfig) -> int:
+    """The number of parameter scalars ``config`` lays out. A config past
+    ``MAX_PARAMS`` raises ``ConfigError`` naming the entry at which a running
+    count over its layout passes the bound. Every layer of a group has its
+    first layer's shapes, so the layout is walked with one layer per group
+    and each first-layer entry counts once per layer: a few dozen steps,
+    allocating no parameter, whatever ``n_layers_per_group`` claims."""
     count, layers = 0, config.n_layers_per_group
     for name, shape, _ in param_layout(replace(config, n_layers_per_group=1)):
         copies = layers if ".layer0." in name else 1
@@ -274,6 +273,7 @@ def _check_size(config: ModelConfig) -> None:
             where = f" in each of {layers} layers" if copies > 1 else ""
             raise ConfigError(f"model too large to build: its parameters pass {MAX_PARAMS} scalars "
                               f"at '{name}' of shape {list(shape)}{where}")
+    return count
 
 
 class UShapedTransformer:
@@ -285,7 +285,8 @@ class UShapedTransformer:
     The parameters are drawn from ``seed``, or taken from ``values``: one
     array per ``param_layout`` entry, in its order, as a checkpoint's payload
     gives them (``training.load_checkpoint``). Taking them draws nothing and
-    skips the size check, which the checkpoint's manifest has passed.
+    skips the size check, which reading the checkpoint's manifest has made.
+    Either way every parameter is trainable until ``freeze_backbone``.
     """
 
     HEAD_PREFIX = "head."
@@ -299,7 +300,7 @@ class UShapedTransformer:
             if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
                 raise UsageError(f"model seed must be a non-negative integer, got {seed!r}; "
                                  f"a checkpoint's model is built by training.load_checkpoint")
-            _check_size(config)
+            param_count(config)
             rng = np.random.default_rng(seed)
             for name, shape, init in param_layout(config):
                 self.params.add(name, Tensor(_init_param(rng, shape, init, self.dtype), dtype=self.dtype))

@@ -10,18 +10,19 @@ import os
 import struct
 import time
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 
 from . import data as D
 from . import tensor as T
 from .errors import CheckpointError, ConfigError, NumericError, UsageError
-from .model import LinearBaseline, ModelConfig, UShapedTransformer, config_to_dict, param_layout
+from .model import LinearBaseline, ModelConfig, UShapedTransformer, config_to_dict, param_count, param_layout
 from .tensor import GradTape, Tensor
 
 MAPE_FLOOR = 0.1
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# a manifest holds these fields and no other: the payload follows from its config
+_MANIFEST_FIELDS = ("config", "format_version", "seed")
 # evaluate() passes at most this many windows to one predictor call
 EVAL_CHUNK = 32
 # Adam.step updates a parameter this many elements at a time, so its scratch
@@ -372,8 +373,9 @@ def evaluate(predict, frame: D.SeriesFrame, lookback_len: int, horizon_len: int,
 
 
 def save_checkpoint(model: UShapedTransformer, path, seed: int = 0) -> None:
-    """Length-prefixed JSON manifest followed by the raw little-endian
-    float32 payload, parameters laid out in manifest order.
+    """Length-prefixed JSON manifest (format version, model config, seed)
+    followed by the raw little-endian float32 payload, parameters in the
+    config's ``param_layout`` order. Frozen flags are not saved.
 
     Each parameter is written straight from its array (a float32 one without
     a copy), so a save never holds a second copy of the parameters. A seed
@@ -383,8 +385,6 @@ def save_checkpoint(model: UShapedTransformer, path, seed: int = 0) -> None:
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "config": config_to_dict(model.config),
-        "params": [{"name": name, "shape": list(p.shape), "frozen": model.params.frozen(name)}
-                   for name, p in model.params.items()],
         "seed": int(seed),
     }
     mjson = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -417,9 +417,9 @@ def _parse_checkpoint(path) -> tuple[dict, ModelConfig, np.ndarray]:
 def _read_manifest(fh, size: int, path) -> tuple[dict, ModelConfig, int]:
     """Read and validate the length prefix and manifest of a ``size``-byte
     checkpoint; returns the manifest, its model config and the number of
-    float32 values the payload that follows must hold. The ``params`` list
-    is compared entry by entry with the config's ``param_layout``, so a
-    config is never trusted for more parameters than the manifest lists."""
+    float32 values the payload that follows must hold: ``param_count`` of
+    that config, which refuses one past ``MAX_PARAMS`` before anything is
+    allocated."""
     head = fh.read(8)
     if len(head) < 8:
         raise CheckpointError(f"{path}: truncated before the manifest length")
@@ -432,35 +432,25 @@ def _read_manifest(fh, size: int, path) -> tuple[dict, ModelConfig, int]:
         raise CheckpointError(f"{path}: manifest is not valid JSON: {e}") from None
     if not isinstance(manifest, dict):
         raise CheckpointError(f"{path}: manifest is not a JSON object")
-    for field in ("format_version", "config", "params", "seed"):
-        if field not in manifest:
-            raise CheckpointError(f"{path}: manifest is missing field '{field}'")
-    if manifest["format_version"] != CHECKPOINT_VERSION:
+    if "format_version" in manifest and manifest["format_version"] != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: format_version {manifest['format_version']} unsupported (expected {CHECKPOINT_VERSION})"
         )
+    unknown = sorted(set(manifest) - set(_MANIFEST_FIELDS))
+    if unknown:
+        raise CheckpointError(f"{path}: unknown manifest fields: {unknown} "
+                              f"(allowed: {list(_MANIFEST_FIELDS)})")
+    missing = [f for f in _MANIFEST_FIELDS if f not in manifest]
+    if missing:
+        raise CheckpointError(f"{path}: manifest is missing fields: {missing}")
     if not (type(manifest["seed"]) is int and manifest["seed"] >= 0):
         raise CheckpointError(f"{path}: manifest field 'seed' must be a non-negative integer, "
                               f"got {manifest['seed']!r}")
-    if not isinstance(manifest["params"], list):
-        raise CheckpointError(f"{path}: manifest field 'params' must be a list, got {manifest['params']!r}")
     try:
         config = ModelConfig.from_dict(manifest["config"])
+        count = param_count(config)
     except ConfigError as e:
         raise CheckpointError(f"{path}: manifest field 'config': {e}") from None
-    entries, count = manifest["params"], 0
-    for i, (e, want) in enumerate(zip_longest(entries, param_layout(config))):
-        if want is None:
-            raise CheckpointError(f"{path}: manifest params[{i}] is past the {i} parameters its config lays out")
-        name, shape, _ = want
-        if i == len(entries):
-            raise CheckpointError(f"{path}: manifest params[{i}] is missing; its config lays out "
-                                  f"'{name}' of shape {list(shape)} there")
-        if not (isinstance(e, dict) and e.get("name") == name and isinstance(e.get("frozen"), bool)
-                and e.get("shape") == list(shape) and all(type(n) is int for n in e["shape"])):
-            raise CheckpointError(f"{path}: manifest params[{i}] must be '{name}' of shape {list(shape)} "
-                                  f"with a bool 'frozen', as its config lays out, got {e!r}")
-        count += math.prod(shape)
     if size - 8 - mlen != 4 * count:
         raise CheckpointError(f"{path}: payload is {size - 8 - mlen} bytes, manifest implies {4 * count}")
     return manifest, config, count
@@ -487,24 +477,22 @@ def _payload_values(config: ModelConfig, payload: np.ndarray, dtype):
 
 
 def load_checkpoint(path) -> tuple[UShapedTransformer, dict]:
-    """Rebuild a model from the checkpoint's own embedded config and payload."""
+    """Rebuild a model from the checkpoint's own embedded config and payload.
+    Every parameter is trainable, as in a seeded model; ``finetune`` freezes
+    the backbone itself."""
     manifest, config, payload = _parse_checkpoint(path)
-    model = UShapedTransformer(config, values=_payload_values(config, payload, T.DEFAULT_DTYPE))
-    for entry in manifest["params"]:
-        model.params.set_frozen(entry["name"], entry["frozen"])
-    return model, manifest
+    return UShapedTransformer(config, values=_payload_values(config, payload, T.DEFAULT_DTYPE)), manifest
 
 
 def apply_checkpoint(model: UShapedTransformer, path) -> dict:
     """Load a checkpoint into an existing model of the same config; the first
     config field that disagrees is named in the error, before any parameter
-    is written. Every parameter is overwritten."""
+    is written. Every parameter is overwritten; which are frozen is left as
+    it was."""
     manifest, config, payload = _parse_checkpoint(path)
     check_model_config(path, config, model.config)
-    values = _payload_values(config, payload, model.dtype)
-    for (name, p), value, entry in zip(model.params.items(), values, manifest["params"]):
+    for (_, p), value in zip(model.params.items(), _payload_values(config, payload, model.dtype)):
         p.data = value
-        model.params.set_frozen(name, entry["frozen"])
     model.params.zero_grads()
     return manifest
 

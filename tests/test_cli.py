@@ -153,6 +153,20 @@ def test_eval_model_with_baseline_rows(workspace, capsys):
     assert "baseline epoch 0: mean loss" in capsys.readouterr().err
 
 
+def test_eval_quotes_a_dataset_id_that_holds_a_comma_or_a_line_break(workspace):
+    ids = ["a,b", "line\nbreak"]
+    (workspace / "odd.json").write_text(json.dumps({i: {"path": "sine.csv"} for i in ids}))
+    run = json.loads((workspace / "run.json").read_text())
+    (workspace / "odd_run.json").write_text(json.dumps({**run, "registry": "odd.json"}))
+    out = workspace / "odd"
+    assert run_cli("eval", "--config", workspace / "odd_run.json", "--out", out,
+                   "--stub", "last-value", "--horizons", "8,32") == 0
+    rows = read_rows(out / "metrics.csv")
+    assert rows[0] == ["model", "dataset", "horizon", "mse", "mae", "mape"]
+    assert [r[:3] for r in rows[1:]] == [["stub-last-value", i, h] for i in ids for h in ("8", "32")]
+    assert all(len(r) == 6 for r in rows)
+
+
 def test_eval_requires_checkpoint_or_stub(workspace):
     assert run_cli("eval", "--config", workspace / "run.json",
                    "--out", workspace / "ev3") == 2
@@ -423,12 +437,24 @@ def test_malformed_checkpoint_manifest_exits_2(workspace, capsys):
     blob = (workspace / "ck.bin").read_bytes()
     n = struct.unpack("<Q", blob[:8])[0]
     manifest = json.loads(blob[8:8 + n])
-    del manifest["params"][0]["shape"]
-    doctored = json.dumps(manifest).encode()
-    (workspace / "bad.bin").write_bytes(struct.pack("<Q", len(doctored)) + doctored + blob[8 + n:])
-    assert run_cli("forecast", "--config", workspace / "run.json", "--out", workspace / "fc",
-                   "--checkpoint", workspace / "bad.bin", "--input", workspace / "probe.csv") == 2
-    assert "params[0]" in capsys.readouterr().err
+    # a manifest config past the size bound, or one whose count is not the
+    # payload's: named before the payload buffer is allocated
+    for edit, named in (({"n_layers_per_group": 10 ** 9}, "in each of 1000000000 layers"),
+                        ({"d_model": 2 ** 40}, "at 'embed.w' of shape [1099511627776, 8]"),
+                        ({"d_model": 16}, f"payload is {len(blob) - 8 - n} bytes, manifest implies ")):
+        doctored = json.dumps({**manifest, "config": {**manifest["config"], **edit}}).encode()
+        (workspace / "bad.bin").write_bytes(struct.pack("<Q", len(doctored)) + doctored + blob[8 + n:])
+        tracemalloc.start()
+        try:
+            assert run_cli("forecast", "--config", workspace / "run.json", "--out", workspace / "fc",
+                           "--checkpoint", workspace / "bad.bin", "--input", workspace / "probe.csv") == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert "bad.bin: " in err and named in err, edit
+        assert not (workspace / "fc" / "forecast.csv").exists()
+        assert peak < 2 * 2 ** 20, (edit, peak)
 
     # a run config the weights were not trained for, with the same parameter
     # names and shapes or far larger ones: named by field before its model is built

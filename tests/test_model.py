@@ -11,7 +11,7 @@ import utsf.model
 from utsf import tensor as T
 from utsf.errors import ConfigError, DimensionError, UsageError
 from utsf.model import (LinearBaseline, ModelConfig, ParameterStore, config_to_dict,
-                        UShapedTransformer, param_layout, patch_merge_naive, preset)
+                        UShapedTransformer, param_count, param_layout, patch_merge_naive, preset)
 from utsf.tensor import GradTape, Tensor
 
 F64 = np.float64
@@ -117,6 +117,8 @@ def test_the_build_refuses_a_model_past_the_size_bound(monkeypatch):
     # must equal the full layout's, so the bound is met at the last entry
     config = replace(preset("tiny"), n_layers_per_group=2)
     total = sum(math.prod(shape) for _, shape, _ in param_layout(config))
+    for other in (config, preset("small"), preset("base")):
+        assert param_count(other) == sum(math.prod(shape) for _, shape, _ in param_layout(other))
     monkeypatch.setattr(utsf.model, "MAX_PARAMS", total)
     assert UShapedTransformer(config, seed=0).params.names() == [n for n, _, _ in param_layout(config)]
     monkeypatch.setattr(utsf.model, "MAX_PARAMS", total - 1)

@@ -11,11 +11,12 @@ import pytest
 
 import utsf.data
 import utsf.model
+import utsf.training
 from utsf import tensor as T
 from utsf.data import SamplerConfig, build_model_input, make_sine_frame, make_window_sample
 from utsf.errors import CheckpointError, ConfigError, NumericError, UsageError
 from utsf.model import (LinearBaseline, ParameterStore, UShapedTransformer, config_from_dict, config_to_dict,
-                        preset)
+                        param_count, param_layout, preset)
 from utsf.tensor import GradTape, Tensor
 from utsf.training import (EVAL_CHUNK, Adam, BaselinePredictor, LastValuePredictor, ModelPredictor,
                            OraclePredictor, TrainerConfig, TrainReport,
@@ -529,25 +530,24 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     path = tmp_path / "ck.bin"
     save_checkpoint(m, path, seed=6)
     loaded, manifest = load_checkpoint(path)
-    assert manifest["seed"] == 6
+    assert manifest == {"config": config_to_dict(m.config), "format_version": 2, "seed": 6}
     assert loaded.config == m.config
     for (na, ta), (nb, tb) in zip(m.params.items(), loaded.params.items()):
         assert na == nb
         assert ta.data.tobytes() == tb.data.tobytes()
-        assert m.params.frozen(na) == loaded.params.frozen(nb)
-        assert tb.requires_grad == (not m.params.frozen(na)), na
+        # no frozen flag is saved: a loaded model is all trainable, as a seeded one is
+        assert tb.requires_grad, nb
+    # applying a checkpoint leaves each parameter frozen or trainable as it was
+    for target in (m, tiny_model(seed=8)):
+        flags = [target.params.frozen(n) for n in target.params.names()]
+        apply_checkpoint(target, path)
+        assert [target.params.frozen(n) for n in target.params.names()] == flags
 
 
 def _joined_checkpoint_bytes(model, seed):
     """The checkpoint format built in memory: prefix + manifest + each
     parameter's float32 bytes joined, the reference a streamed save must match."""
-    manifest = {
-        "format_version": 1,
-        "config": config_to_dict(model.config),
-        "params": [{"name": n, "shape": list(p.shape), "frozen": model.params.frozen(n)}
-                   for n, p in model.params.items()],
-        "seed": seed,
-    }
+    manifest = {"format_version": 2, "config": config_to_dict(model.config), "seed": seed}
     mjson = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     payload = b"".join(np.ascontiguousarray(p.data, dtype="<f4").tobytes() for _, p in model.params.items())
     return struct.pack("<Q", len(mjson)) + mjson + payload
@@ -616,22 +616,36 @@ def test_apply_checkpoint_overwrites_in_place(tmp_path):
     assert [p.data.tobytes() for _, p in base.params.items()] == before, "a refused checkpoint wrote parameters"
 
 
-def test_a_load_draws_nothing_and_runs_no_size_check(tmp_path, monkeypatch):
+def test_a_load_draws_nothing_and_sizes_the_model_once(tmp_path, monkeypatch):
     src = tiny_model(seed=7)
     path = tmp_path / "ck.bin"
     save_checkpoint(src, path)
     frames, rng = sine_frames(), np.random.default_rng(0)
-    # the manifest check bounds a checkpoint's size, so a load needs neither
-    monkeypatch.setattr(utsf.model, "MAX_PARAMS", 0)
+    real_count, counted = param_count, []
+
+    def count(config):
+        counted.append(config)
+        return real_count(config)
+
+    monkeypatch.setattr(utsf.model, "param_count", count)
+    monkeypatch.setattr(utsf.training, "param_count", count)
     with monkeypatch.context() as m:
         def no_draws(*args):
             raise AssertionError("a load drew initial values")
         m.setattr(np.random, "default_rng", no_draws)
         loaded, _ = load_checkpoint(path)
+    # the manifest reader sizes the payload; building from it sizes nothing again
+    assert counted == [src.config]
     for (na, ta), (nb, tb) in zip(src.params.items(), loaded.params.items()):
         assert na == nb and ta.data.tobytes() == tb.data.tobytes(), na
     report = pretrain_epoch(loaded, frames, SAMPLER, Adam(loaded.params, lr=1e-3), 1, rng)
     assert len(report.steps) == 1 and backbone_hash(loaded) != backbone_hash(src)
+    # that count is the size bound a seeded build meets
+    total = real_count(src.config)
+    monkeypatch.setattr(utsf.model, "MAX_PARAMS", total - 1)
+    with pytest.raises(CheckpointError, match=rf"ck.bin: manifest field 'config': model too large to build: "
+                                              rf"its parameters pass {total - 1} scalars at 'head.forecast.b'"):
+        load_checkpoint(path)
 
 
 def test_loaded_parameters_are_views_of_one_payload_buffer(tmp_path):
@@ -654,14 +668,20 @@ def test_loaded_parameters_are_views_of_one_payload_buffer(tmp_path):
         assert np.array_equal(p.data, src.params[name].data), name
 
 
-def test_checkpoint_shape_mismatch_names_the_parameter(tmp_path):
+def test_checkpoint_config_that_disagrees_with_the_payload_is_refused(tmp_path):
     path = tmp_path / "ck.bin"
     save_checkpoint(tiny_model(), path)
-    # a manifest whose 'pos' entry disagrees with the layout of its own config
-    doctored = rewrite_manifest(path, tmp_path / "pos.bin", lambda mf: mf["params"][2].update(shape=[16, 4]))
-    for load in (load_checkpoint, lambda p: apply_checkpoint(tiny_model(seed=8), p)):
-        with pytest.raises(CheckpointError, match=r"'pos'"):
+    # the payload is sized by the manifest's config alone: a config that lays
+    # out other shapes implies another size, and both sizes are named
+    wide = replace(preset("tiny"), d_model=16)
+    doctored = rewrite_manifest(path, tmp_path / "wide.bin", lambda mf: mf["config"].update(d_model=16))
+    sizes = rf"payload is {4 * param_count(preset('tiny'))} bytes, manifest implies {4 * param_count(wide)}$"
+    target = tiny_model(seed=8)
+    before = backbone_hash(target)
+    for load in (load_checkpoint, lambda p: apply_checkpoint(target, p)):
+        with pytest.raises(CheckpointError, match=sizes):
             load(doctored)
+    assert backbone_hash(target) == before
 
 
 def test_checkpoint_truncation_detected(tmp_path):
@@ -694,27 +714,28 @@ def test_checkpoint_version_and_manifest_errors(tmp_path):
     m = tiny_model()
     path = tmp_path / "ck.bin"
     save_checkpoint(m, path)
-    bad = rewrite_manifest(path, tmp_path / "bad.bin", lambda mf: mf.update(format_version=99))
-    with pytest.raises(CheckpointError, match="version"):
-        load_checkpoint(bad)
+    # a format 1 file, with the parameter list that format carried, names both versions
+    v1_params = [{"name": n, "shape": list(shape), "frozen": False} for n, shape, _ in param_layout(m.config)]
+    for edit, version in ((lambda mf: mf.update(format_version=1, params=v1_params), 1),
+                          (lambda mf: mf.update(format_version=99), 99)):
+        with pytest.raises(CheckpointError, match=rf"format_version {version} unsupported \(expected 2\)"):
+            load_checkpoint(rewrite_manifest(path, tmp_path / "bad.bin", edit))
+    tiny = param_count(m.config)
     edits = {
-        "'params'": lambda mf: mf.update(params=5),
-        r"params\[0\]": lambda mf: mf["params"][0].pop("shape"),
-        r"params\[1\]": lambda mf: mf["params"].insert(1, "embed.b"),
-        r"params\[2\]": lambda mf: mf["params"][2].update(shape=[8, -8]),
-        r"params\[3\]": lambda mf: mf["params"][3].update(name=7),
-        r"params\[4\]": lambda mf: mf["params"][4].update(frozen=1),
-        r"params\[5\]": lambda mf: mf["params"][5].update(shape=[True]),
+        # the manifest holds exactly its three fields
+        r"unknown manifest fields: \['params'\]": lambda mf: mf.update(params=v1_params),
+        r"unknown manifest fields: \['extra', 'params'\]": lambda mf: mf.update(params=5, extra=None),
+        r"manifest is missing fields: \['format_version'\]": lambda mf: mf.pop("format_version"),
+        r"manifest is missing fields: \['config', 'seed'\]": lambda mf: [mf.pop("config"), mf.pop("seed")],
         "'seed'": lambda mf: mf.update(seed="abc"),
-        # the list is compared with its config's layout: one entry too few or too many
-        r"params\[58\] is missing; its config lays out 'head.forecast.b' of shape \[8\]":
-            lambda mf: mf["params"].pop(),
-        r"params\[59\] is past the 59 parameters": lambda mf: mf["params"].append(mf["params"][0]),
-        r"params\[6\] must be 'enc1.layer0.attn.q.b' of shape \[8\]":
-            lambda mf: mf["params"][6].update(shape=[1.0 * 8]),
-        # tiny's 59 entries under a config of 5000 layers per group: refused
-        # at the first entry past enc1.layer0, before any model is built
-        r"params\[19\] must be 'enc1.layer1.ln1.g' of shape \[8\]":
+        # a config past the size bound, refused by its count before anything is allocated
+        r"manifest field 'config': model too large to build: .* at 'enc1.layer0.ln1.g' of shape \[8\] "
+        r"in each of 1000000000 layers": lambda mf: mf["config"].update(n_layers_per_group=10 ** 9),
+        r"manifest field 'config': .* at 'embed.w' of shape \[1099511627776, 8\]":
+            lambda mf: mf["config"].update(d_model=2 ** 40),
+        # a config within the bound whose count is not the payload's
+        rf"payload is {4 * tiny} bytes, manifest implies "
+        rf"{4 * param_count(replace(m.config, n_layers_per_group=5000))}$":
             lambda mf: mf["config"].update(n_layers_per_group=5000),
         "manifest field 'config': model config is missing required keys": lambda mf: mf.update(config={}),
         "patch_stride": lambda mf: mf["config"].update(patch_stride=4),
@@ -736,12 +757,15 @@ def test_checkpoint_version_and_manifest_errors(tmp_path):
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
-    # the whole file of a seeded tiny checkpoint, manifest and payload: the
-    # config writer and the save path may change, the bytes they write may not
-    # (no BLAS call is involved)
+    # a seeded tiny checkpoint in two pins (no BLAS call is involved): the
+    # length prefix and manifest, which a format change re-pins, and the
+    # payload, which no format change may move
     save_checkpoint(tiny_model(seed=0), tmp_path / "ck.bin")
-    digest = hashlib.sha256((tmp_path / "ck.bin").read_bytes()).hexdigest()
-    assert digest == "36168c67b103d77e13304a4506c1d7e27e1d2301b357afef29672d1afca1ea2a"
+    blob = (tmp_path / "ck.bin").read_bytes()
+    n = 8 + struct.unpack("<Q", blob[:8])[0]
+    manifest, payload = (hashlib.sha256(part).hexdigest() for part in (blob[:n], blob[n:]))
+    assert manifest == "808052b7921e617a795923e55a58744f51d62870ff899618d2856d914373cf79"
+    assert payload == "f9f4930981ca9ceb096651e89349fa327b3291cccb488a55291d3b92a350666a"
 
 
 def test_checkpoint_with_legacy_config_keys_is_refused(tmp_path):
