@@ -112,8 +112,8 @@ def load_csv_dataset(path, dataset_id: str, splits=DEFAULT_SPLITS) -> SeriesFram
     yields a non-finite value is the file read again by the per-cell scan:
     it names the first bad cell, or parses what numpy refuses and
     ``float()`` accepts (quoted or underscored numbers). A value
-    past the float32 range is not finite here either, and after the scan
-    ``SeriesFrame`` rejects it.
+    past the float32 range rounds to infinity without a warning, and the scan
+    names its cell.
     """
     path = Path(path)
     try:
@@ -135,7 +135,8 @@ def load_csv_dataset(path, dataset_id: str, splits=DEFAULT_SPLITS) -> SeriesFram
                     break
                 if block.shape[1] != len(header):
                     break
-                blocks.append(block.astype(np.float32))
+                with np.errstate(over="ignore"):  # the scan names a cell past the float32 range
+                    blocks.append(block.astype(np.float32))
             else:
                 if blocks:
                     values = np.concatenate(blocks)
@@ -150,6 +151,7 @@ def load_csv_dataset(path, dataset_id: str, splits=DEFAULT_SPLITS) -> SeriesFram
     return SeriesFrame(dataset_id, header, values.T, splits)
 
 
+@np.errstate(over="ignore")  # a cell past the float32 range is named below, not warned of
 def _scan_cells(path: Path, header: list) -> np.ndarray:
     """Per-cell conversion of the rows after the header, naming the first bad
     cell; ``load_csv_dataset`` names the read errors."""
@@ -173,9 +175,9 @@ def _scan_cells(path: Path, header: list) -> np.ndarray:
                 v = float(cell)
             except ValueError:
                 raise IngestionError(f"{path}: unparsable value '{cell}' at row {r}, column '{col}'") from None
-            if not np.isfinite(v):
-                raise IngestionError(f"{path}: non-finite value '{cell}' at row {r}, column '{col}'")
             data[r - 2, c] = v
+            if not np.isfinite(data[r - 2, c]):
+                raise IngestionError(f"{path}: value '{cell}' at row {r}, column '{col}' is not a finite float32")
     return data
 
 

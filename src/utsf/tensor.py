@@ -17,6 +17,14 @@ they happen instead of propagating. The test, :func:`all_finite`, takes one
 dot product of the output with itself: a sum of squares is finite exactly
 when every entry is, so only a non-finite sum pays for ``np.isfinite``.
 
+Three kernels save memory passes and keep every bit. ``gelu`` runs its nine
+in-place passes over cache-sized blocks of ``GELU_BLOCK`` elements.
+``attention`` takes each score row's max from a key-major copy (numpy reduces
+short contiguous rows slowly; a max is exact in any order) and keeps the
+scores query-major, so their row sums keep their bits. The merge's forward
+and the split's VJP pair rows by parity copies, not a transpose copy whose
+inner loop is 2 elements long (``_pair_rows``).
+
 Recording happens on an explicit :class:`GradTape`::
 
     with GradTape() as tape:
@@ -40,6 +48,8 @@ from .errors import DimensionError, NumericError, UsageError
 DEFAULT_DTYPE = np.float32
 # layer_norm adds this to each slice's variance before the square root
 LAYER_NORM_EPS = 1e-5
+# gelu's forward runs its elementwise passes over blocks of this many elements
+GELU_BLOCK = 32768
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
@@ -338,7 +348,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, windows: int) -> tupl
     # scale, shift, exponentiate and normalize in one buffer
     probs = qh @ kt
     probs *= scale
-    probs -= probs.max(axis=-1, keepdims=True)
+    probs -= np.ascontiguousarray(probs.swapaxes(-1, -2)).max(axis=-2, keepdims=True).swapaxes(-1, -2)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     out = (probs @ vh).transpose(0, 2, 1, 3).reshape(rows, d)
@@ -374,10 +384,10 @@ def conv1d_k2s2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(f"conv1d_k2s2 weight/bias mismatch: {x.shape}, {weight.shape}, {bias.shape}")
     if p < 2 or p % 2 != 0:
         raise DimensionError(f"conv1d_k2s2 needs an even token count >= 2, got {p}")
-    # row t = [x[2t, k], x[2t + 1, k] for k], matching weight.reshape(C_out, 2*C_in)
-    pairs = x.data.reshape(p // 2, 2, c_in).transpose(0, 2, 1).reshape(p // 2, 2 * c_in)
+    pairs = _pair_rows(x.data)
     w2 = weight.data.reshape(c_out, 2 * c_in)
-    out = pairs @ w2.T + bias.data
+    out = pairs @ w2.T
+    out += bias.data
 
     def vjp(g):
         dx = (g @ w2).reshape(p // 2, c_in, 2).transpose(0, 2, 1).reshape(p, c_in)
@@ -404,13 +414,24 @@ def conv_transpose1d_k2s2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     # row t of x @ w2 is [out[2t, j], out[2t + 1, j] for j]
     w2 = weight.data.reshape(c_in, 2 * c_out)
     x_data = x.data
-    out = (x_data @ w2).reshape(p, c_out, 2).transpose(0, 2, 1).reshape(2 * p, c_out) + bias.data
+    out = (x_data @ w2).reshape(p, c_out, 2).transpose(0, 2, 1).reshape(2 * p, c_out)
+    out += bias.data
 
     def vjp(g):
-        pairs = g.reshape(p, 2, c_out).transpose(0, 2, 1).reshape(p, 2 * c_out)
+        pairs = _pair_rows(g)
         return pairs @ w2.T, (x_data.T @ pairs).reshape(weight.shape), g.sum(axis=0)
 
     return record_op("conv_transpose1d_k2s2", out, (x, weight, bias), vjp)
+
+
+def _pair_rows(x: np.ndarray) -> np.ndarray:
+    """``x[P, C]`` as ``(P/2, 2C)`` rows ``[x[2t, k], x[2t + 1, k] for k]``, the
+    layout of ``weight.reshape(C_out, 2*C_in)``, by one copy per parity."""
+    p, c = x.shape
+    out = np.empty((p // 2, c, 2), x.dtype)
+    out[:, :, 0] = x[0::2]
+    out[:, :, 1] = x[1::2]
+    return out.reshape(p // 2, 2 * c)
 
 
 def pointwise_conv(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -501,15 +522,22 @@ def gelu(x: Tensor) -> Tensor:
     x_data = x.data
     # x * x * x, not x**3: numpy's float32 power is about 100x slower. In place,
     # in the order of C * (x + A * (x * x * x)) and (0.5 * x) * (1 + t): the
-    # products commute exactly, and one buffer holds u, then t
-    t = x_data * x_data
-    t *= x_data
-    t *= _GELU_A
-    t += x_data
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out = 1.0 + t
-    out *= 0.5 * x_data
+    # products commute exactly, and one buffer holds u, then t. t and out are
+    # fresh C-ordered arrays, so their flat views alias them
+    xf = x_data.reshape(-1)
+    t = np.empty(x_data.shape, x_data.dtype)
+    out = np.empty_like(t)
+    tf, of = t.reshape(-1), out.reshape(-1)
+    for i in range(0, xf.size, GELU_BLOCK):
+        xb, tb, ob = xf[i:i + GELU_BLOCK], tf[i:i + GELU_BLOCK], of[i:i + GELU_BLOCK]
+        np.multiply(xb, xb, out=tb)
+        tb *= xb
+        tb *= _GELU_A
+        tb += xb
+        tb *= _GELU_C
+        np.tanh(tb, out=tb)
+        np.add(tb, 1.0, out=ob)
+        ob *= 0.5 * xb
 
     def vjp(g):
         # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du) with

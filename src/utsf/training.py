@@ -16,7 +16,8 @@ import numpy as np
 from . import data as D
 from . import tensor as T
 from .errors import CheckpointError, ConfigError, NumericError, UsageError
-from .model import LinearBaseline, ModelConfig, UShapedTransformer, config_to_dict, param_count, param_layout
+from .model import (LinearBaseline, ModelConfig, UShapedTransformer, config_from_dict, config_to_dict, param_count,
+                    param_layout)
 from .tensor import GradTape, Tensor
 
 MAPE_FLOOR = 0.1
@@ -416,10 +417,11 @@ def _parse_checkpoint(path) -> tuple[dict, ModelConfig, np.ndarray]:
 
 def _read_manifest(fh, size: int, path) -> tuple[dict, ModelConfig, int]:
     """Read and validate the length prefix and manifest of a ``size``-byte
-    checkpoint; returns the manifest, its model config and the number of
-    float32 values the payload that follows must hold: ``param_count`` of
-    that config, which refuses one past ``MAX_PARAMS`` before anything is
-    allocated."""
+    checkpoint, whose config names every ``ModelConfig`` field (no default
+    or preset fills one in) and nothing else; returns the manifest, its
+    model config and the number of float32 values the payload that follows
+    must hold: ``param_count`` of that config, which refuses one past
+    ``MAX_PARAMS`` before anything is allocated."""
     head = fh.read(8)
     if len(head) < 8:
         raise CheckpointError(f"{path}: truncated before the manifest length")
@@ -447,7 +449,9 @@ def _read_manifest(fh, size: int, path) -> tuple[dict, ModelConfig, int]:
         raise CheckpointError(f"{path}: manifest field 'seed' must be a non-negative integer, "
                               f"got {manifest['seed']!r}")
     try:
-        config = ModelConfig.from_dict(manifest["config"])
+        config = config_from_dict(ModelConfig, manifest["config"], "model")
+        if missing := sorted(set(config_to_dict(config)) - set(manifest["config"])):
+            raise ConfigError(f"model config is missing keys: {missing}")
         count = param_count(config)
     except ConfigError as e:
         raise CheckpointError(f"{path}: manifest field 'config': {e}") from None

@@ -615,3 +615,46 @@ def test_failing_config_command_writes_no_resolved_config(workspace, capsys):
         assert run_cli(*argv, "--config", cfg, "--out", out) == 2, name
         assert "error:" in capsys.readouterr().err, name
         assert out.is_dir() and not any(out.iterdir()), name
+
+
+def test_a_csv_cell_past_the_float32_range_exits_2_and_is_named(workspace, capsys, monkeypatch):
+    cells = [f"{np.sin(i / 3):.6f}" for i in range(40)]
+    (workspace / "huge.csv").write_text("v\n" + "\n".join(cells[:7] + ["1e39"] + cells[8:]) + "\n")
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
+    named = "huge.csv: value '1e39' at row 9, column 'v' is not a finite float32"
+    for policy in ("always", "error"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(policy)
+            assert run_cli("forecast", "--config", workspace / "run.json", "--out", workspace / policy,
+                           "--checkpoint", workspace / "ck.bin", "--input", workspace / "huge.csv") == 2
+        assert not caught, [str(w.message) for w in caught]
+        assert named in capsys.readouterr().err, policy
+        assert not (workspace / policy / "forecast.csv").exists()
+    monkeypatch.setenv("PYTHONWARNINGS", "error")
+    proc = run_utsf("forecast", "--config", workspace / "run.json", "--out", workspace / "sub",
+                    "--checkpoint", workspace / "ck.bin", "--input", workspace / "huge.csv")
+    assert proc.returncode == 2 and named in proc.stderr, proc.stderr
+    # the largest float32 is about 3.4e38: a 3e38 cell loads as written
+    (workspace / "large.csv").write_text("v\n" + "\n".join(cells[:7] + ["3e38"] + cells[8:]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_csv_dataset(workspace / "large.csv", "large").values[0, 7] == np.float32(3e38)
+
+
+def test_a_checkpoint_manifest_config_names_every_field_and_no_preset(workspace, capsys):
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
+    blob = (workspace / "ck.bin").read_bytes()
+    n = struct.unpack("<Q", blob[:8])[0]
+    manifest = json.loads(blob[8:8 + n])
+    short = {k: v for k, v in manifest["config"].items() if k != "d_model"}
+    for config, named in (({"preset": "tiny"}, "unknown model config keys: ['preset']"),
+                          ({**manifest["config"], "preset": "tiny"}, "unknown model config keys: ['preset']"),
+                          (short, "model config is missing keys: ['d_model']")):
+        doctored = json.dumps({**manifest, "config": config}).encode()
+        (workspace / "bad.bin").write_bytes(struct.pack("<Q", len(doctored)) + doctored + blob[8 + n:])
+        assert run_cli("forecast", "--config", workspace / "run.json", "--out", workspace / "fc",
+                       "--checkpoint", workspace / "bad.bin", "--input", workspace / "probe.csv") == 2
+        assert f"bad.bin: manifest field 'config': {named}" in capsys.readouterr().err, config
+        assert not (workspace / "fc" / "forecast.csv").exists()
+    assert run_cli("forecast", "--config", workspace / "run.json", "--out", workspace / "fc",
+                   "--checkpoint", workspace / "ck.bin", "--input", workspace / "probe.csv") == 0

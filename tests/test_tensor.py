@@ -250,6 +250,57 @@ def test_in_place_forwards_match_out_of_place_formulas_bit_for_bit(dtype):
         assert out.data.tobytes() == want_out.tobytes() and grad.tobytes() == want_grad.tobytes()
 
 
+def _pairs_by_transpose(x):
+    """Adjacent rows of ``x[P, C]`` interleaved per channel by one transpose copy."""
+    p, c = x.shape
+    return x.reshape(p // 2, 2, c).transpose(0, 2, 1).reshape(p // 2, 2 * c)
+
+
+@pytest.mark.parametrize("dtype", [F32, F64])
+def test_blocked_gelu_attention_row_max_and_parity_pairing_match_bit_for_bit(dtype):
+    # gelu runs block by block, attention takes its row max from a key-major
+    # copy and the merge pairs rows by parity copies; at sizes that span
+    # several GELU blocks, an F-ordered input, 128-token windows and the
+    # merge/split shapes of the model, no bit may move
+    rng = np.random.default_rng(23)
+
+    def draw(*shape, scale=1.0):
+        return (scale * rng.standard_normal(shape)).astype(dtype)
+
+    for x in (draw(3 * T.GELU_BLOCK + 1234, scale=3.0), draw(700, 211, scale=3.0).T, draw(1, scale=3.0)):
+        g = draw(*x.shape)
+        want_out, want_grad = _gelu_out_of_place(x, g)
+        out, (grad,) = _grads_through_tape(T.gelu, [Tensor(x, requires_grad=True, dtype=dtype)], g)
+        assert out.data.tobytes() == want_out.tobytes() and grad.tobytes() == want_grad.tobytes()
+
+    for windows, n, heads, dh in ((3, 128, 4, 8), (32, 48, 4, 16), (2, 127, 1, 3)):
+        rows, d = windows * n, heads * dh
+        q, k, v, g = (draw(rows, d, scale=2.0) for _ in range(4))
+        want_out, want_probs, want_grads = _attention_out_of_place(q, k, v, heads, windows, g)
+        inputs = [Tensor(a, requires_grad=True, dtype=dtype) for a in (q, k, v)]
+        (out, probs), grads = _grads_through_tape(lambda *t: T.attention(*t, heads, windows), inputs, g)
+        assert out.data.tobytes() == want_out.tobytes() and probs.tobytes() == want_probs.tobytes()
+        for got, want in zip(grads, want_grads):
+            assert got.tobytes() == want.tobytes()
+
+    for p, c_in, c_out in ((1536, 64, 128), (48, 64, 128), (2, 1, 3), (10, 7, 5)):
+        x, w, b, g = draw(p, c_in), draw(c_out, c_in, 2), draw(c_out), draw(p // 2, c_out)
+        w2, pairs = w.reshape(c_out, 2 * c_in), _pairs_by_transpose(x)
+        out, grads = _grads_through_tape(T.conv1d_k2s2, [Tensor(a, requires_grad=True, dtype=dtype)
+                                                         for a in (x, w, b)], g)
+        assert out.data.tobytes() == (pairs @ w2.T + b).tobytes()
+        assert grads[1].tobytes() == (g.T @ pairs).reshape(w.shape).tobytes()
+
+        x, b, g = draw(p // 2, c_out), draw(c_in), draw(p, c_in)
+        w2, pairs = w.reshape(c_out, 2 * c_in), _pairs_by_transpose(g)
+        out, grads = _grads_through_tape(T.conv_transpose1d_k2s2, [Tensor(a, requires_grad=True, dtype=dtype)
+                                                                   for a in (x, w, b)], g)
+        unpaired = (x @ w2).reshape(p // 2, c_in, 2).transpose(0, 2, 1).reshape(p, c_in)
+        assert out.data.tobytes() == (unpaired + b).tobytes()
+        for got, want in zip(grads, (pairs @ w2.T, (x.T @ pairs).reshape(w.shape), g.sum(axis=0))):
+            assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # convolutions
 
