@@ -320,19 +320,24 @@ def normalize_sample(window) -> tuple[np.ndarray, float, float]:
 
 
 def apply_normalization(values, mu: float, sigma: float) -> np.ndarray:
-    """Apply an already-computed (mu, sigma) pair under the same branch rule."""
+    """Apply an already-computed (mu, sigma) pair under the same branch rule.
+    A value that overflows float32 on the way is a ``NumericError`` naming
+    the pair, under any warning filter."""
     arr = np.asarray(values, dtype=np.float32)
-    if sigma >= SIGMA_FLOOR:
-        return ((arr - mu) / sigma).astype(np.float32)
-    return (arr - mu).astype(np.float32)
+    with np.errstate(over="ignore"):
+        out = ((arr - mu) / sigma if sigma >= SIGMA_FLOOR else arr - mu).astype(np.float32)
+    if not T.all_finite(out):
+        raise NumericError(f"the normalized window overflows float32 (mu {mu:.6g}, sigma {sigma:.6g})")
+    return out
 
 
 def denormalize(values, mu: float, sigma: float) -> np.ndarray:
-    """Exact inverse of apply_normalization on the branch sigma selects."""
+    """Exact inverse of apply_normalization on the branch sigma selects. A
+    value past the float32 range becomes inf without a warning: the caller
+    names it."""
     arr = np.asarray(values, dtype=np.float32)
-    if sigma >= SIGMA_FLOOR:
-        return (arr * sigma + mu).astype(np.float32)
-    return (arr + mu).astype(np.float32)
+    with np.errstate(over="ignore"):
+        return (arr * sigma + mu if sigma >= SIGMA_FLOOR else arr + mu).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ CHECKPOINT_VERSION = 2
 _MANIFEST_FIELDS = ("config", "format_version", "seed")
 # evaluate() passes at most this many windows to one predictor call
 EVAL_CHUNK = 32
-# Adam.step updates a parameter this many elements at a time, so its scratch
-# is two such blocks per dtype however large the parameter
+# Adam.step updates this many elements at a time, a block of a large parameter
+# or a pack of small ones, so its scratch is three such rows per dtype
 ADAM_BLOCK = 65536
 # Adam's moment decays and the guard added to its denominator: fixed, not settings
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -72,10 +72,14 @@ class Adam:
     Frozen entries are never touched, whatever their gradients; they are
     tape constants, so backward computes none for them.
 
-    Moment state exists only for entries that have been updated: each
-    entry's ``m``/``v`` are allocated at its first update, since freezing
-    may change after construction. Zero moments make that first update
-    identical to one from state allocated up front."""
+    Moment state exists only for entries that have been updated, since
+    freezing may change after construction; zero moments make a first
+    update identical to one from state allocated up front. An entry of
+    ``ADAM_BLOCK`` scalars or more owns its ``m``/``v``. Smaller ones are
+    packed, per dtype and in ``trainable()`` order, into packs of at most
+    ``ADAM_BLOCK`` scalars whose moments are one ``(2, n)`` array, viewed
+    by ``m[name]`` and ``v[name]``; a change of the trainable set cuts the
+    packs again, and moments carry over."""
 
     def __init__(self, params, lr: float):
         self.params = params
@@ -83,7 +87,12 @@ class Adam:
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        # per dtype: rows for the step, the divisor (then a pack's parameters)
+        # and a pack's gradients
         self._scratch: dict[np.dtype, np.ndarray] = {}
+        # the trainable names the packs were cut for; per pack, its entries'
+        # indices, its moments and each parameter's slice of the second row
+        self._packed, self._packs = None, []
 
     def step(self) -> None:
         """Update every trainable entry, or none: every gradient is checked
@@ -91,10 +100,11 @@ class Adam:
         C-contiguous data, before any parameter, moment or step count
         changes.
 
-        Each entry is updated in place, ``ADAM_BLOCK`` elements at a time,
-        through two scratch buffers per dtype, so a step allocates no array
-        the size of a parameter. The float operations and their order are
-        those of ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+        A large entry is updated in place, ``ADAM_BLOCK`` elements at a
+        time; a pack is gathered into scratch rows, updated as one block and
+        copied back into each parameter's own array. So a step allocates no
+        array the size of a parameter. The float operations and their order
+        are those of ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
         ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``: every bit matches."""
         entries = [(name, p, self.params.grad(name)) for name, p in self.params.trainable()]
         for name, p, g in entries:
@@ -105,38 +115,84 @@ class Adam:
             if g.shape != p.shape:
                 raise UsageError(f"gradient of parameter '{name}' has shape {g.shape}, not {p.shape}")
         self.t += 1
-        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, self.lr, ADAM_EPS
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
+        if [name for name, _, _ in entries] != self._packed:
+            self._pack(entries)
+        consts = {dtype: self._constants(dtype) for dtype in self._scratch}
         for name, p, g in entries:
-            m = self.m.get(name)
-            if m is None:
-                m = self.m[name] = np.zeros_like(p.data)
-                self.v[name] = np.zeros_like(p.data)
-            scratch = self._scratch.get(p.dtype)
-            if scratch is None:
-                scratch = self._scratch[p.dtype] = np.empty((2, ADAM_BLOCK), p.dtype)
+            if p.size < ADAM_BLOCK:
+                continue
+            a, b, _ = self._scratch[p.dtype]
             # a gradient that is not C-contiguous (a transpose VJP's) is
             # copied here; every other array is viewed flat
-            pf, gf, mf, vf = p.data.reshape(-1), g.reshape(-1), m.reshape(-1), self.v[name].reshape(-1)
+            pf, gf, mf, vf = p.data.reshape(-1), g.reshape(-1), self.m[name].reshape(-1), self.v[name].reshape(-1)
             for i in range(0, pf.size, ADAM_BLOCK):
                 j = min(i + ADAM_BLOCK, pf.size)
-                pb, gb, mb, vb = pf[i:j], gf[i:j], mf[i:j], vf[i:j]
-                a, b = scratch[:, :j - i]
-                mb *= b1
-                np.multiply(gb, 1.0 - b1, out=a)
-                mb += a
-                vb *= b2
-                np.multiply(gb, 1.0 - b2, out=a)
-                a *= gb
-                vb += a
-                np.divide(mb, c1, out=a)
-                a *= lr
-                np.divide(vb, c2, out=b)
-                np.sqrt(b, out=b)
-                b += eps
-                a /= b
-                pb -= a
+                _adam_block(mf[i:j], vf[i:j], gf[i:j], a[:j - i], b[:j - i], consts[p.dtype])
+                pf[i:j] -= a[:j - i]
+        for idx, mv, pieces in self._packs:
+            a, b, g = self._scratch[mv.dtype][:, :mv.shape[1]]
+            # axis=None reads each gradient in C order, an F-ordered one too
+            np.concatenate([entries[i][2] for i in idx], axis=None, out=g)
+            _adam_block(mv[0], mv[1], g, a, b, consts[mv.dtype])
+            np.concatenate([entries[i][1].data for i in idx], axis=None, out=b)
+            b -= a
+            for i, piece in zip(idx, pieces):
+                np.copyto(entries[i][1].data, piece)
+
+    def _constants(self, dtype) -> tuple:
+        """The update's scalars as 0-d arrays of ``dtype``: a ufunc call costs
+        less with them than with Python floats, and they round alike. A bias
+        correction that is 1 in ``dtype`` is None: dividing by it is skipped."""
+        c1, c2, *rest = (np.array(x, dtype) for x in (1.0 - ADAM_BETA1 ** self.t, 1.0 - ADAM_BETA2 ** self.t,
+                                                       ADAM_BETA1, 1.0 - ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA2,
+                                                       self.lr, ADAM_EPS))
+        return None if c1 == 1 else c1, None if c2 == 1 else c2, *rest
+
+    def _pack(self, entries) -> None:
+        """Give each new large entry zero moments, and cut the others into
+        packs, copying in the moments of entries updated before."""
+        self._packed, self._packs, packs, filling = [name for name, _, _ in entries], [], [], {}
+        for i, (name, p, _) in enumerate(entries):
+            if p.dtype not in self._scratch:
+                self._scratch[p.dtype] = np.empty((3, ADAM_BLOCK), p.dtype)
+            if p.size < ADAM_BLOCK:
+                idx = filling.get(p.dtype)
+                if idx is None or sum(entries[j][1].size for j in idx) + p.size > ADAM_BLOCK:
+                    idx = filling[p.dtype] = []
+                    packs.append(idx)
+                idx.append(i)
+            elif name not in self.m:
+                self.m[name], self.v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
+        for idx in packs:
+            dtype = entries[idx[0]][1].dtype
+            mv, pieces, lo = np.zeros((2, sum(entries[i][1].size for i in idx)), dtype), [], 0
+            for i in idx:
+                name, p, _ = entries[i]
+                hi = lo + p.size
+                if name in self.m:
+                    mv[:, lo:hi] = self.m[name].reshape(-1), self.v[name].reshape(-1)
+                self.m[name], self.v[name] = (mv[k, lo:hi].reshape(p.shape) for k in (0, 1))
+                pieces.append(self._scratch[dtype][1, lo:hi].reshape(p.shape))
+                lo = hi
+            self._packs.append((idx, mv, pieces))
+
+
+def _adam_block(m, v, g, a, b, consts) -> None:
+    """Update one block's moments ``m`` and ``v`` in place and leave its step
+    ``lr*(m/c1) / (sqrt(v/c2) + eps)`` in ``a``, with ``b`` as scratch."""
+    c1, c2, b1, nb1, b2, nb2, lr, eps = consts
+    m *= b1
+    np.multiply(g, nb1, out=a)
+    m += a
+    v *= b2
+    np.multiply(g, nb2, out=a)
+    a *= g
+    v += a
+    # a correction of None is 1: m/1 is m, bit for bit
+    np.multiply(m if c1 is None else np.divide(m, c1, out=a), lr, out=a)
+    np.sqrt(v if c2 is None else np.divide(v, c2, out=b), out=b)
+    b += eps
+    a /= b
 
 
 class TrainReport:

@@ -119,6 +119,30 @@ def test_a_denormalized_forecast_that_overflows_exits_3(workspace, capsys):
     assert not (out / "forecast.csv").exists()
 
 
+@pytest.mark.parametrize("cells, flags, named", [
+    # the forecast of a window near the float32 limit overflows on denormalizing
+    (["0", "3.3e38"] * 20, ["--denormalize"], "the denormalized forecast overflows float32 (mu 1.65e+38, sigma 1.65e+38)"),
+    # x - mu overflows while the window is normalized, before any tape op runs
+    (["3.3e38"] * 39 + ["-3.3e38"], [], "the normalized window overflows float32 (mu 3.135e+38, sigma 1.03042e+38)"),
+], ids=["denormalize", "normalize"])
+def test_an_overflow_of_extreme_finite_inputs_exits_3_and_is_named_under_any_warning_filter(
+        workspace, capsys, monkeypatch, cells, flags, named):
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
+    (workspace / "big.csv").write_text("v\n" + "\n".join(cells) + "\n")
+    argv = ["forecast", "--config", workspace / "run.json", "--checkpoint", workspace / "ck.bin",
+            "--input", workspace / "big.csv", *flags]
+    for policy in ("default", "error"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(policy)
+            assert run_cli(*argv, "--out", workspace / policy) == 3, policy
+        assert not caught, [str(w.message) for w in caught]
+        assert f"numeric failure: {named}\n" in capsys.readouterr().err, policy
+        assert not (workspace / policy / "forecast.csv").exists()
+    monkeypatch.setenv("PYTHONWARNINGS", "error")
+    proc = run_utsf(*argv, "--out", workspace / "sub")
+    assert proc.returncode == 3 and proc.stderr.endswith(f"numeric failure: {named}\n"), proc.stderr
+
+
 def test_finetune_without_checkpoint_is_usage_error(workspace, capsys):
     assert run_cli("finetune", "--config", workspace / "run.json") == 2
     capsys.readouterr()
