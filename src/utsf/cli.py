@@ -23,7 +23,7 @@ from . import data as D
 from . import tensor as T
 from . import training as TR
 from .errors import CheckpointError, ConfigError, IngestionError, NumericError, UsageError
-from .model import LinearBaseline, ModelConfig, UShapedTransformer, config_from_dict, config_to_dict
+from .model import ModelConfig, UShapedTransformer, config_from_dict, config_to_dict
 from .tensor import Tensor, finite_diff_check
 
 _RUN_KEYS = {"model", "sampler", "trainer", "registry", "seed"}
@@ -172,15 +172,16 @@ def cmd_eval(args, cfg: RunConfig, out: Path) -> None:
             results[tag][ds_id] = {str(h): per_h[h] for h in horizons}
 
     if args.stub:
-        predictor = TR.OraclePredictor() if args.stub == "oracle" \
-            else TR.LastValuePredictor(cfg.model.horizon_len)
-        run(f"stub-{args.stub}", predictor)
+        tag = f"stub-{args.stub}"
+        predictor = TR.OraclePredictor() if args.stub == "oracle" else TR.LastValuePredictor(cfg.model.horizon_len)
     else:
-        run("ushape", TR.ModelPredictor(_load_model(cfg, args.checkpoint)))
+        tag, predictor = "ushape", TR.ModelPredictor(_load_model(cfg, args.checkpoint))
+    if args.baseline:  # fitted before any scoring: a registry the fit cannot use fails first
+        linear = TR.BaselinePredictor(*TR.fit_linear(frames, cfg.sampler, cfg.model.lookback_len,
+                                                     cfg.model.horizon_len))
+    run(tag, predictor)
     if args.baseline:
-        baseline = LinearBaseline(cfg.model.lookback_len, cfg.model.horizon_len, seed=cfg.seed)
-        _train(cfg, baseline, frames, "baseline", TR.baseline_epoch)
-        run("linear", TR.BaselinePredictor(baseline))
+        run("linear", linear)
 
     # a dataset id may hold a comma, a quote or a line break: csv quotes it
     body = io.StringIO()
@@ -355,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--checkpoint", help="model checkpoint")
     source.add_argument("--stub", choices=("oracle", "last-value"), help="replace the model with a stub predictor")
     p.add_argument("--horizons", help="comma-separated horizons, e.g. 96,192,336,720")
-    p.add_argument("--baseline", action="store_true", help="also train and score the linear baseline")
+    p.add_argument("--baseline", action="store_true", help="also fit and score the least-squares linear baseline")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("forecast", help="forecast from an input CSV")

@@ -1,4 +1,4 @@
-"""U-shaped transformer over patch tokens, with a linear forecasting baseline.
+"""U-shaped transformer over patch tokens.
 
 The backbone stacks pre-norm transformer groups in a U: the encoder halves
 the token count (and doubles the token dimension) after each group via a
@@ -446,21 +446,3 @@ def patch_merge_naive(tokens: Tensor) -> Tensor:
     second = T.narrow(tokens, 0, half, half)
     return T.concat([first, second], axis=1)
 
-
-class LinearBaseline:
-    """One shared affine map from L inputs to T outputs per channel."""
-
-    def __init__(self, lookback_len: int, horizon_len: int, seed: int = 0):
-        self.lookback_len = lookback_len
-        self.horizon_len = horizon_len
-        self.params = ParameterStore()
-        rng = np.random.default_rng(seed)
-        dtype = T.DEFAULT_DTYPE
-        self.params.add("w", Tensor(_init_param(rng, (lookback_len, horizon_len), ("fan_in", lookback_len), dtype)))
-        self.params.add("b", Tensor(_init_param(rng, (horizon_len,), ("const", 0.0), dtype)))
-
-    def forward(self, windows: Tensor) -> Tensor:
-        """(B, L) normalized lookbacks to (B, T) forecasts."""
-        if windows.ndim != 2 or windows.shape[1] != self.lookback_len:
-            raise DimensionError(f"baseline expects (B, {self.lookback_len}), got {windows.shape}")
-        return T.linear(windows, self.params["w"], self.params["b"])

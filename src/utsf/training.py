@@ -16,8 +16,7 @@ import numpy as np
 from . import data as D
 from . import tensor as T
 from .errors import CheckpointError, ConfigError, NumericError, UsageError
-from .model import (LinearBaseline, ModelConfig, UShapedTransformer, config_from_dict, config_to_dict, param_count,
-                    param_layout)
+from .model import ModelConfig, UShapedTransformer, config_from_dict, config_to_dict, param_count, param_layout
 from .tensor import GradTape, Tensor
 
 MAPE_FLOOR = 0.1
@@ -26,6 +25,9 @@ CHECKPOINT_VERSION = 2
 _MANIFEST_FIELDS = ("config", "format_version", "seed")
 # evaluate() passes at most this many windows to one predictor call
 EVAL_CHUNK = 32
+# fit_linear's windows per chunk, and the ridge on its Gram's diagonal: a normalized
+# lookback sums to about 0, so the Gram alone is singular along the all-ones input
+LINEAR_CHUNK, LINEAR_RIDGE = 256, 1e-6
 # Adam.step updates this many elements at a time, a block of a large parameter
 # or a pack of small ones, so its scratch is three such rows per dtype
 ADAM_BLOCK = 65536
@@ -322,19 +324,6 @@ def finetune_epoch(model: UShapedTransformer, frames: dict, sampler: D.SamplerCo
                               cfg.lookback_len, cfg.horizon_len, steps, rng, epoch, report)
 
 
-def baseline_epoch(baseline: LinearBaseline, frames: dict, sampler: D.SamplerConfig,
-                   optimizer: Adam, steps: int, rng: np.random.Generator,
-                   epoch: int = 0, report: TrainReport | None = None) -> TrainReport:
-    """Forecast epoch of the affine baseline over the windows the model's head
-    sees, for a like-for-like comparison row."""
-
-    def step_loss(x, y):
-        return _mse_loss(baseline.forward(Tensor(x)), Tensor(y))
-
-    return _draw_window_epoch("baseline", step_loss, optimizer, frames, sampler,
-                              baseline.lookback_len, baseline.horizon_len, steps, rng, epoch, report)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -356,11 +345,13 @@ class ModelPredictor:
 
 
 class BaselinePredictor:
-    def __init__(self, baseline: LinearBaseline):
-        self.baseline = baseline
+    """The affine map ``x @ w + b`` of ``fit_linear``, in float64."""
+
+    def __init__(self, w: np.ndarray, b: np.ndarray):
+        self.w, self.b = w, b
 
     def __call__(self, input_norm, truth_norm):
-        return self.baseline.forward(Tensor(input_norm)).data
+        return np.asarray(input_norm, dtype=np.float64) @ self.w + self.b
 
 
 class LastValuePredictor:
@@ -405,12 +396,10 @@ def evaluate(predict, frame: D.SeriesFrame, lookback_len: int, horizon_len: int,
             f"split 'test' of '{frame.dataset_id}' is too short for one "
             f"window: {hi - lo} < {total}"
         )
-    samples = [D.make_window_sample(frame, channel, start, lookback_len, horizon_len)
-               for channel in range(frame.n_channels) for start in starts]
-    input_mat = np.concatenate([x for x, _ in samples])
-    truth_mat = np.concatenate([y for _, y in samples])
+    input_mat, truth_mat = _cut_windows(frame, [(channel, start) for channel in range(frame.n_channels)
+                                                for start in starts], lookback_len, horizon_len)
     preds = []
-    for i in range(0, len(samples), EVAL_CHUNK):
+    for i in range(0, len(input_mat), EVAL_CHUNK):
         truth = truth_mat[i:i + EVAL_CHUNK]
         pred = np.asarray(predict(input_mat[i:i + EVAL_CHUNK], truth))
         if pred.shape != truth.shape:
@@ -421,8 +410,38 @@ def evaluate(predict, frame: D.SeriesFrame, lookback_len: int, horizon_len: int,
     out = {}
     for h in horizons:
         out[h] = compute_metrics(pred_mat[:, :h], truth_mat[:, :h])
-        out[h]["n_windows"] = len(samples)
+        out[h]["n_windows"] = len(input_mat)
     return out
+
+
+def _cut_windows(frame: D.SeriesFrame, pairs, lookback_len: int, horizon_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized ``([n, L], [n, T])`` windows at ``(channel, start)`` pairs."""
+    samples = [D.make_window_sample(frame, channel, start, lookback_len, horizon_len) for channel, start in pairs]
+    return np.concatenate([x for x, _ in samples]), np.concatenate([y for _, y in samples])
+
+
+def fit_linear(frames: dict, sampler: D.SamplerConfig, lookback_len: int,
+               horizon_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """The affine map ``(w[L, T], b[T])`` of least squared error over epoch 0's
+    train-split windows, weighted as training draws them: 1/D per dataset, and
+    alike within it. The float64 normal equations are summed ``LINEAR_CHUNK``
+    windows at a time and solved with ``LINEAR_RIDGE`` on the diagonal."""
+    table = _window_table(frames, lookback_len + horizon_len, sampler, 0)
+    n = lookback_len + 1
+    gram, moment = np.zeros((n, n)), np.zeros((n, horizon_len))
+    for ds_id, starts in table.items():
+        frame = frames[ds_id]
+        pairs = [(channel, int(start)) for channel in range(frame.n_channels) for start in starts]
+        weight = 1.0 / (len(table) * len(pairs))
+        for i in range(0, len(pairs), LINEAR_CHUNK):
+            x, y = _cut_windows(frame, pairs[i:i + LINEAR_CHUNK], lookback_len, horizon_len)
+            xa = np.concatenate([x, np.ones((len(x), 1), np.float32)], axis=1, dtype=np.float64)
+            xw = xa.T * weight
+            gram += xw @ xa
+            moment += xw @ y
+    gram.flat[::n + 1] += LINEAR_RIDGE
+    coef = np.linalg.solve(gram, moment)
+    return coef[:-1], coef[-1]
 
 
 # ---------------------------------------------------------------------------

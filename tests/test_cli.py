@@ -162,7 +162,7 @@ def test_eval_stub_oracle_scores_zero(workspace):
     assert metrics["stub-oracle"]["sine"]["32"]["mse"] == 0.0
 
 
-def test_eval_model_with_baseline_rows(workspace, capsys):
+def test_eval_model_with_baseline_rows(workspace):
     cfg = workspace / "run.json"
     pre = workspace / "pre"
     assert run_cli("pretrain", "--config", cfg, "--out", pre) == 0
@@ -170,11 +170,15 @@ def test_eval_model_with_baseline_rows(workspace, capsys):
     assert run_cli("eval", "--config", cfg, "--out", out, "--checkpoint",
                    pre / "checkpoint.bin", "--baseline", "--horizons", "32") == 0
     body = read_rows(out / "metrics.csv")[1:]
-    models = {r[0] for r in body}
-    assert models == {"ushape", "linear"}
+    assert [r[0] for r in body] == ["ushape", "linear"]
     for r in body:
         assert np.isfinite(float(r[3]))
-    assert "baseline epoch 0: mean loss" in capsys.readouterr().err
+    # the least-squares map forecasts the workspace sine far better than repeating its last value
+    assert run_cli("eval", "--config", cfg, "--out", workspace / "ev3", "--stub", "last-value",
+                   "--baseline", "--horizons", "32") == 0
+    mse = {r[0]: float(r[3]) for r in read_rows(workspace / "ev3" / "metrics.csv")[1:]}
+    assert list(mse) == ["stub-last-value", "linear"]
+    assert np.isfinite(mse["linear"]) and mse["linear"] < mse["stub-last-value"], mse
 
 
 def test_eval_quotes_a_dataset_id_that_holds_a_comma_or_a_line_break(workspace):
@@ -537,16 +541,23 @@ def test_a_dataset_without_a_train_window_exits_2_and_is_named(workspace, capsys
     (workspace / "datasets.json").write_text(json.dumps({"sine": {"path": "sine.csv"},
                                                          "short": {"path": "short.csv"}}))
     named = "dataset 'short': its train split of 35 steps holds no window of length 64 at stride 8"
-    for policy in ("default", "error"):
-        with warnings.catch_warnings():
-            warnings.simplefilter(policy)
-            assert run_cli("pretrain", "--config", workspace / "run.json", "--out", workspace / policy) == 2
-        assert named in capsys.readouterr().err, policy
-        assert not (workspace / policy / "checkpoint.bin").exists()
-    monkeypatch.setenv("PYTHONWARNINGS", "error")
-    proc = run_utsf("pretrain", "--config", workspace / "run.json", "--out", workspace / "sub")
-    assert proc.returncode == 2 and named in proc.stderr, proc.stderr
-    assert "Traceback" not in proc.stderr
+    # eval --baseline fits the linear map first, so the fit names the dataset
+    # before the stub is scored on its too-short test split
+    commands = {"checkpoint.bin": ["pretrain"],
+                "metrics.csv": ["eval", "--stub", "last-value", "--baseline", "--horizons", "8,32"]}
+    monkeypatch.setenv("PYTHONWARNINGS", "error")  # for the subprocesses
+    for artifact, command in commands.items():
+        for policy in ("default", "error"):
+            out = workspace / f"{command[0]}-{policy}"
+            with warnings.catch_warnings():
+                warnings.simplefilter(policy)
+                assert run_cli(*command, "--config", workspace / "run.json", "--out", out) == 2
+            assert named in capsys.readouterr().err, (command, policy)
+            assert not (out / artifact).exists()
+        proc = run_utsf(*command, "--config", workspace / "run.json", "--out", workspace / "sub")
+        assert proc.returncode == 2 and named in proc.stderr, (command, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert not (workspace / "sub" / artifact).exists()
 
 
 def test_unreadable_input_files_exit_2(workspace, capsys):

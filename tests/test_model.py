@@ -10,7 +10,7 @@ import pytest
 import utsf.model
 from utsf import tensor as T
 from utsf.errors import ConfigError, DimensionError, UsageError
-from utsf.model import (LinearBaseline, ModelConfig, ParameterStore, config_to_dict,
+from utsf.model import (ModelConfig, ParameterStore, config_to_dict,
                         UShapedTransformer, param_count, param_layout, patch_merge_naive, preset)
 from utsf.tensor import GradTape, Tensor
 
@@ -462,35 +462,3 @@ def test_two_layer_groups_pass_finite_differences():
     rep = T.finite_diff_check(loss_fn, dict(m.params.items()), tolerance=1e-6, max_entries=2)
     assert rep.passed, str(rep)
 
-
-# ---------------------------------------------------------------------------
-# linear baseline
-
-
-def test_baseline_zero_and_identity():
-    b = LinearBaseline(4, 4, seed=0)
-    b.params["w"].data[:] = 0.0
-    window = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]], dtype=np.float32))
-    assert np.array_equal(b.forward(window).data, np.zeros((1, 4), dtype=np.float32))
-    b.params["w"].data[:] = np.eye(4, dtype=np.float32)
-    assert np.array_equal(b.forward(window).data, window.data)
-    with pytest.raises(DimensionError):
-        b.forward(Tensor(np.ones((1, 5))))
-
-
-def test_baseline_solves_linear_trend_by_least_squares():
-    # closed-form fit on trend windows, then held-out MSE under 1e-6
-    L, H = 8, 4
-    series = 0.25 * np.arange(200, dtype=F64) + 3.0
-    X = np.stack([series[s:s + L] for s in range(0, 100)])
-    Y = np.stack([series[s + L:s + L + H] for s in range(0, 100)])
-    A = np.concatenate([X, np.ones((100, 1))], axis=1)
-    coef, _, _, _ = np.linalg.lstsq(A, Y, rcond=None)
-    b = LinearBaseline(L, H, seed=0)
-    b.params["w"].data = coef[:L].astype(np.float32)
-    b.params["b"].data = coef[L].astype(np.float32)
-    errs = []
-    for s in range(120, 180):
-        pred = b.forward(Tensor(series[s:s + L].reshape(1, -1).astype(np.float32))).data
-        errs.append(np.mean((pred - series[s + L:s + L + H]) ** 2))
-    assert float(np.mean(errs)) < 1e-6

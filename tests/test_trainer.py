@@ -13,16 +13,15 @@ import utsf.data
 import utsf.model
 import utsf.training
 from utsf import tensor as T
-from utsf.data import SamplerConfig, build_model_input, make_sine_frame, make_window_sample
+from utsf.data import SamplerConfig, build_model_input, jittered_windows, make_sine_frame, make_window_sample
 from utsf.errors import CheckpointError, ConfigError, NumericError, UsageError
-from utsf.model import (LinearBaseline, ParameterStore, UShapedTransformer, config_from_dict, config_to_dict,
+from utsf.model import (ParameterStore, UShapedTransformer, config_from_dict, config_to_dict,
                         param_count, param_layout, preset)
 from utsf.tensor import GradTape, Tensor
-from utsf.training import (EVAL_CHUNK, Adam, BaselinePredictor, LastValuePredictor, ModelPredictor,
-                           OraclePredictor, TrainerConfig, TrainReport,
-                           apply_checkpoint, backbone_hash, baseline_epoch,
-                           compute_metrics, evaluate, finetune_epoch,
-                           load_checkpoint, pretrain_epoch, save_checkpoint)
+from utsf.training import (EVAL_CHUNK, LINEAR_CHUNK, LINEAR_RIDGE, Adam, BaselinePredictor, LastValuePredictor,
+                           ModelPredictor, OraclePredictor, TrainerConfig, TrainReport,
+                           apply_checkpoint, backbone_hash, compute_metrics, evaluate, finetune_epoch,
+                           fit_linear, load_checkpoint, pretrain_epoch, save_checkpoint)
 
 
 def tiny_model(seed=0):
@@ -405,28 +404,16 @@ def test_finetune_touches_only_the_heads():
     assert m.params["head.forecast.w"].data.tobytes() != head_before
 
 
-@pytest.mark.parametrize("phase", ["pretrain", "finetune", "baseline"])
+@pytest.mark.parametrize("phase", ["pretrain", "finetune"])
 def test_non_finite_gradient_names_phase_epoch_and_step(phase, monkeypatch):
-    # every phase runs the same draw-window loop; poison the gradients after
+    # both phases run the same draw-window loop; poison the gradients after
     # the third backward pass and the abort must say where it happened, down
     # to the window the loop cut
-    if phase == "baseline":
-        model = LinearBaseline(32, 32, seed=0)
-
-        def run():  # two epochs of two steps, as the CLI's epoch loop drives them
-            optimizer, rng, report = Adam(model.params, lr=1e-2), np.random.default_rng(0), TrainReport()
-            for epoch in range(2):
-                baseline_epoch(model, sine_frames(), SAMPLER, optimizer, 2, rng, epoch, report)
-        where = "epoch 1, step 0"
-    else:
-        model = tiny_model()
-        epoch_fn = pretrain_epoch
-        if phase == "finetune":
-            model.freeze_backbone()
-            epoch_fn = finetune_epoch
-        run = lambda: epoch_fn(model, sine_frames(), SAMPLER, Adam(model.params, lr=1e-3),
-                               steps=3, rng=np.random.default_rng(0), epoch=1)
-        where = "epoch 1, step 2"
+    model = tiny_model()
+    epoch_fn = pretrain_epoch
+    if phase == "finetune":
+        model.freeze_backbone()
+        epoch_fn = finetune_epoch
     backward, calls = GradTape.backward, []
 
     def poisoned(tape, loss):
@@ -445,21 +432,12 @@ def test_non_finite_gradient_names_phase_epoch_and_step(phase, monkeypatch):
     monkeypatch.setattr(GradTape, "backward", poisoned)
     monkeypatch.setattr(utsf.data, "make_window_sample", recorded)
     with pytest.raises(NumericError) as err:
-        run()
+        epoch_fn(model, sine_frames(), SAMPLER, Adam(model.params, lr=1e-3),
+                 steps=3, rng=np.random.default_rng(0), epoch=1)
     assert len(cut) == 3
     dataset_id, channel, start = cut[2]
-    assert str(err.value).startswith(f"{phase} aborted at {where} (dataset {dataset_id}, "
+    assert str(err.value).startswith(f"{phase} aborted at epoch 1, step 2 (dataset {dataset_id}, "
                                      f"channel {channel}, start {start}): non-finite gradient")
-
-
-def test_train_linear_baseline_runs_and_moves_weights():
-    b = LinearBaseline(32, 32, seed=0)
-    before = b.params["w"].data.copy()
-    rep = baseline_epoch(b, sine_frames(), SAMPLER, Adam(b.params, lr=1e-2),
-                         steps=15, rng=np.random.default_rng(0))
-    assert len(rep.steps) == 15
-    assert np.isfinite(rep.steps).all()
-    assert not np.array_equal(b.params["w"].data, before)
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +506,9 @@ def test_stub_and_baseline_rows_match_a_per_window_loop():
     rng = np.random.default_rng(6)
     inputs = rng.standard_normal((5, 32)).astype(np.float32)
     truths = rng.standard_normal((5, 32)).astype(np.float32)
-    baseline = LinearBaseline(32, 32, seed=1)
+    weights, bias = rng.standard_normal((32, 32)), rng.standard_normal(32)
     for predictor, rtol in ((LastValuePredictor(32), 0.0), (OraclePredictor(), 0.0),
-                            (BaselinePredictor(baseline), 1e-6)):
+                            (BaselinePredictor(weights, bias), 1e-12)):
         batch = predictor(inputs, truths)
         assert batch.shape == (5, 32)
         for b in range(5):
@@ -538,6 +516,47 @@ def test_stub_and_baseline_rows_match_a_per_window_loop():
             assert np.abs(batch[b] - row[0]).max() <= rtol * np.abs(row).max(), (predictor, b)
     # each last-value row repeats its own window's last value
     assert np.array_equal(LastValuePredictor(32)(inputs, truths), np.repeat(inputs[:, -1:], 32, axis=1))
+
+
+def two_sine_frames():
+    """Two noiseless sines of unequal train-window counts at SAMPLER's stride."""
+    return {"sine": make_sine_frame("sine", 2000, n_channels=2),
+            "other": make_sine_frame("other", 900, period=24.0)}
+
+
+def test_linear_fit_matches_a_weighted_ridge_lstsq():
+    # the fit minimizes the epoch-0 draw's expected squared error: each of the
+    # D datasets' n_d train windows weighs 1/(D n_d), so lstsq on rows scaled by
+    # sqrt(1/(D n_d)), with sqrt(LINEAR_RIDGE) I rows appended, must agree
+    frames = two_sine_frames()
+    w, b = fit_linear(frames, SAMPLER, 32, 32)
+    assert w.shape == (32, 32) and b.shape == (32,) and w.dtype == b.dtype == np.float64
+    rows, targets, counts = [], [], {}
+    for ds_id, frame in frames.items():
+        starts = jittered_windows(frame, 64, SAMPLER, 0)
+        pairs = [(channel, int(start)) for channel in range(frame.n_channels) for start in starts]
+        counts[ds_id] = len(pairs)
+        scale = np.sqrt(1.0 / (len(frames) * len(pairs)))
+        for channel, start in pairs:
+            x, y = make_window_sample(frame, channel, start, 32, 32)
+            rows.append(scale * np.append(x[0].astype(np.float64), 1.0))
+            targets.append(scale * y[0].astype(np.float64))
+    # unequal counts, and one dataset cut in more than one chunk
+    assert counts == {"sine": 334, "other": 71} and counts["sine"] > LINEAR_CHUNK
+    stacked = np.vstack(rows + [np.sqrt(LINEAR_RIDGE) * np.eye(33)])
+    coef = np.linalg.lstsq(stacked, np.vstack(targets + [np.zeros((33, 32))]), rcond=None)[0]
+    for got, want in ((w, coef[:32]), (b, coef[32])):
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
+def test_linear_fit_forecasts_a_noiseless_sine():
+    # a sine's continuation is linear in its normalized lookback, on both datasets at once
+    frames = two_sine_frames()
+    predictor = BaselinePredictor(*fit_linear(frames, SAMPLER, 32, 32))
+    for frame in frames.values():
+        out = evaluate(predictor, frame, 32, 32, horizons=[1, 8, 32])
+        for h in (1, 8, 32):
+            assert out[h]["mse"] < 1e-6, (frame.dataset_id, h, out[h]["mse"])
 
 
 # ---------------------------------------------------------------------------
