@@ -23,7 +23,7 @@ from . import data as D
 from . import tensor as T
 from . import training as TR
 from .errors import CheckpointError, ConfigError, IngestionError, NumericError, UsageError
-from .model import ModelConfig, UShapedTransformer, config_from_dict, config_to_dict
+from .model import ModelConfig, UShapedTransformer, config_from_dict, config_to_dict, valid_seed
 from .tensor import Tensor, finite_diff_check
 
 _RUN_KEYS = {"model", "sampler", "trainer", "registry", "seed"}
@@ -53,7 +53,7 @@ class RunConfig:
         file_seed = raw.get("seed", 0)
         # the file's own seed is checked even when --seed overrides it
         for seed in (file_seed, seed_override):
-            if seed is not None and (type(seed) is not int or seed < 0):
+            if seed is not None and not valid_seed(seed):
                 raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         seed = file_seed if seed_override is None else seed_override
         section = raw.get("sampler", {})
@@ -145,17 +145,18 @@ def cmd_finetune(args, cfg: RunConfig, out: Path) -> None:
 
 
 def _parse_horizons(raw: str | None, horizon_len: int) -> list:
-    if not raw:
+    """The flag's horizons, in order: distinct, in 1..horizon_len, none empty; without it, horizon_len."""
+    if raw is None:
         return [horizon_len]
     try:
-        horizons = [int(h) for h in raw.split(",") if h.strip()]
+        horizons = [int(h) for h in raw.split(",")]
     except ValueError:
         raise ConfigError(f"bad --horizons value '{raw}': expected comma-separated integers") from None
-    if not horizons:
-        raise ConfigError("--horizons lists no values")
-    for h in horizons:
+    for i, h in enumerate(horizons):
         if h < 1 or h > horizon_len:
             raise ConfigError(f"horizon {h} outside 1..{horizon_len}")
+        if h in horizons[:i]:
+            raise ConfigError(f"bad --horizons value '{raw}': horizon {h} is repeated")
     return horizons
 
 
@@ -277,9 +278,12 @@ def _op_cases(rng):
                        {"x": t(4, 6), "g": t(6), "b": t(6)}),
         "gelu": (lambda i: sq(T.gelu(i["x"])), {"x": t(3, 4)}),
         "add_broadcast": (lambda i: sq(T.add(i["a"], i["b"])), {"a": t(3, 4), "b": t(4)}),
+        "sub_broadcast": (lambda i: sq(T.sub(i["a"], i["b"])), {"a": t(3, 4), "b": t(4)}),
         "mul": (lambda i: sq(T.mul(i["a"], i["b"])), {"a": t(3, 4), "b": t(3, 4)}),
-        "narrow_concat": (lambda i: sq(T.concat([T.narrow(i["x"], 1, 0, 2), T.narrow(i["x"], 1, 2, 3)], 1)),
-                          {"x": t(2, 5)}),
+        "neg": (lambda i: sq(T.neg(i["x"])), {"x": t(3, 4)}),
+        "sum_all": (lambda i: sq(T.mul(i["a"], T.sum_all(i["x"]))), {"a": t(3), "x": t(2, 3)}),
+        "narrow": (lambda i: sq(T.narrow(i["x"], 1, 1, 3)), {"x": t(2, 5)}),
+        "concat": (lambda i: sq(T.concat([i["a"], i["b"]], 1)), {"a": t(2, 1), "b": t(2, 3)}),
         "reshape_transpose": (lambda i: sq(T.transpose(T.reshape(i["x"], (2, 6)), (1, 0))), {"x": t(3, 4)}),
     }
     return cases

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, IngestionError, NumericError, UsageError
-from .model import ModelConfig, float_overflows
+from .model import ModelConfig, float_overflows, valid_seed
 
 # below this the window is treated as flat and only centered, never scaled
 SIGMA_FLOOR = 0.01
@@ -253,6 +253,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.stride < 1:
             raise ConfigError(f"sampler stride must be >= 1, got {self.stride}")
+        if not valid_seed(self.seed):
+            raise ConfigError(f"sampler seed must be a non-negative integer, got {self.seed!r}")
 
 
 def window_starts(usable_len: int, window_len: int, sampler: SamplerConfig,

@@ -70,6 +70,11 @@ def config_to_dict(config) -> dict:
     return {f.name: getattr(config, f.name) for f in fields(config)}
 
 
+def valid_seed(seed) -> bool:
+    """The one seed rule of run, sampler, model and checkpoint: a non-negative int or np.integer, not a bool."""
+    return not isinstance(seed, bool) and isinstance(seed, (int, np.integer)) and seed >= 0
+
+
 def float_overflows(value) -> bool:
     """Whether ``value`` is a JSON integer that ``float()`` cannot hold: such
     a number is refused, not rounded, so a resolved config repeats its input."""
@@ -196,10 +201,6 @@ class ParameterStore:
     def trainable(self) -> Iterator[tuple[str, Tensor]]:
         return ((n, t) for n, t in self._params.items() if t.requires_grad)
 
-    def grad(self, name: str) -> np.ndarray:
-        t = self._params[name]
-        return t.grad if t.grad is not None else np.zeros_like(t.data)
-
     def zero_grads(self) -> None:
         for t in self._params.values():
             t.zero_grad()
@@ -297,7 +298,7 @@ class UShapedTransformer:
         self.params = ParameterStore()
         if values is None:
             # default_rng(None) would draw from OS entropy, not reproducibly
-            if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            if not valid_seed(seed):
                 raise UsageError(f"model seed must be a non-negative integer, got {seed!r}; "
                                  f"a checkpoint's model is built by training.load_checkpoint")
             param_count(config)

@@ -6,10 +6,10 @@ convolution and the pointwise convolution over token-major
 ``(tokens, channels)`` sequences, ``layer_norm``, ``gelu``,
 ``add``/``sub``/``mul``, ``reshape``/``transpose``/``narrow`` and
 ``mean_all``, all on Tensor operands. ``matmul``, ``softmax_lastdim``,
-``neg``, ``sum_all`` and ``concat`` stay only for the gradient suite,
-``patch_merge_naive`` and the benchmark's tracer and smoke test. Scalars
-are 32-bit by default; build tensors with ``dtype=np.float64`` for gradient
-verification.
+``neg``, ``sum_all`` and ``concat`` serve only the gradient suite (which
+checks every op), ``patch_merge_naive`` and the benchmark's tracer and smoke
+test. Scalars are 32-bit by default; build tensors with ``dtype=np.float64``
+for gradient verification.
 
 Every forward op validates that its output is finite and raises
 ``NumericError`` naming the op otherwise, so instabilities surface where
@@ -29,10 +29,12 @@ Recording happens on an explicit :class:`GradTape`::
 
     with GradTape() as tape:
         loss = mean_all(mul(d, d))
-    tape.backward(loss)     # leaf .grad fields are populated
+    tape.backward(loss)     # sets .grad on each leaf the loss reaches
 
-One tape records per thread and tapes do not nest; ``backward`` takes only
-a loss its own tape recorded. Tapes on different threads are independent.
+A leaf the loss does not reach gets no gradient, not zeros: its ``grad``
+stays as it was. One tape records per thread and tapes do not nest;
+``backward`` takes only a loss its own tape recorded. Tapes on different
+threads are independent.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 class Tensor:
     """A row-major array of real scalars, optionally tracked for gradients.
 
-    ``grad`` is populated by ``GradTape.backward`` for leaf tensors with
-    ``requires_grad=True``; it accumulates additively until ``zero_grad``.
+    ``GradTape.backward`` sets ``grad`` on a ``requires_grad`` leaf that its
+    loss reaches; it accumulates additively until ``zero_grad``.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -148,47 +150,36 @@ class GradTape:
         return len(self._nodes)
 
     def backward(self, loss: Tensor) -> None:
-        """Populate ``grad`` on every requires_grad leaf recorded on this tape.
-
-        Leaves recorded but not reachable from ``loss`` receive zeros. A loss
-        that requires grad but that this tape did not record is a ``UsageError``.
+        """Add the gradient of ``loss`` to ``grad`` on every requires_grad leaf
+        it reaches on this tape; a leaf it does not reach keeps its ``grad`` as
+        it was, None after ``zero_grad``. A loss that requires grad but that
+        this tape did not record is a ``UsageError``.
         """
         if loss.size != 1:
             raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
         if self._consumed:
             raise UsageError("this tape was consumed by an earlier backward; record a new one")
         nodes = self._nodes
-        # leaves = requires_grad inputs that no recorded op produced
-        produced = {id(node.output) for node in nodes}
-        if loss.requires_grad and id(loss) not in produced:
+        if loss.requires_grad and id(loss) not in {id(node.output) for node in nodes}:
             raise UsageError("backward got a loss this tape did not record; "
                              "run its forward inside this tape's 'with' block")
         self._consumed = True
-        leaves: dict[int, Tensor] = {}
-        for node in nodes:
-            for tensor in node.inputs:
-                if tensor.requires_grad and id(tensor) not in produced:
-                    leaves[id(tensor)] = tensor
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        # (tensor, gradient) per id: each node pops its output's, leaving the reached leaves'
+        grads = {id(loss): (loss, np.ones_like(loss.data))} if loss.requires_grad else {}
         while nodes:
             node = nodes.pop()
-            g = grads.pop(id(node.output), None)
-            if g is None:
+            pair = grads.pop(id(node.output), None)
+            if pair is None:
                 continue
-            cotangents = node.vjp(g)
+            cotangents = node.vjp(pair[1])
             if len(cotangents) != len(node.inputs):
                 raise UsageError(f"VJP of op '{node.name}' returned {len(cotangents)} cotangents "
                                  f"for {len(node.inputs)} inputs")
             for tensor, contrib in zip(node.inputs, cotangents):
-                if contrib is None or not tensor.requires_grad:
-                    continue
-                key = id(tensor)
-                held = grads.get(key)
-                grads[key] = contrib if held is None else held + contrib
-        for key, tensor in leaves.items():
-            g = grads.pop(key, None)
-            if g is None:
-                g = np.zeros_like(tensor.data)
+                if contrib is not None and tensor.requires_grad:
+                    held = grads.get(id(tensor))
+                    grads[id(tensor)] = (tensor, contrib if held is None else held[1] + contrib)
+        for tensor, g in grads.values():
             tensor.grad = g if tensor.grad is None else tensor.grad + g
 
 
@@ -688,9 +679,8 @@ def finite_diff_check(
     if loss.size != 1:
         raise UsageError(f"finite_diff_check needs a scalar-valued fn, got shape {loss.shape}")
     tape.backward(loss)
-    analytic = {
-        name: (t.grad if t.grad is not None else np.zeros_like(t.data)).copy() for name, t in inputs.items()
-    }
+    # an input the loss does not reach holds no gradient: its central difference is 0
+    analytic = {name: np.zeros_like(t.data) if t.grad is None else t.grad.copy() for name, t in inputs.items()}
 
     rng = np.random.default_rng(seed)
     errors: dict[str, float] = {}

@@ -16,7 +16,8 @@ import numpy as np
 from . import data as D
 from . import tensor as T
 from .errors import CheckpointError, ConfigError, NumericError, UsageError
-from .model import ModelConfig, UShapedTransformer, config_from_dict, config_to_dict, param_count, param_layout
+from .model import (ModelConfig, UShapedTransformer, config_from_dict, config_to_dict, param_count, param_layout,
+                    valid_seed)
 from .tensor import GradTape, Tensor
 
 MAPE_FLOOR = 0.1
@@ -71,8 +72,9 @@ class Adam:
     """Adam with bias correction over the trainable entries of a
     ParameterStore. β1, β2 and ε are the constants ``ADAM_BETA1``,
     ``ADAM_BETA2`` and ``ADAM_EPS``; the learning rate is the one setting.
-    Frozen entries are never touched, whatever their gradients; they are
-    tape constants, so backward computes none for them.
+    A step updates the trainable entries that hold a gradient, as
+    ``torch.optim`` does: a frozen one is skipped whatever its gradient, and
+    one the loss did not reach keeps its parameter and moments.
 
     Moment state exists only for entries that have been updated, since
     freezing may change after construction; zero moments make a first
@@ -80,8 +82,8 @@ class Adam:
     ``ADAM_BLOCK`` scalars or more owns its ``m``/``v``. Smaller ones are
     packed, per dtype and in ``trainable()`` order, into packs of at most
     ``ADAM_BLOCK`` scalars whose moments are one ``(2, n)`` array, viewed
-    by ``m[name]`` and ``v[name]``; a change of the trainable set cuts the
-    packs again, and moments carry over."""
+    by ``m[name]`` and ``v[name]``; a change of the set of entries stepped
+    cuts the packs again, and moments carry over."""
 
     def __init__(self, params, lr: float):
         self.params = params
@@ -92,15 +94,15 @@ class Adam:
         # per dtype: rows for the step, the divisor (then a pack's parameters)
         # and a pack's gradients
         self._scratch: dict[np.dtype, np.ndarray] = {}
-        # the trainable names the packs were cut for; per pack, its entries'
+        # the names of the entries the packs were cut for; per pack, its entries'
         # indices, its moments and each parameter's slice of the second row
         self._packed, self._packs = None, []
 
     def step(self) -> None:
-        """Update every trainable entry, or none: every gradient is checked
-        for finiteness and shape, and every parameter for writable
-        C-contiguous data, before any parameter, moment or step count
-        changes.
+        """Update every trainable entry that holds a gradient, or none: each
+        such gradient is checked for finiteness and shape, and its parameter
+        for writable C-contiguous data, before any parameter, moment or step
+        count changes.
 
         A large entry is updated in place, ``ADAM_BLOCK`` elements at a
         time; a pack is gathered into scratch rows, updated as one block and
@@ -108,7 +110,7 @@ class Adam:
         array the size of a parameter. The float operations and their order
         are those of ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
         ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``: every bit matches."""
-        entries = [(name, p, self.params.grad(name)) for name, p in self.params.trainable()]
+        entries = [(name, p, p.grad) for name, p in self.params.trainable() if p.grad is not None]
         for name, p, g in entries:
             if not T.all_finite(g):
                 raise NumericError(f"non-finite gradient for parameter '{name}'")
@@ -294,7 +296,7 @@ def pretrain_epoch(model: UShapedTransformer, frames: dict, sampler: D.SamplerCo
                    optimizer: Adam, steps: int, rng: np.random.Generator,
                    epoch: int = 0, report: TrainReport | None = None) -> TrainReport:
     """Masked-reconstruction epoch: full-length windows, zero-masked patches,
-    MSE against the unmasked source over all patches, updates to everything."""
+    MSE against the unmasked source over all patches, updates to all but ``head.forecast``."""
     cfg = model.config
 
     def step_loss(x, _):
@@ -310,7 +312,7 @@ def finetune_epoch(model: UShapedTransformer, frames: dict, sampler: D.SamplerCo
                    optimizer: Adam, steps: int, rng: np.random.Generator,
                    epoch: int = 0, report: TrainReport | None = None) -> TrainReport:
     """Forecast epoch over a frozen backbone: lookback windows padded with
-    last-value repeats, MSE against the normalized horizon, head-only updates."""
+    last-value repeats, MSE against the normalized horizon, updates to ``head.forecast`` only."""
     unfrozen = [n for n in model.backbone_names() if not model.params.frozen(n)]
     if unfrozen:
         raise ConfigError(f"finetune requires a frozen backbone; unfrozen: {unfrozen[:4]}")
@@ -456,7 +458,7 @@ def save_checkpoint(model: UShapedTransformer, path, seed: int = 0) -> None:
     Each parameter is written straight from its array (a float32 one without
     a copy), so a save never holds a second copy of the parameters. A seed
     the loader would refuse raises ``UsageError`` before ``path`` is opened."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not valid_seed(seed):
         raise UsageError(f"checkpoint seed must be a non-negative integer, got {seed!r}")
     manifest = {
         "format_version": CHECKPOINT_VERSION,
@@ -520,7 +522,7 @@ def _read_manifest(fh, size: int, path) -> tuple[dict, ModelConfig, int]:
     missing = [f for f in _MANIFEST_FIELDS if f not in manifest]
     if missing:
         raise CheckpointError(f"{path}: manifest is missing fields: {missing}")
-    if not (type(manifest["seed"]) is int and manifest["seed"] >= 0):
+    if not valid_seed(manifest["seed"]):
         raise CheckpointError(f"{path}: manifest field 'seed' must be a non-negative integer, "
                               f"got {manifest['seed']!r}")
     try:

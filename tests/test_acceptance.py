@@ -263,7 +263,7 @@ def test_criterion_09_bitwise_deterministic_runs(tmp_path):
 
 
 def test_criterion_10_multi_horizon_eval_protocol(tmp_path):
-    # the standard long-horizon comparison: model and trained linear baseline
+    # the standard long-horizon comparison: model and least-squares linear fit
     # scored at 96/192/336/720 on a multivariate hourly-style dataset
     with criterion(10, "multi-horizon evaluation protocol") as detail:
         rng = np.random.default_rng(0)

@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from utsf.cli import RunConfig, build_parser, main
-from utsf.data import (load_csv_dataset, make_sine_frame, normalize_sample,
+from utsf.data import (SamplerConfig, load_csv_dataset, make_sine_frame, normalize_sample,
                        save_csv_dataset)
-from utsf.errors import CheckpointError
-from utsf.model import ModelConfig, UShapedTransformer, preset
-from utsf.training import apply_checkpoint, save_checkpoint
+from utsf.errors import CheckpointError, ConfigError, UsageError
+from utsf.model import ModelConfig, UShapedTransformer, preset, valid_seed
+from utsf.training import apply_checkpoint, load_checkpoint, save_checkpoint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -212,6 +212,17 @@ def test_eval_rejects_out_of_range_horizon(workspace):
     assert run_cli("eval", "--config", workspace / "run.json",
                    "--out", workspace / "ev4", "--stub", "oracle",
                    "--horizons", "999") == 2
+
+
+@pytest.mark.parametrize("raw, named", [("", "''"), (" ", "' '"), ("8,,16", "'8,,16'"), ("8,", "'8,'"),
+                                        ("8,8,16", "'8,8,16': horizon 8 is repeated"),
+                                        ("16,8,16", "'16,8,16': horizon 16 is repeated")])
+def test_eval_refuses_an_empty_or_repeated_horizon(workspace, capsys, raw, named):
+    # an empty item was skipped, "" meant the default and a repeat was scored twice
+    assert run_cli("eval", "--config", workspace / "run.json", "--out", workspace / "ev6",
+                   "--stub", "oracle", "--horizons", raw) == 2
+    assert f"bad --horizons value {named}" in capsys.readouterr().err
+    assert not (workspace / "ev6" / "metrics.csv").exists()
 
 
 def test_forecast_csv_and_denormalize_relation(workspace):
@@ -623,6 +634,32 @@ def test_seed_override_reaches_the_window_jitter(workspace, capsys):
     err = capsys.readouterr().err
     assert "7" in err and "4" in err and "sampler" in err
     assert not (workspace / "x" / "resolved_config.json").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_every_seed_site_refuses_what_valid_seed_refuses(workspace, seed):
+    # one rule, each site with its own error: a sampler seed used to reach
+    # numpy unchecked, and the run and manifest refused numpy integers
+    assert not valid_seed(seed) and valid_seed(np.int64(3))
+    with pytest.raises(ConfigError, match=f"^sampler seed must be a non-negative integer, got {seed!r}$"):
+        SamplerConfig(stride=4, seed=seed)
+    with pytest.raises(UsageError, match="^model seed must be a non-negative integer"):
+        UShapedTransformer(preset("tiny"), seed=seed)
+    model = UShapedTransformer(preset("tiny"), seed=0)
+    with pytest.raises(UsageError, match="^checkpoint seed must be a non-negative integer"):
+        save_checkpoint(model, workspace / "ck.bin", seed=seed)
+    run = json.loads((workspace / "run.json").read_text())
+    (workspace / "bad.json").write_text(json.dumps({**run, "seed": seed}))
+    with pytest.raises(ConfigError, match="^seed must be a non-negative integer"):
+        RunConfig.load(workspace / "bad.json")
+    save_checkpoint(model, workspace / "ck.bin", seed=0)
+    raw = (workspace / "ck.bin").read_bytes()
+    (mlen,) = struct.unpack("<Q", raw[:8])
+    manifest = json.loads(raw[8:8 + mlen])
+    mjson = json.dumps({**manifest, "seed": seed}).encode()
+    (workspace / "ck.bin").write_bytes(struct.pack("<Q", len(mjson)) + mjson + raw[8 + mlen:])
+    with pytest.raises(CheckpointError, match="manifest field 'seed' must be a non-negative integer"):
+        load_checkpoint(workspace / "ck.bin")
 
 
 def test_shipped_run_configs_load():

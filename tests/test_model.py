@@ -96,7 +96,6 @@ def test_parameter_store_contracts():
     assert store.frozen("a") and not store.frozen("b")
     assert not a.requires_grad  # frozen is the tensor's own flag, not a second one
     assert [n for n, _ in store.trainable()] == ["b"]
-    assert np.array_equal(store.grad("b"), np.zeros((2, 2)))  # grads default to zeros
     store.set_frozen("a", False)
     assert a.requires_grad and not store.frozen("a")
     assert [n for n, _ in store.trainable()] == ["a", "b"]

@@ -1,5 +1,7 @@
 """Tensor op semantics, tape behavior, and gradient verification."""
 
+import inspect
+import re
 import threading
 import warnings
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from utsf import tensor as T
+from utsf.cli import run_gradient_suite
 from utsf.errors import DimensionError, NumericError, UsageError
 from utsf.tensor import GradTape, Tensor, finite_diff_check, record_op
 
@@ -514,14 +517,18 @@ def test_backward_sum_of_squares():
     assert np.allclose(x.grad, 2.0 * x.data, atol=1e-12)
 
 
-def test_backward_unreachable_leaf_gets_zeros():
+def test_backward_leaves_an_unreached_leaf_grad_as_it_was():
     x = Tensor(np.ones(3, dtype=F64), requires_grad=True)
     off_path = Tensor(np.ones(4, dtype=F64), requires_grad=True)
+    held = Tensor(np.ones(2, dtype=F64), requires_grad=True)
+    held.grad = np.full(2, 5.0)
     with GradTape() as tape:
         T.sum_all(off_path)  # recorded, but not part of the loss
+        T.sum_all(held)
         loss = T.sum_all(x)
     tape.backward(loss)
-    assert np.array_equal(off_path.grad, np.zeros(4))
+    assert off_path.grad is None  # no gradient, not a gradient of zeros
+    assert np.array_equal(held.grad, [5.0, 5.0])
     assert np.array_equal(x.grad, np.ones(3))
 
 
@@ -550,7 +557,7 @@ def test_backward_consumes_its_tape():
 
 def test_tapes_do_not_nest_and_threads_record_apart():
     # x^4 at x = 3: a nested tape would take the ops recorded while it is open
-    # away from the outer one, whose gradient would then be a silent 0, not 108
+    # away from the outer one, which would then give x no gradient, not 108
     x = Tensor(np.array([3.0]), requires_grad=True, dtype=F64)
     z = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=F64)
 
@@ -576,7 +583,7 @@ def test_tapes_do_not_nest_and_threads_record_apart():
 
 
 def test_backward_refuses_a_loss_its_tape_did_not_record():
-    # each mistake would otherwise leave every leaf at a silent zero gradient
+    # each mistake would otherwise leave every leaf silently without a gradient
     x = Tensor(np.array([1.0, -2.0]), requires_grad=True, dtype=F64)
     untaped = T.sum_all(T.mul(x, x))
     with GradTape():
@@ -589,13 +596,13 @@ def test_backward_refuses_a_loss_its_tape_did_not_record():
     assert x.grad is None
     tape.backward(loss)  # a refused loss leaves the tape unconsumed
     assert np.array_equal(x.grad, [1.0, 1.0])
-    # a constant loss is not an error: every leaf gets zeros
+    # a constant loss is not an error: it reaches no leaf, so none gets a gradient
     x.zero_grad()
     with GradTape() as tape:
         T.mul(x, x)
         constant = T.sum_all(Tensor(np.ones(2), dtype=F64))
     tape.backward(constant)
-    assert np.array_equal(x.grad, [0.0, 0.0])
+    assert x.grad is None
 
 
 def test_backward_rejects_non_scalar():
@@ -608,7 +615,7 @@ def test_backward_rejects_non_scalar():
 
 def test_backward_names_an_op_whose_vjp_returns_the_wrong_cotangent_count():
     # a VJP passed to record_op that drops a cotangent would otherwise leave
-    # the inputs past the end of its tuple at a silent zero gradient
+    # the inputs past the end of its tuple silently without a gradient
     x = Tensor(np.ones(3), requires_grad=True, dtype=F64)
     y = Tensor(np.ones(3), requires_grad=True, dtype=F64)
     for vjp, count in ((lambda g: (g,), 1), (lambda g: (g, g, g), 3)):
@@ -664,6 +671,8 @@ def _fd_cases(rng, dtype):
         "gelu": (lambda i: sq(T.gelu(i["x"])), {"x": t(3, 4)}),
         "add_bcast": (lambda i: sq(T.add(i["a"], i["b"])), {"a": t(3, 4), "b": t(4)}),
         "sub": (lambda i: sq(T.sub(i["a"], i["b"])), {"a": t(2, 3), "b": t(2, 3)}),
+        "neg": (lambda i: sq(T.neg(i["x"])), {"x": t(2, 3)}),
+        "sum_all": (lambda i: sq(T.mul(i["a"], T.sum_all(i["x"]))), {"a": t(4), "x": t(3, 2)}),
         "mul_bcast": (lambda i: sq(T.mul(i["a"], i["b"])), {"a": t(3, 4), "b": t(1, 4)}),
         "narrow": (lambda i: sq(T.narrow(i["x"], 1, 1, 3)), {"x": t(2, 5)}),
         "concat": (lambda i: sq(T.concat([i["a"], i["b"]], 0)), {"a": t(2, 3), "b": t(1, 3)}),
@@ -686,6 +695,22 @@ def test_every_op_passes_finite_differences_f32():
         for name, (fn, inputs) in _fd_cases(rng, F32).items():
             rep = finite_diff_check(fn, inputs, tolerance=1e-3)
             assert rep.passed, f"{name} seed {seed}: {rep}"
+
+
+def test_the_gradient_suite_checks_every_tape_op(monkeypatch):
+    # an op recorded under a name no case reaches is one whose VJP nothing checks
+    defined = set(re.findall(r'record_op\(\s*"(\w+)"', inspect.getsource(T)))
+    assert len(defined) >= 18, sorted(defined)
+    checked = set()
+    record = T.record_op
+
+    def collecting_record_op(name, *args):
+        checked.add(name)
+        return record(name, *args)
+
+    monkeypatch.setattr(T, "record_op", collecting_record_op)
+    assert run_gradient_suite(n_seeds=1, log=lambda *_: None)
+    assert not defined - checked, f"ops without a gradient case: {sorted(defined - checked)}"
 
 
 def test_finite_diff_exact_for_linear_map():

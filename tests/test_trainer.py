@@ -88,8 +88,10 @@ def test_adam_zero_grad_is_noop():
     before = w.data.tobytes()
     opt = Adam(store, lr=0.5)
     for _ in range(3):
+        w.grad = np.zeros(2, dtype=np.float32)  # a gradient of zeros is stepped, and moves nothing
         opt.step()
     assert w.data.tobytes() == before
+    assert not opt.m["w"].any() and not opt.v["w"].any()
 
 
 def test_adam_skips_frozen_parameters():
@@ -131,6 +133,50 @@ def test_adam_rejects_non_finite_gradient():
     for n, p in store.items():
         data, m, v = state[n]
         assert np.array_equal(p.data, data) and np.array_equal(opt.m[n], m) and np.array_equal(opt.v[n], v), n
+
+
+def test_adam_keeps_an_entry_without_a_gradient_as_it_was():
+    # "b" is stepped, then reached by no loss: its parameter and moments stay
+    # through the steps it holds no gradient, and it resumes from them
+    store = ParameterStore()
+    a = store.add("a", Tensor(np.ones(3, dtype=np.float32)))
+    b = store.add("b", Tensor(np.ones(2, dtype=np.float32)))
+    opt = Adam(store, lr=0.1)
+    a.grad = np.array([1.0, -1.0, 0.5], dtype=np.float32)
+    b.grad = np.array([2.0, -0.5], dtype=np.float32)
+    opt.step()
+    kept = (b.data.copy(), opt.m["b"].copy(), opt.v["b"].copy())
+    for _ in range(2):
+        store.zero_grads()
+        a.grad = np.array([0.5, 0.5, -2.0], dtype=np.float32)
+        opt.step()
+        assert all(np.array_equal(x, y) for x, y in zip((b.data, opt.m["b"], opt.v["b"]), kept))
+    assert opt.t == 3
+    b.grad = np.array([1.0, 1.0], dtype=np.float32)
+    opt.step()
+    m = np.float32(0.9) * kept[1] + np.float32(0.1) * b.grad
+    assert opt.m["b"] == pytest.approx(m, rel=1e-6)
+
+
+def test_a_head_the_loss_does_not_reach_gets_no_gradient_and_no_update():
+    # masked pretraining reaches head.recon only, forecast finetuning
+    # head.forecast only: the other head is neither given zeros nor stepped
+    model, frames = tiny_model(seed=1), sine_frames()
+    for phase, unreached, epoch in (("pretrain", "head.forecast.", pretrain_epoch),
+                                    ("finetune", "head.recon.", finetune_epoch)):
+        if phase == "finetune":
+            model.freeze_backbone()
+        names = [n for n in model.params.names() if n.startswith(unreached)]
+        before = {n: model.params[n].data.tobytes() for n in names}
+        opt = Adam(model.params, lr=1e-3)
+        epoch(model, frames, SAMPLER, opt, 1, np.random.default_rng(0))
+        assert opt.t == 1 and opt.m, phase
+        for n in names:
+            assert model.params[n].grad is None, (phase, n)
+            assert n not in opt.m and n not in opt.v, (phase, n)
+            assert model.params[n].data.tobytes() == before[n], (phase, n)
+        stepped = {n for n, p in model.params.trainable() if p.grad is not None}
+        assert set(opt.m) == set(opt.v) == stepped, phase
 
 
 @pytest.mark.parametrize("dtype, big", [(np.float32, 1e18), (np.float64, 1e153)])
@@ -215,19 +261,21 @@ def test_adam_blocked_update_is_bitwise_the_whole_array_update(dtype):
 
 def test_adam_refuses_a_read_only_parameter_before_it_changes_anything(tmp_path):
     # a loaded model trains; a parameter that later turns read-only stops the
-    # whole step, even when it is the last one
+    # whole step, even when it is the last one stepped
     save_checkpoint(tiny_model(seed=3), tmp_path / "ck.bin")
     model, _ = load_checkpoint(tmp_path / "ck.bin")
     opt = Adam(model.params, lr=1e-3)
     pretrain_epoch(model, sine_frames(), SAMPLER, opt, 1, np.random.default_rng(0))
-    last, p = list(model.params.trainable())[-1]
+    last, p = [(n, q) for n, q in model.params.trainable() if q.grad is not None][-1]
+    assert last == "head.recon.b"  # pretraining does not reach head.forecast
     p.data.flags.writeable = False
-    state = {n: (q.data.copy(), opt.m[n].copy(), opt.v[n].copy()) for n, q in model.params.items()}
+    state = {n: (model.params[n].data.copy(), opt.m[n].copy(), opt.v[n].copy()) for n in opt.m}
     with pytest.raises(UsageError, match=f"'{last}' is not writable"):
         opt.step()
-    assert opt.t == 1
-    for n, q in model.params.items():
-        assert all(np.array_equal(a, b) for a, b in zip((q.data, opt.m[n], opt.v[n]), state[n])), n
+    assert opt.t == 1 and set(opt.m) == set(state)
+    for n in opt.m:
+        got =(model.params[n].data, opt.m[n], opt.v[n])
+        assert all(np.array_equal(a, b) for a, b in zip(got, state[n])), n
     p.data.flags.writeable = True
     p.grad = np.zeros(1, p.dtype)
     with pytest.raises(UsageError, match=f"gradient of parameter '{last}' has shape"):
