@@ -359,10 +359,7 @@ def build_model_input(windows, config: ModelConfig) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] < 1:
         raise UsageError(f"input windows must be a non-empty (B, length) array, got shape {arr.shape}")
     pad = np.repeat(arr[:, -1:], config.horizon_len, axis=1)
-    padded = np.concatenate([arr, pad], axis=1)
-    if padded.shape[1] == config.model_len:
-        return padded
-    return T.adaptive_avg_pool1d(padded, config.model_len)
+    return T.adaptive_avg_pool1d(np.concatenate([arr, pad], axis=1), config.model_len)
 
 
 def zero_mask_patches(n_patches: int, mask_ratio: float, rng: np.random.Generator) -> np.ndarray:

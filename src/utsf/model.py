@@ -37,13 +37,12 @@ MAX_PARAMS = 2 ** 31
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
 
-def config_from_dict(cls, raw, section: str, base=None):
+def config_from_dict(cls, raw, section: str):
     """Build the config dataclass ``cls`` from a JSON object.
 
     Unknown keys, missing required keys, values whose JSON type does not
     match the field's annotation and integers too large for a float field
-    raise ``ConfigError``; the dataclass then checks ranges. With ``base``,
-    the given keys override that instance's fields.
+    raise ``ConfigError``; the dataclass then checks ranges.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{section} config must be a JSON object, got {type(raw).__name__}")
@@ -56,8 +55,6 @@ def config_from_dict(cls, raw, section: str, base=None):
             raise ConfigError(f"{section} config '{key}' must be {types[key]}, got {value!r}")
         if types[key] == "float" and float_overflows(value):
             raise ConfigError(f"{section} config '{key}' is an integer too large for a float")
-    if base is not None:
-        return replace(base, **raw)
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
     if missing:
         raise ConfigError(f"{section} config is missing required keys: {missing}")
@@ -132,7 +129,8 @@ class ModelConfig:
             raise ConfigError(f"model config must be a JSON object, got {type(raw).__name__}")
         raw = dict(raw)
         name = raw.pop("preset", None)
-        return config_from_dict(cls, raw, "model", None if name is None else preset(name))
+        base = {} if name is None else config_to_dict(preset(name))
+        return config_from_dict(cls, {**base, **raw}, "model")
 
 
 _PRESETS = {
@@ -166,9 +164,10 @@ class ParameterStore:
     """Named learnable tensors; a tensor's ``requires_grad`` is its trainability.
 
     Iteration order is insertion order, which is the checkpoint payload
-    order. A frozen parameter is a tensor that does not require a gradient:
-    ops whose inputs are all frozen or constant are never recorded on the
-    tape, so no gradient is computed for it and the optimizer skips it.
+    order. ``add`` sets the flag, freezing clears it on the tensor itself
+    and ``frozen`` reads it. Ops whose inputs are all frozen or constant are
+    never recorded on the tape, so no gradient is computed for a frozen
+    parameter, and the optimizer skips it whatever its ``grad``.
     """
 
     def __init__(self):
@@ -192,14 +191,6 @@ class ParameterStore:
 
     def frozen(self, name: str) -> bool:
         return not self._params[name].requires_grad
-
-    def set_frozen(self, name: str, flag: bool) -> None:
-        if name not in self._params:
-            raise UsageError(f"no parameter '{name}'")
-        self._params[name].requires_grad = not flag
-
-    def trainable(self) -> Iterator[tuple[str, Tensor]]:
-        return ((n, t) for n, t in self._params.items() if t.requires_grad)
 
     def zero_grads(self) -> None:
         for t in self._params.values():
@@ -315,8 +306,8 @@ class UShapedTransformer:
         return [n for n in self.params.names() if not n.startswith(self.HEAD_PREFIX)]
 
     def freeze_backbone(self) -> None:
-        for name in self.params.names():
-            self.params.set_frozen(name, not name.startswith(self.HEAD_PREFIX))
+        for name, p in self.params.items():
+            p.requires_grad = name.startswith(self.HEAD_PREFIX)
 
     # -- forward pieces ------------------------------------------------------
 

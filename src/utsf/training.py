@@ -8,7 +8,6 @@ import json
 import math
 import os
 import struct
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,18 +68,18 @@ def compute_metrics(pred, truth) -> dict:
 
 
 class Adam:
-    """Adam with bias correction over the trainable entries of a
-    ParameterStore. β1, β2 and ε are the constants ``ADAM_BETA1``,
-    ``ADAM_BETA2`` and ``ADAM_EPS``; the learning rate is the one setting.
-    A step updates the trainable entries that hold a gradient, as
-    ``torch.optim`` does: a frozen one is skipped whatever its gradient, and
-    one the loss did not reach keeps its parameter and moments.
+    """Adam with bias correction over the entries of a ParameterStore.
+    β1, β2 and ε are the constants ``ADAM_BETA1``, ``ADAM_BETA2`` and
+    ``ADAM_EPS``; the learning rate is the one setting. A step updates the
+    entries that require a gradient and hold one, as ``torch.optim`` does: a
+    frozen one is skipped whatever its gradient, and one the loss did not
+    reach keeps its parameter and moments.
 
     Moment state exists only for entries that have been updated, since
     freezing may change after construction; zero moments make a first
     update identical to one from state allocated up front. An entry of
     ``ADAM_BLOCK`` scalars or more owns its ``m``/``v``. Smaller ones are
-    packed, per dtype and in ``trainable()`` order, into packs of at most
+    packed, per dtype and in ``items()`` order, into packs of at most
     ``ADAM_BLOCK`` scalars whose moments are one ``(2, n)`` array, viewed
     by ``m[name]`` and ``v[name]``; a change of the set of entries stepped
     cuts the packs again, and moments carry over."""
@@ -91,26 +90,26 @@ class Adam:
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        # per dtype: rows for the step, the divisor (then a pack's parameters)
-        # and a pack's gradients
+        # per dtype: rows for the step, the divisor and a pack's gradients
         self._scratch: dict[np.dtype, np.ndarray] = {}
         # the names of the entries the packs were cut for; per pack, its entries'
-        # indices, its moments and each parameter's slice of the second row
+        # indices, its moments and each parameter's slice of the step row
         self._packed, self._packs = None, []
 
     def step(self) -> None:
-        """Update every trainable entry that holds a gradient, or none: each
-        such gradient is checked for finiteness and shape, and its parameter
-        for writable C-contiguous data, before any parameter, moment or step
-        count changes.
+        """Update every entry that requires a gradient and holds one, or
+        none: each such gradient is checked for finiteness and shape, and its
+        parameter for writable C-contiguous data, before any parameter,
+        moment or step count changes.
 
         A large entry is updated in place, ``ADAM_BLOCK`` elements at a
-        time; a pack is gathered into scratch rows, updated as one block and
-        copied back into each parameter's own array. So a step allocates no
-        array the size of a parameter. The float operations and their order
-        are those of ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+        time. A pack's gradients are gathered into a scratch row, its moments
+        are updated as one block, and each parameter subtracts its slice of
+        the step in place. So a step allocates no array the size of a
+        parameter. The float operations and their order are those of
+        ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
         ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``: every bit matches."""
-        entries = [(name, p, p.grad) for name, p in self.params.trainable() if p.grad is not None]
+        entries = [(name, p, p.grad) for name, p in self.params.items() if p.requires_grad and p.grad is not None]
         for name, p, g in entries:
             if not T.all_finite(g):
                 raise NumericError(f"non-finite gradient for parameter '{name}'")
@@ -138,10 +137,8 @@ class Adam:
             # axis=None reads each gradient in C order, an F-ordered one too
             np.concatenate([entries[i][2] for i in idx], axis=None, out=g)
             _adam_block(mv[0], mv[1], g, a, b, consts[mv.dtype])
-            np.concatenate([entries[i][1].data for i in idx], axis=None, out=b)
-            b -= a
             for i, piece in zip(idx, pieces):
-                np.copyto(entries[i][1].data, piece)
+                entries[i][1].data -= piece
 
     def _constants(self, dtype) -> tuple:
         """The update's scalars as 0-d arrays of ``dtype``: a ufunc call costs
@@ -176,7 +173,7 @@ class Adam:
                 if name in self.m:
                     mv[:, lo:hi] = self.m[name].reshape(-1), self.v[name].reshape(-1)
                 self.m[name], self.v[name] = (mv[k, lo:hi].reshape(p.shape) for k in (0, 1))
-                pieces.append(self._scratch[dtype][1, lo:hi].reshape(p.shape))
+                pieces.append(self._scratch[dtype][0, lo:hi].reshape(p.shape))
                 lo = hi
             self._packs.append((idx, mv, pieces))
 
@@ -202,23 +199,19 @@ def _adam_block(m, v, g, a, b, consts) -> None:
 class TrainReport:
     """Per-step and per-epoch loss series.
 
-    Wall-clock is kept in memory for logging but never serialized, so two
-    runs with one seed emit byte-identical files.
+    It holds no clock, so two runs with one seed emit byte-identical files;
+    the CLI logs each epoch's time to stderr.
     """
 
     def __init__(self):
         self.steps: list[float] = []
         self.epoch_means: list[float] = []
-        self.wall_clock: list[float] = []
 
     def add_step(self, loss: float) -> None:
         self.steps.append(float(loss))
 
-    def close_epoch(self, n_steps: int, seconds: float) -> float:
-        mean = float(np.mean(self.steps[-n_steps:]))
-        self.epoch_means.append(mean)
-        self.wall_clock.append(seconds)
-        return mean
+    def close_epoch(self, n_steps: int) -> None:
+        self.epoch_means.append(float(np.mean(self.steps[-n_steps:])))
 
     def loss_csv_text(self) -> str:
         lines = ["step,loss"]
@@ -270,7 +263,6 @@ def _draw_window_epoch(phase: str, step_loss, optimizer: Adam, frames: dict,
     report = report if report is not None else TrainReport()
     table = _window_table(frames, lookback_len + horizon_len, sampler, epoch)
     counts = [(ds_id, len(table[ds_id])) for ds_id in sorted(table)]
-    t0 = time.perf_counter()
     for step in range(steps):
         ds_id = D.weighted_sample(counts, rng)
         frame = frames[ds_id]
@@ -288,7 +280,7 @@ def _draw_window_epoch(phase: str, step_loss, optimizer: Adam, frames: dict,
         except NumericError as e:
             raise NumericError(f"{phase} aborted at epoch {epoch}, step {step} (dataset {ds_id}, "
                                f"channel {channel}, start {start}): {e}") from e
-    report.close_epoch(steps, time.perf_counter() - t0)
+    report.close_epoch(steps)
     return report
 
 

@@ -92,13 +92,13 @@ def test_parameter_store_contracts():
     store.add("b", Tensor(np.zeros((2, 2))))
     assert store.names() == ["a", "b"]
     assert sum(t.size for _, t in store.items()) == 7
-    store.set_frozen("a", True)
+    a.requires_grad = False
     assert store.frozen("a") and not store.frozen("b")
     assert not a.requires_grad  # frozen is the tensor's own flag, not a second one
-    assert [n for n, _ in store.trainable()] == ["b"]
-    store.set_frozen("a", False)
+    assert [n for n, t in store.items() if t.requires_grad] == ["b"]
+    a.requires_grad = True
     assert a.requires_grad and not store.frozen("a")
-    assert [n for n, _ in store.trainable()] == ["a", "b"]
+    assert [n for n, t in store.items() if t.requires_grad] == ["a", "b"]
 
 
 def test_param_layout_is_the_built_model_and_is_lazy():

@@ -1,6 +1,7 @@
 """Optimization loops, metrics, evaluation harness, checkpoints."""
 
 import hashlib
+import inspect
 import json
 import struct
 import tracemalloc
@@ -98,7 +99,7 @@ def test_adam_skips_frozen_parameters():
     store = ParameterStore()
     a = store.add("a", Tensor(np.ones(4, dtype=np.float32)))
     b = store.add("b", Tensor(np.ones(4, dtype=np.float32)))
-    store.set_frozen("a", True)
+    a.requires_grad = False
     a.grad = np.ones(4, dtype=np.float32)
     b.grad = np.ones(4, dtype=np.float32)
     opt = Adam(store, lr=0.1)
@@ -109,7 +110,7 @@ def test_adam_skips_frozen_parameters():
     assert "a" not in opt.m and "a" not in opt.v
     assert opt.m["b"].shape == opt.v["b"].shape == (4,)
     # unfrozen later, it starts from zero moments under the shared step count
-    store.set_frozen("a", False)
+    a.requires_grad = True
     opt.step()
     c1, c2 = 1.0 - 0.9 ** 2, 1.0 - 0.999 ** 2
     step = np.float32(0.1 * (0.1 / c1) / (np.sqrt(0.001 / c2) + 1e-8))
@@ -175,7 +176,7 @@ def test_a_head_the_loss_does_not_reach_gets_no_gradient_and_no_update():
             assert model.params[n].grad is None, (phase, n)
             assert n not in opt.m and n not in opt.v, (phase, n)
             assert model.params[n].data.tobytes() == before[n], (phase, n)
-        stepped = {n for n, p in model.params.trainable() if p.grad is not None}
+        stepped = {n for n, p in model.params.items() if p.requires_grad and p.grad is not None}
         assert set(opt.m) == set(opt.v) == stepped, phase
 
 
@@ -217,7 +218,7 @@ def _unblocked_adam_step(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adam_blocked_update_is_bitwise_the_whole_array_update(dtype):
-    # entries under ADAM_BLOCK scalars are packed in trainable order: 32,768
+    # entries under ADAM_BLOCK scalars are packed in items() order: 32,768
     # twice fills a pack exactly, 65,535 and 1 fill the next, 7 starts a third.
     # The steps cross the points where a bias correction rounds to 1 (c1 at
     # t = 165 in float32 and 356 in float64, c2 at 17,321 and 37,412), with
@@ -232,15 +233,15 @@ def test_adam_blocked_update_is_bitwise_the_whole_array_update(dtype):
     store = ParameterStore()
     for name, shape in shapes.items():
         store.add(name, Tensor(rng.standard_normal(shape), dtype=dtype))
-    store.set_frozen("late", True)
+    store["late"].requires_grad = False
     ref = {name: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)) for name, p in store.items()}
     updated = set()
     opt = Adam(store, lr=3e-3)
     for t in (1, 2, 3, 164, 165, 166, 355, 356, 357, 17320, 17321, 17322, 37411, 37412, 37413):
         if t == 164:
-            store.set_frozen("n7", True)
-            store.set_frozen("late", False)
-        for name, p in store.trainable():
+            store["n7"].requires_grad = False
+            store["late"].requires_grad = True
+        for name, p in [(n, q) for n, q in store.items() if q.requires_grad]:
             g = rng.standard_normal(p.shape[::-1]).T if name in fortran else rng.standard_normal(p.shape)
             p.grad = g.astype(dtype, order="K")
             data, m, v = ref[name]
@@ -266,7 +267,7 @@ def test_adam_refuses_a_read_only_parameter_before_it_changes_anything(tmp_path)
     model, _ = load_checkpoint(tmp_path / "ck.bin")
     opt = Adam(model.params, lr=1e-3)
     pretrain_epoch(model, sine_frames(), SAMPLER, opt, 1, np.random.default_rng(0))
-    last, p = [(n, q) for n, q in model.params.trainable() if q.grad is not None][-1]
+    last, p = [(n, q) for n, q in model.params.items() if q.requires_grad and q.grad is not None][-1]
     assert last == "head.recon.b"  # pretraining does not reach head.forecast
     p.data.flags.writeable = False
     state = {n: (model.params[n].data.copy(), opt.m[n].copy(), opt.v[n].copy()) for n in opt.m}
@@ -353,7 +354,7 @@ def test_report_csv_and_summary():
     rep = TrainReport()
     for loss in (0.5, 0.25):
         rep.add_step(loss)
-    rep.close_epoch(2, 1.23)
+    rep.close_epoch(2)
     lines = rep.loss_csv_text().splitlines()
     assert lines[0] == "step,loss"
     assert lines[1] == "0,5.00000000e-01"
@@ -361,8 +362,15 @@ def test_report_csv_and_summary():
     s = rep.summary()
     assert s["n_steps"] == 2 and s["final_loss"] == 0.25
     assert s["epoch_mean_loss"] == [pytest.approx(0.375)]
-    parsed = json.loads(rep.json_text())
-    assert "wall_clock" not in json.dumps(parsed)  # timing never serialized
+    assert json.loads(rep.json_text()) == s
+    assert set(vars(rep)) == {"steps", "epoch_means"}  # a report keeps no clock
+
+
+def test_training_reads_no_clock():
+    # each epoch's time is the CLI's stderr line; nothing the training code
+    # keeps or writes can depend on one
+    assert "time" not in vars(utsf.training)
+    assert "perf_counter" not in inspect.getsource(utsf.training)
 
 
 # ---------------------------------------------------------------------------
