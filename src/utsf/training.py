@@ -465,16 +465,21 @@ def save_checkpoint(model: UShapedTransformer, path, seed: int = 0) -> None:
             fh.write(np.ascontiguousarray(p.data, dtype="<f4"))
 
 
-def _parse_checkpoint(path) -> tuple[dict, ModelConfig, np.ndarray]:
+def _parse_checkpoint(path, expected: ModelConfig | None) -> tuple[dict, ModelConfig, np.ndarray]:
     """Validate a checkpoint file and read its payload into one float32
-    buffer. Sizes are checked against the file's before anything is read:
-    the manifest length before the manifest, and the payload the manifest
-    implies before the buffer is allocated."""
+    buffer. Sizes are checked against the file's before anything is read, and
+    the model config against ``expected``, if given, by its first differing
+    field; both before the payload buffer is allocated."""
     try:
         D.require_regular_file(path)
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             manifest, config, count = _read_manifest(fh, size, path)
+            if expected is not None:
+                ours, theirs = config_to_dict(expected), config_to_dict(config)
+                if key := next((k for k in ours if ours[k] != theirs[k]), None):
+                    raise CheckpointError(f"{path}: checkpoint model config '{key}' is {theirs[key]!r}, "
+                                          f"the run config's is {ours[key]!r}")
             payload = np.empty(count, dtype="<f4")
             got = fh.readinto(payload)
     except OSError as e:
@@ -529,16 +534,6 @@ def _read_manifest(fh, size: int, path) -> tuple[dict, ModelConfig, int]:
     return manifest, config, count
 
 
-def check_model_config(path, config: ModelConfig, run_config: ModelConfig) -> None:
-    """Name the first field in which the model config of the checkpoint at
-    ``path`` differs from the run config's."""
-    ours, theirs = config_to_dict(run_config), config_to_dict(config)
-    for key in ours:
-        if ours[key] != theirs[key]:
-            raise CheckpointError(f"{path}: checkpoint model config '{key}' is {theirs[key]!r}, "
-                                  f"the run config's is {ours[key]!r}")
-
-
 def _payload_values(config: ModelConfig, payload: np.ndarray, dtype):
     """Each parameter's slice of the payload, in ``param_layout`` order: a
     float32 view, or a copy for another dtype."""
@@ -549,21 +544,20 @@ def _payload_values(config: ModelConfig, payload: np.ndarray, dtype):
         offset += size
 
 
-def load_checkpoint(path) -> tuple[UShapedTransformer, dict]:
-    """Rebuild a model from the checkpoint's own embedded config and payload.
-    Every parameter is trainable, as in a seeded model; ``finetune`` freezes
-    the backbone itself."""
-    manifest, config, payload = _parse_checkpoint(path)
+def load_checkpoint(path, config: ModelConfig | None = None) -> tuple[UShapedTransformer, dict]:
+    """Rebuild a model from the checkpoint's own config and payload, refused
+    before the payload is read if ``config`` is given and differs. Every
+    parameter is trainable; ``finetune`` freezes the backbone itself."""
+    manifest, config, payload = _parse_checkpoint(path, config)
     return UShapedTransformer(config, values=_payload_values(config, payload, T.DEFAULT_DTYPE)), manifest
 
 
 def apply_checkpoint(model: UShapedTransformer, path) -> dict:
     """Load a checkpoint into an existing model of the same config; the first
-    config field that disagrees is named in the error, before any parameter
-    is written. Every parameter is overwritten; which are frozen is left as
-    it was."""
-    manifest, config, payload = _parse_checkpoint(path)
-    check_model_config(path, config, model.config)
+    config field that disagrees is named in the error, before the payload is
+    read. Every parameter is overwritten; which are frozen is left as it
+    was."""
+    manifest, config, payload = _parse_checkpoint(path, model.config)
     for (_, p), value in zip(model.params.items(), _payload_values(config, payload, model.dtype)):
         p.data = value
     model.params.zero_grads()

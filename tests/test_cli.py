@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import platform
 import shutil
 import struct
 import subprocess
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from utsf.cli import RunConfig, build_parser, main
+from utsf.cli import RunConfig, _raise_mmap_threshold, build_parser, main
 from utsf.data import (SamplerConfig, load_csv_dataset, make_sine_frame, normalize_sample,
                        save_csv_dataset)
 from utsf.errors import CheckpointError, ConfigError, UsageError
@@ -24,6 +25,11 @@ from utsf.model import ModelConfig, UShapedTransformer, preset, valid_seed
 from utsf.training import apply_checkpoint, load_checkpoint, save_checkpoint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# a process's first ``main`` allocates one untouched 16 MiB block; take it
+# here, so that a test which traces one command's allocations sees that
+# command alone, whichever test runs first
+_raise_mmap_threshold()
 
 
 @pytest.fixture()
@@ -54,13 +60,17 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
-def run_utsf(*argv, timeout=120, **kwargs):
-    """``utsf`` in a fresh interpreter with one BLAS thread, the setting the
-    determinism contract is stated for."""
+def run_python(*argv, timeout=120, **kwargs):
+    """A fresh interpreter that imports this ``utsf``, with one BLAS thread,
+    the setting the determinism contract is stated for."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "utsf", *map(str, argv)], env=env,
+    return subprocess.run([sys.executable, *map(str, argv)], env=env,
                           capture_output=True, text=True, timeout=timeout, **kwargs)
+
+
+def run_utsf(*argv, **kwargs):
+    return run_python("-m", "utsf", *argv, **kwargs)
 
 
 def test_pretrain_writes_artifacts_deterministically(workspace):
@@ -338,6 +348,83 @@ def test_device_paths_exit_2_before_reading(workspace):
                     preexec_fn=cap_memory, timeout=60)
     assert done.returncode == 2, done.stderr
     assert "/dev/zero" in done.stderr and "not a regular file" in done.stderr
+
+
+def test_running_out_of_memory_exits_2(workspace):
+    resource = pytest.importorskip("resource")
+
+    def cap_memory():  # the model below needs about 6 GiB
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    run = json.loads((workspace / "run.json").read_text())
+    (workspace / "big.json").write_text(json.dumps({**run, "model": {"preset": "tiny", "d_model": 4096, "n_heads": 2}}))
+    done = run_utsf("pretrain", "--config", workspace / "big.json", "--out", workspace / "big",
+                    preexec_fn=cap_memory, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: Unable to allocate ") and "Traceback" not in done.stderr, done.stderr
+    assert not (workspace / "big" / "checkpoint.bin").exists()
+
+
+def test_a_checkpoint_of_another_config_is_refused_before_its_payload_is_read(workspace, capsys):
+    save_checkpoint(UShapedTransformer(preset("base"), seed=0), workspace / "base.bin")
+    run = json.loads((workspace / "run.json").read_text())
+    (workspace / "small.json").write_text(json.dumps({**run, "model": {"preset": "small"}}))
+    named = "base.bin: checkpoint model config 'lookback_len' is 3072, the run config's is 512"
+    request = ["--checkpoint", workspace / "base.bin", "--input", workspace / "probe.csv"]
+    commands = {"finetune": ["--checkpoint", workspace / "base.bin"],
+                "eval": ["--checkpoint", workspace / "base.bin"],
+                "forecast": request, "attn-dump": request}
+    for command, extra in commands.items():
+        out = workspace / command
+        tracemalloc.start()
+        try:
+            assert run_cli(command, "--config", workspace / "small.json", "--out", out, *extra) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert named in capsys.readouterr().err, command
+        assert list(out.iterdir()) == [], command
+        assert peak < 2 ** 20, (command, peak)  # the payload alone is 5.6 MiB
+
+    model = UShapedTransformer(preset("small"), seed=0)
+    before = {name: p.data for name, p in model.params.items()}
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=named):
+            apply_checkpoint(model, workspace / "base.bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    assert all(p.data is before[name] for name, p in model.params.items())
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the mmap threshold is glibc's")
+def test_a_fresh_cli_process_forwards_without_page_faults(tmp_path):
+    # 4 eval chunks of 32 small windows: each forward after the first reuses
+    # its temporaries instead of faulting them back in (about 6,500 faults a
+    # call); the few dozen left are new pages, such as the 32 of the 128 KiB
+    # forecast that eval keeps
+    save_checkpoint(UShapedTransformer(preset("small"), seed=0), tmp_path / "ck.bin")
+    save_csv_dataset(make_sine_frame("sine", n_channels=32, length=7680, period=48.0, seed=0),
+                     tmp_path / "sine.csv")
+    (tmp_path / "datasets.json").write_text(json.dumps({"sine": {"path": "sine.csv", "splits": [0.1, 0.1, 0.8]}}))
+    (tmp_path / "run.json").write_text(json.dumps({"model": {"preset": "small"}, "registry": "datasets.json"}))
+    count = ("import resource, sys\n"
+             "from utsf import cli, training\n"
+             "forward, faults = training.ModelPredictor.__call__, []\n"
+             "def counted(self, x, truth):\n"
+             "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+             "    pred = forward(self, x, truth)\n"
+             "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+             "    return pred\n"
+             "training.ModelPredictor.__call__ = counted\n"
+             "print(cli.main(sys.argv[1:]), *faults)\n")
+    done = run_python("-c", count, "eval", "--config", tmp_path / "run.json", "--out", tmp_path / "ev",
+                      "--checkpoint", tmp_path / "ck.bin")
+    code, *faults = map(int, done.stdout.split())
+    assert code == 0 and len(faults) == 4, done.stderr
+    assert max(faults[1:]) < 256, faults
 
 
 def test_forecast_rejects_bad_channel(workspace):
