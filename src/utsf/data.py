@@ -415,24 +415,22 @@ def make_window_sample(frame: SeriesFrame, channel: int, start: int,
 
 
 def make_sine_frame(dataset_id: str, length: int, n_channels: int = 1,
-                    period: float = 64.0, amplitude: float = 1.0, phase: float = 0.0,
-                    noise: float = 0.0, seed: int = 0, splits=DEFAULT_SPLITS) -> SeriesFrame:
-    """Sinusoid dataset; channels are phase-shifted copies of one wave."""
+                    period: float = 64.0, noise: float = 0.0, seed: int = 0) -> SeriesFrame:
+    """Unit sinusoid dataset; channel c is the wave shifted by c*pi/4."""
     t = np.arange(length, dtype=np.float64)
     rng = np.random.default_rng(seed)
     rows = []
     for c in range(n_channels):
-        row = amplitude * np.sin(2.0 * np.pi * t / period + phase + c * np.pi / 4.0)
+        row = np.sin(2.0 * np.pi * t / period + c * np.pi / 4.0)
         if noise > 0.0:
             row = row + rng.normal(0.0, noise, size=length)
         rows.append(row)
     names = [f"sine{c}" for c in range(n_channels)]
-    return SeriesFrame(dataset_id, names, np.stack(rows), splits)
+    return SeriesFrame(dataset_id, names, np.stack(rows))
 
 
 def make_log_frame(dataset_id: str, length: int, n_channels: int = 1,
-                   scale: float = 1.0, noise: float = 0.0, seed: int = 0,
-                   splits=DEFAULT_SPLITS) -> SeriesFrame:
+                   scale: float = 1.0, noise: float = 0.0, seed: int = 0) -> SeriesFrame:
     """Slowly saturating log-trend dataset, one constant offset per channel."""
     t = np.arange(length, dtype=np.float64)
     rng = np.random.default_rng(seed)
@@ -443,4 +441,4 @@ def make_log_frame(dataset_id: str, length: int, n_channels: int = 1,
             row = row + rng.normal(0.0, noise, size=length)
         rows.append(row)
     names = [f"log{c}" for c in range(n_channels)]
-    return SeriesFrame(dataset_id, names, np.stack(rows), splits)
+    return SeriesFrame(dataset_id, names, np.stack(rows))

@@ -31,6 +31,10 @@ from .tensor import Tensor
 
 # param_count refuses a model of more parameter scalars than this, drawn or loaded
 MAX_PARAMS = 2 ** 31
+FFN_MULT = 4  # a feed-forward block's hidden width, in multiples of its token dimension
+# _init_param draws a parameter this many scalars at a time, so a build holds one
+# float64 chunk beside each parameter, not a float64 copy of it
+INIT_CHUNK = 65536
 
 # JSON value types each config field annotation accepts (annotations are strings
 # under ``from __future__ import annotations``); a bool is not a number
@@ -89,12 +93,10 @@ class ModelConfig:
     n_levels: int = 3
     n_layers_per_group: int = 1
     n_heads: int = 4
-    mask_ratio: float = 0.4
-    ffn_mult: int = 4
 
     def __post_init__(self):
         if min(self.lookback_len, self.horizon_len, self.patch_size, self.d_model,
-               self.n_levels, self.n_layers_per_group, self.n_heads, self.ffn_mult) < 1:
+               self.n_levels, self.n_layers_per_group, self.n_heads) < 1:
             raise ConfigError("model dimensions must be positive")
         total = self.lookback_len + self.horizon_len
         if total % self.patch_size != 0:
@@ -105,8 +107,6 @@ class ModelConfig:
             raise ConfigError(f"{n} tokens cannot be halved {self.n_levels - 1} times")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if not 0.0 <= self.mask_ratio <= 1.0:
-            raise ConfigError(f"mask_ratio must be in [0, 1], got {self.mask_ratio}")
 
     @property
     def n_patches(self) -> int:
@@ -124,12 +124,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, raw) -> "ModelConfig":
-        """Explicit fields over an optional ``preset``."""
+        """Explicit fields over an optional ``preset``, which must name one."""
         if not isinstance(raw, dict):
             raise ConfigError(f"model config must be a JSON object, got {type(raw).__name__}")
         raw = dict(raw)
-        name = raw.pop("preset", None)
-        base = {} if name is None else config_to_dict(preset(name))
+        base = config_to_dict(preset(raw.pop("preset"))) if "preset" in raw else {}
         return config_from_dict(cls, {**base, **raw}, "model")
 
 
@@ -199,14 +198,21 @@ class ParameterStore:
 
 def _init_param(rng: np.random.Generator, shape: tuple, init: tuple, dtype) -> np.ndarray:
     """One parameter's initial value: ``("fan_in", n)`` is uniform in
-    +-1/sqrt(n), ``("normal", std)`` centred, ``("const", c)`` constant."""
+    +-1/sqrt(n), ``("normal", std)`` centred, ``("const", c)`` constant.
+
+    A drawn one is taken ``INIT_CHUNK`` float64 values at a time, each
+    rounded into the ``dtype`` array: the values of one whole draw, and the
+    stream left at the same point."""
     kind, arg = init
     if kind == "const":
         return np.full(shape, arg, dtype=dtype)
-    if kind == "fan_in":
-        bound = 1.0 / np.sqrt(arg)
-        return rng.uniform(-bound, bound, size=shape).astype(dtype)
-    return rng.normal(0.0, arg, size=shape).astype(dtype)
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    bound = 1.0 / np.sqrt(arg) if kind == "fan_in" else None
+    for i in range(0, flat.size, INIT_CHUNK):
+        n = min(INIT_CHUNK, flat.size - i)
+        flat[i:i + n] = rng.normal(0.0, arg, n) if bound is None else rng.uniform(-bound, bound, n)
+    return out
 
 
 def param_layout(config: ModelConfig) -> Iterator[tuple[str, tuple, tuple]]:
@@ -226,8 +232,8 @@ def param_layout(config: ModelConfig) -> Iterator[tuple[str, tuple, tuple]]:
                 yield from linear(f"{layer}.attn.{proj}", d, d)
             yield f"{layer}.ln2.g", (d,), ("const", 1.0)
             yield f"{layer}.ln2.b", (d,), ("const", 0.0)
-            yield from linear(f"{layer}.ffn.fc1", d, config.ffn_mult * d)
-            yield from linear(f"{layer}.ffn.fc2", config.ffn_mult * d, d)
+            yield from linear(f"{layer}.ffn.fc1", d, FFN_MULT * d)
+            yield from linear(f"{layer}.ffn.fc2", FFN_MULT * d, d)
 
     # embedding: pointwise conv patch_size -> d_model, plus position table
     yield "embed.w", (config.d_model, config.patch_size), ("fan_in", config.patch_size)

@@ -33,6 +33,7 @@ LINEAR_CHUNK, LINEAR_RIDGE = 256, 1e-6
 ADAM_BLOCK = 65536
 # Adam's moment decays and the guard added to its denominator: fixed, not settings
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+MASK_RATIO = 0.4  # the share of each window's patches that pretrain_epoch zero-masks
 
 
 @dataclass(frozen=True)
@@ -287,12 +288,12 @@ def _draw_window_epoch(phase: str, step_loss, optimizer: Adam, frames: dict,
 def pretrain_epoch(model: UShapedTransformer, frames: dict, sampler: D.SamplerConfig,
                    optimizer: Adam, steps: int, rng: np.random.Generator,
                    epoch: int = 0, report: TrainReport | None = None) -> TrainReport:
-    """Masked-reconstruction epoch: full-length windows, zero-masked patches,
+    """Masked-reconstruction epoch: full-length windows, ``MASK_RATIO`` of their patches zero-masked,
     MSE against the unmasked source over all patches, updates to all but ``head.forecast``."""
     cfg = model.config
 
     def step_loss(x, _):
-        mask = D.zero_mask_patches(cfg.n_patches, cfg.mask_ratio, rng)
+        mask = D.zero_mask_patches(cfg.n_patches, MASK_RATIO, rng)
         pred, _ = model.reconstruct(Tensor(D.mask_series(x, mask, cfg.patch_size)))
         return _mse_loss(pred, Tensor(x))
 

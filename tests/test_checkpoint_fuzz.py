@@ -33,11 +33,12 @@ def workspace(tmp_path_factory):
 
 def _manifest_paths():
     """Key paths into the manifest: its fields, the config's, and fields it
-    does not have (format 1's ``params`` and an unknown one), which ``_walk``
-    inserts."""
+    does not have (format 1's ``params``, an unknown one and the config keys
+    of earlier releases), which ``_walk`` inserts."""
     config = config_to_dict(preset("tiny"))
+    legacy = ("patch_stride", "dropout", "ffn_mult", "mask_ratio")
     paths = [(k,) for k in ("format_version", "config", "seed", "params", "extra")]
-    paths += [("config", k) for k in config] + [("config", "patch_stride"), ("config", "dropout")]
+    paths += [("config", k) for k in (*config, *legacy)]
     return paths
 
 
@@ -140,7 +141,7 @@ _RUN = {"model": {"preset": "tiny"}, "sampler": {"stride": 8, "jitter": True},
         "trainer": {"lr": 1e-3, "epochs": 1, "steps_per_epoch": 25}, "registry": "datasets.json",
         "seed": 0}
 _RUN_PATHS = ([(k,) for k in _RUN] + [("model", k) for k in config_to_dict(preset("tiny"))]
-              + [("model", k) for k in ("preset", "patch_stride", "dropout", "extra")]
+              + [("model", k) for k in ("preset", "patch_stride", "dropout", "ffn_mult", "mask_ratio", "extra")]
               + [("sampler", k) for k in ("stride", "jitter", "seed")]
               + [("trainer", k) for k in _RUN["trainer"]] + [("turbo",)])
 

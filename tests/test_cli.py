@@ -289,7 +289,7 @@ def test_resolved_config_bytes_are_pinned(workspace):
     assert run_cli("forecast", "--config", workspace / "run.json", "--out", workspace / "fc",
                    "--checkpoint", workspace / "ck.bin", "--input", workspace / "probe.csv") == 0
     digest = hashlib.sha256((workspace / "fc" / "resolved_config.json").read_bytes()).hexdigest()
-    assert digest == "fdb865ee4e3b5f6c06d4772a8b9fd9c015b30ed490228afa484d2abfc2e06b56"
+    assert digest == "944c291e6cb23ec47d87e2f144b8bd7d2f3bfd4f9a8d03fbfce395ecd483d46d"
 
 
 def test_checkpoint_payload_of_the_wrong_size_exits_2_and_loads_nothing(workspace, capsys):
@@ -516,6 +516,10 @@ def test_config_errors_exit_2(workspace, capsys):
              # the legacy keys, even at the one value they once loaded at
              ({"model": {"preset": "tiny", "patch_stride": 8}}, "patch_stride"),
              ({"model": {"preset": "tiny", "dropout": 0}}, "dropout"),
+             ({"model": {"preset": "tiny", "ffn_mult": 4}}, "ffn_mult"),
+             ({"model": {"preset": "tiny", "mask_ratio": 0.4}}, "mask_ratio"),
+             # a preset key names a preset
+             ({"model": {"preset": None}}, "unknown preset None"),
              ({"trainer": {"lr": float("nan")}}, "lr"), ({"trainer": {"lr": float("inf")}}, "lr"),
              # Adam's constants, even at the values they once defaulted to
              ({"trainer": {"beta1": 0.9}}, "beta1"), ({"trainer": {"beta2": 0.999}}, "beta2"),

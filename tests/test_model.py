@@ -2,12 +2,16 @@
 
 import hashlib
 import math
-from dataclasses import replace
+import re
+import tracemalloc
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import utsf.model
+import utsf.training
 from utsf import tensor as T
 from utsf.errors import ConfigError, DimensionError, UsageError
 from utsf.model import (ModelConfig, ParameterStore, config_to_dict,
@@ -51,26 +55,39 @@ def test_config_validation():
         ModelConfig(lookback_len=24, horizon_len=24, patch_size=8, n_levels=3, d_model=8, n_heads=2)
     with pytest.raises(ConfigError):  # heads must divide d_model
         ModelConfig(lookback_len=32, horizon_len=32, patch_size=8, d_model=10, n_heads=4)
-    with pytest.raises(ConfigError):
-        ModelConfig(lookback_len=32, horizon_len=32, patch_size=8, d_model=8, n_heads=2, mask_ratio=1.5)
     with pytest.raises(ConfigError, match="halved"):  # refused without building 2**(2**62) first
         ModelConfig(lookback_len=32, horizon_len=32, patch_size=8, d_model=8, n_heads=2, n_levels=2**62)
     # the legacy keys are unknown keys, even at the one value they once loaded at
-    for key, value in (("patch_stride", 8), ("patch_stride", None), ("dropout", 0.0), ("dropout", 0.1)):
+    for key, value in (("patch_stride", 8), ("patch_stride", None), ("dropout", 0.0), ("dropout", 0.1),
+                       ("ffn_mult", 4), ("ffn_mult", 2), ("mask_ratio", 0.4), ("mask_ratio", 0.25)):
         with pytest.raises(ConfigError, match=rf"unknown model config keys: \['{key}'\]"):
             ModelConfig.from_dict({"preset": "tiny", key: value})
+
+
+def test_the_model_config_is_the_architecture():
+    assert [f.name for f in fields(ModelConfig)] == ["lookback_len", "horizon_len", "patch_size", "d_model",
+                                                     "n_levels", "n_layers_per_group", "n_heads"]
+    # the feed-forward width and the pretraining mask are constants, not settings
+    assert utsf.model.FFN_MULT == 4 and utsf.training.MASK_RATIO == 0.4
+    shapes = {name: shape for name, shape, _ in param_layout(preset("small"))}
+    assert shapes["mid.layer0.ffn.fc1.w"] == (256, 4 * 256) and shapes["mid.layer0.ffn.fc2.w"] == (4 * 256, 256)
+
+
+def test_the_readme_lists_every_model_config_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"`model` takes a preset name .*?explicit\s+fields \(([^)]*)\)", readme, re.S)
+    assert listed, "the README's list of model config fields is gone"
+    assert sorted(re.findall(r"`(\w+)`", listed.group(1))) == sorted(f.name for f in fields(ModelConfig))
 
 
 def test_config_dict_round_trip_and_unknown_keys():
     cfg = preset("tiny")
     assert ModelConfig.from_dict(config_to_dict(cfg)) == cfg
-    assert ModelConfig.from_dict({"preset": "tiny", "mask_ratio": 0.25}).mask_ratio == 0.25
+    assert ModelConfig.from_dict({"preset": "tiny", "d_model": 16}).d_model == 16
     with pytest.raises(ConfigError):
         ModelConfig.from_dict({"preset": "tiny", "n_tokens": 8})
-    # values must carry the field's JSON type; an int is a float, a bool is neither
-    assert ModelConfig.from_dict({"preset": "tiny", "mask_ratio": 0}).mask_ratio == 0
-    for bad in ({"d_model": "8"}, {"d_model": 8.0}, {"n_heads": True}, {"mask_ratio": "0.4"},
-                {"preset": ["tiny"]}):
+    # values must carry the field's JSON type; a bool is not an int
+    for bad in ({"d_model": "8"}, {"d_model": 8.0}, {"n_heads": True}, {"preset": ["tiny"]}, {"preset": None}):
         with pytest.raises(ConfigError):
             ModelConfig.from_dict({"preset": "tiny", **bad})
     with pytest.raises(ConfigError):
@@ -139,6 +156,20 @@ def test_seeded_init_is_pinned_and_the_seed_is_a_non_negative_int():
     for seed in (None, True, -1, 1.5):
         with pytest.raises(UsageError, match=r"seed must be a non-negative integer.*load_checkpoint"):
             UShapedTransformer(preset("tiny"), seed=seed)
+
+
+def test_a_seeded_build_holds_no_float64_copy_of_a_parameter():
+    # 80 MiB of float32 parameters, the largest 16 MiB: drawn whole, its
+    # float64 values would peak 16 MiB above the built model
+    config = ModelConfig.from_dict({"preset": "tiny", "d_model": 512, "n_heads": 2})
+    tracemalloc.start()
+    try:
+        model = UShapedTransformer(config, seed=0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(p.data.nbytes for _, p in model.params.items()) == 16 * 2 ** 20
+    assert peak - held < 2 * 2 ** 20, (held, peak)
 
 
 # ---------------------------------------------------------------------------

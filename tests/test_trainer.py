@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import json
+import re
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -14,7 +15,9 @@ import utsf.data
 import utsf.model
 import utsf.training
 from utsf import tensor as T
-from utsf.data import SamplerConfig, build_model_input, jittered_windows, make_sine_frame, make_window_sample
+from utsf.cli import main
+from utsf.data import (SamplerConfig, build_model_input, jittered_windows, make_sine_frame, make_window_sample,
+                       save_csv_dataset)
 from utsf.errors import CheckpointError, ConfigError, NumericError, UsageError
 from utsf.model import (ParameterStore, UShapedTransformer, config_from_dict, config_to_dict,
                         param_count, param_layout, preset)
@@ -837,6 +840,8 @@ def test_checkpoint_version_and_manifest_errors(tmp_path):
         "manifest field 'config': model config is missing required keys": lambda mf: mf.update(config={}),
         "patch_stride": lambda mf: mf["config"].update(patch_stride=4),
         "dropout": lambda mf: mf["config"].update(dropout=0.5),
+        "ffn_mult": lambda mf: mf["config"].update(ffn_mult=2),
+        "mask_ratio": lambda mf: mf["config"].update(mask_ratio=0.25),
     }
     for match, edit in edits.items():
         with pytest.raises(CheckpointError, match=match):
@@ -861,22 +866,30 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     blob = (tmp_path / "ck.bin").read_bytes()
     n = 8 + struct.unpack("<Q", blob[:8])[0]
     manifest, payload = (hashlib.sha256(part).hexdigest() for part in (blob[:n], blob[n:]))
-    assert manifest == "808052b7921e617a795923e55a58744f51d62870ff899618d2856d914373cf79"
+    assert manifest == "dd2e468fea178cb33c1223f82c916df27cd406b46097e877f93d84f2346a5fa7"
     assert payload == "f9f4930981ca9ceb096651e89349fa327b3291cccb488a55291d3b92a350666a"
 
 
-def test_checkpoint_with_legacy_config_keys_is_refused(tmp_path):
+def test_checkpoint_with_legacy_config_keys_is_refused(tmp_path, capsys):
     # early releases wrote patch_stride and dropout, at their one implemented
-    # value, into every manifest: they are unknown keys now
+    # value, into every manifest, and later ones ffn_mult and mask_ratio, now
+    # constants: they are unknown keys now
     m = tiny_model(seed=10)
     path = tmp_path / "ck.bin"
     save_checkpoint(m, path, seed=10)
-    legacy = rewrite_manifest(path, tmp_path / "legacy.bin",
-                              lambda mf: mf["config"].update(patch_stride=8, dropout=0.0))
-    with pytest.raises(CheckpointError, match=r"unknown model config keys: \['dropout', 'patch_stride'\]"):
-        load_checkpoint(legacy)
-    with pytest.raises(CheckpointError, match="unknown model config keys"):
-        apply_checkpoint(UShapedTransformer(m.config, seed=0), legacy)
+    save_csv_dataset(make_sine_frame("probe", length=40, period=16.0, seed=7), tmp_path / "probe.csv")
+    (tmp_path / "run.json").write_text(json.dumps({"model": {"preset": "tiny"}}))
+    for keys, match in (({"patch_stride": 8, "dropout": 0.0}, r"\['dropout', 'patch_stride'\]"),
+                        ({"ffn_mult": 4, "mask_ratio": 0.4}, r"\['ffn_mult', 'mask_ratio'\]")):
+        legacy = rewrite_manifest(path, tmp_path / "legacy.bin", lambda mf: mf["config"].update(keys))
+        with pytest.raises(CheckpointError, match=rf"unknown model config keys: {match}"):
+            load_checkpoint(legacy)
+        with pytest.raises(CheckpointError, match=rf"unknown model config keys: {match}"):
+            apply_checkpoint(UShapedTransformer(m.config, seed=0), legacy)
+        assert main(["forecast", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "fc"),
+                     "--checkpoint", str(legacy), "--input", str(tmp_path / "probe.csv")]) == 2
+        assert re.search(rf"unknown model config keys: {match}", capsys.readouterr().err), keys
+        assert not (tmp_path / "fc" / "forecast.csv").exists()
 
 
 def test_backbone_hash_ignores_heads():
