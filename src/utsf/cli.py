@@ -134,7 +134,7 @@ def cmd_finetune(args, cfg: RunConfig, out: Path) -> None:
     model.freeze_backbone()
     report = _train(cfg, model, frames, "finetune", TR.finetune_epoch)
     if TR.backbone_hash(model) != pre_hash:
-        raise RuntimeError("backbone changed during finetune; freeze contract broken")
+        raise NumericError("backbone changed during finetune; freeze contract broken")
     _log("backbone hash unchanged by finetune")
     _write_training(cfg, out, model, "finetuned.bin", report)
 
@@ -167,15 +167,11 @@ def cmd_eval(args, cfg: RunConfig, out: Path) -> None:
                                 cfg.model.horizon_len, horizons)
             results[tag][ds_id] = {str(h): per_h[h] for h in horizons}
 
-    if args.stub:
-        tag = f"stub-{args.stub}"
-        predictor = TR.OraclePredictor() if args.stub == "oracle" else TR.LastValuePredictor(cfg.model.horizon_len)
-    else:
-        tag, predictor = "ushape", TR.ModelPredictor(TR.load_checkpoint(args.checkpoint, cfg.model)[0])
+    ushape = TR.ModelPredictor(TR.load_checkpoint(args.checkpoint, cfg.model)[0])
     if args.baseline:  # fitted before any scoring: a registry the fit cannot use fails first
         linear = TR.BaselinePredictor(*TR.fit_linear(frames, cfg.sampler, cfg.model.lookback_len,
                                                      cfg.model.horizon_len))
-    run(tag, predictor)
+    run("ushape", ushape)
     if args.baseline:
         run("linear", linear)
 
@@ -192,14 +188,15 @@ def cmd_eval(args, cfg: RunConfig, out: Path) -> None:
 
 
 def _forecast_request(args, cfg: RunConfig):
-    """One forward of the checkpoint's model over channel ``--channel`` of
-    ``--input``, normalized by its own statistics. Returns the normalized
-    forecast row, the attention maps, the input length and the (mu, sigma)
+    """One forward of the checkpoint's model over the last ``lookback_len``
+    values of channel ``--channel`` of ``--input`` (all of a shorter one),
+    normalized by their own statistics. Returns the normalized forecast row,
+    the attention maps, the length of the window used and the (mu, sigma)
     that denormalize the forecast."""
     frame = D.load_csv_dataset(args.input, "input")
     if not 0 <= args.channel < frame.n_channels:
         raise ConfigError(f"--channel {args.channel} outside 0..{frame.n_channels - 1}")
-    norm, mu, sigma = D.normalize_sample(frame.values[args.channel].reshape(1, -1))
+    norm, mu, sigma = D.normalize_sample(frame.values[args.channel, -cfg.model.lookback_len:].reshape(1, -1))
     model, _ = TR.load_checkpoint(args.checkpoint, cfg.model)
     pred, maps = model.forecast(Tensor(D.build_model_input(norm, cfg.model)))
     return pred.data[0], maps, norm.shape[1], (mu, sigma)
@@ -356,9 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="metrics over the test split")
     common(p)
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--checkpoint", help="model checkpoint")
-    source.add_argument("--stub", choices=("oracle", "last-value"), help="replace the model with a stub predictor")
+    p.add_argument("--checkpoint", required=True, help="model checkpoint")
     p.add_argument("--horizons", help="comma-separated horizons, e.g. 96,192,336,720")
     p.add_argument("--baseline", action="store_true", help="also fit and score the least-squares linear baseline")
     p.set_defaults(func=cmd_eval)

@@ -323,8 +323,8 @@ def finetune_epoch(model: UShapedTransformer, frames: dict, sampler: D.SamplerCo
 # evaluation
 
 
-# Predictors map B windows at once: ``predict(input_norm, truth_norm) ->
-# pred_norm`` with shapes [BxL], [BxT] -> [BxT], row b depending on row b only.
+# Predictors map B windows at once: ``predict(input_norm) -> pred_norm`` with
+# shapes [BxL] -> [BxT], row b depending on row b only.
 
 
 class ModelPredictor:
@@ -333,7 +333,7 @@ class ModelPredictor:
     def __init__(self, model: UShapedTransformer):
         self.model = model
 
-    def __call__(self, input_norm: np.ndarray, truth_norm: np.ndarray) -> np.ndarray:
+    def __call__(self, input_norm: np.ndarray) -> np.ndarray:
         x = D.build_model_input(input_norm, self.model.config)
         pred, _ = self.model.forecast(Tensor(x))
         return pred.data
@@ -345,7 +345,7 @@ class BaselinePredictor:
     def __init__(self, w: np.ndarray, b: np.ndarray):
         self.w, self.b = w, b
 
-    def __call__(self, input_norm, truth_norm):
+    def __call__(self, input_norm):
         return np.asarray(input_norm, dtype=np.float64) @ self.w + self.b
 
 
@@ -355,16 +355,9 @@ class LastValuePredictor:
     def __init__(self, horizon_len: int):
         self.horizon_len = horizon_len
 
-    def __call__(self, input_norm, truth_norm):
+    def __call__(self, input_norm):
         last = np.asarray(input_norm, dtype=np.float32)[:, -1:]
         return np.repeat(last, self.horizon_len, axis=1)
-
-
-class OraclePredictor:
-    """Returns the truth; pins the all-zero-metrics end of the harness."""
-
-    def __call__(self, input_norm, truth_norm):
-        return np.array(truth_norm, copy=True)
 
 
 def evaluate(predict, frame: D.SeriesFrame, lookback_len: int, horizon_len: int,
@@ -373,8 +366,7 @@ def evaluate(predict, frame: D.SeriesFrame, lookback_len: int, horizon_len: int,
     values per horizon h, all in normalized space.
 
     Every channel's windows are stacked and passed to ``predict`` (see the
-    predictor contract above) in chunks of at most ``EVAL_CHUNK`` rows;
-    honest predictors ignore the truth argument.
+    predictor contract above) in chunks of at most ``EVAL_CHUNK`` rows.
     """
     horizons = [int(h) for h in horizons]
     for h in horizons:
@@ -395,11 +387,11 @@ def evaluate(predict, frame: D.SeriesFrame, lookback_len: int, horizon_len: int,
                                                 for start in starts], lookback_len, horizon_len)
     preds = []
     for i in range(0, len(input_mat), EVAL_CHUNK):
-        truth = truth_mat[i:i + EVAL_CHUNK]
-        pred = np.asarray(predict(input_mat[i:i + EVAL_CHUNK], truth))
-        if pred.shape != truth.shape:
-            raise UsageError(f"predictor returned shape {pred.shape} for {len(truth)} windows, "
-                             f"expected (B, T) = {truth.shape}")
+        pred = np.asarray(predict(input_mat[i:i + EVAL_CHUNK]))
+        want = truth_mat[i:i + EVAL_CHUNK].shape
+        if pred.shape != want:
+            raise UsageError(f"predictor returned shape {pred.shape} for {want[0]} windows, "
+                             f"expected (B, T) = {want}")
         preds.append(pred)
     pred_mat = np.concatenate(preds)
     out = {}

@@ -17,12 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from utsf import training
 from utsf.cli import RunConfig, _raise_mmap_threshold, build_parser, main
 from utsf.data import (SamplerConfig, load_csv_dataset, make_sine_frame, normalize_sample,
                        save_csv_dataset)
 from utsf.errors import CheckpointError, ConfigError, UsageError
 from utsf.model import ModelConfig, UShapedTransformer, preset, valid_seed
-from utsf.training import apply_checkpoint, load_checkpoint, save_checkpoint
+from utsf.training import LastValuePredictor, apply_checkpoint, evaluate, load_checkpoint, save_checkpoint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -99,6 +100,25 @@ def test_finetune_freezes_backbone_and_writes_checkpoint(workspace, capsys):
     assert "backbone hash unchanged" in capsys.readouterr().err
 
 
+def test_a_backbone_moved_by_finetune_exits_3_and_writes_nothing(workspace, capsys, monkeypatch):
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
+    finetune_epoch = training.finetune_epoch
+
+    def nudging(model, *args, **kwargs):
+        report = finetune_epoch(model, *args, **kwargs)
+        model.params[model.backbone_names()[0]].data[0] += 1.0
+        return report
+
+    monkeypatch.setattr(training, "finetune_epoch", nudging)
+    out = workspace / "fin"
+    assert run_cli("finetune", "--config", workspace / "run.json", "--out", out,
+                   "--checkpoint", workspace / "ck.bin") == 3
+    err = capsys.readouterr().err
+    assert err.endswith("numeric failure: backbone changed during finetune; freeze contract broken\n"), err
+    assert "Traceback" not in err
+    assert not (out / "finetuned.bin").exists() and not (out / "resolved_config.json").exists()
+
+
 def test_numeric_failure_exits_3_and_writes_no_resolved_config(workspace, capsys):
     run = json.loads((workspace / "run.json").read_text())
     run["trainer"]["lr"] = 1e3
@@ -132,8 +152,9 @@ def test_a_denormalized_forecast_that_overflows_exits_3(workspace, capsys):
 @pytest.mark.parametrize("cells, flags, named", [
     # the forecast of a window near the float32 limit overflows on denormalizing
     (["0", "3.3e38"] * 20, ["--denormalize"], "the denormalized forecast overflows float32 (mu 1.65e+38, sigma 1.65e+38)"),
-    # x - mu overflows while the window is normalized, before any tape op runs
-    (["3.3e38"] * 39 + ["-3.3e38"], [], "the normalized window overflows float32 (mu 3.135e+38, sigma 1.03042e+38)"),
+    # x - mu overflows while the window is normalized, before any tape op runs;
+    # the window is the last 32 cells: mu = 30a/32, sigma = a * sqrt(992/8192)
+    (["3.3e38"] * 39 + ["-3.3e38"], [], "the normalized window overflows float32 (mu 3.09375e+38, sigma 1.14835e+38)"),
 ], ids=["denormalize", "normalize"])
 def test_an_overflow_of_extreme_finite_inputs_exits_3_and_is_named_under_any_warning_filter(
         workspace, capsys, monkeypatch, cells, flags, named):
@@ -158,20 +179,6 @@ def test_finetune_without_checkpoint_is_usage_error(workspace, capsys):
     capsys.readouterr()
 
 
-def test_eval_stub_oracle_scores_zero(workspace):
-    cfg = workspace / "run.json"
-    out = workspace / "ev"
-    assert run_cli("eval", "--config", cfg, "--out", out,
-                   "--stub", "oracle", "--horizons", "8,32") == 0
-    rows = read_rows(out / "metrics.csv")
-    assert rows[0] == ["model", "dataset", "horizon", "mse", "mae", "mape"]
-    body = rows[1:]
-    assert {r[2] for r in body} == {"8", "32"}
-    assert all(float(r[3]) == 0.0 for r in body)
-    metrics = json.loads((out / "metrics.json").read_text())
-    assert metrics["stub-oracle"]["sine"]["32"]["mse"] == 0.0
-
-
 def test_eval_model_with_baseline_rows(workspace):
     cfg = workspace / "run.json"
     pre = workspace / "pre"
@@ -184,11 +191,22 @@ def test_eval_model_with_baseline_rows(workspace):
     for r in body:
         assert np.isfinite(float(r[3]))
     # the least-squares map forecasts the workspace sine far better than repeating its last value
-    assert run_cli("eval", "--config", cfg, "--out", workspace / "ev3", "--stub", "last-value",
-                   "--baseline", "--horizons", "32") == 0
-    mse = {r[0]: float(r[3]) for r in read_rows(workspace / "ev3" / "metrics.csv")[1:]}
-    assert list(mse) == ["stub-last-value", "linear"]
-    assert np.isfinite(mse["linear"]) and mse["linear"] < mse["stub-last-value"], mse
+    linear = float(body[1][3])
+    last_value = evaluate(LastValuePredictor(32), load_csv_dataset(workspace / "sine.csv", "sine"),
+                          32, 32, [32])[32]["mse"]
+    assert linear < last_value, (linear, last_value)
+
+
+def test_eval_bytes_are_pinned(workspace):
+    # metrics.csv and metrics.json digests for this checkpoint and registry
+    # (x86-64, numpy's OpenBLAS): the scoring path may change, its bytes may not
+    pinned = {"metrics.csv": "ad8be56c4f992b217a4d7e58d5dffe701af66b29519a72b48a27bbae30fe8f17",
+              "metrics.json": "50354b63f6de99a520faec4690103a30915a05da450992bc7d36e0a04e110e7a"}
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
+    assert run_cli("eval", "--config", workspace / "run.json", "--out", workspace / "ev",
+                   "--checkpoint", workspace / "ck.bin", "--baseline", "--horizons", "8,32") == 0
+    for name, digest in pinned.items():
+        assert hashlib.sha256((workspace / "ev" / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_eval_quotes_a_dataset_id_that_holds_a_comma_or_a_line_break(workspace):
@@ -197,31 +215,31 @@ def test_eval_quotes_a_dataset_id_that_holds_a_comma_or_a_line_break(workspace):
     run = json.loads((workspace / "run.json").read_text())
     (workspace / "odd_run.json").write_text(json.dumps({**run, "registry": "odd.json"}))
     out = workspace / "odd"
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
     assert run_cli("eval", "--config", workspace / "odd_run.json", "--out", out,
-                   "--stub", "last-value", "--horizons", "8,32") == 0
+                   "--checkpoint", workspace / "ck.bin", "--horizons", "8,32") == 0
     rows = read_rows(out / "metrics.csv")
     assert rows[0] == ["model", "dataset", "horizon", "mse", "mae", "mape"]
-    assert [r[:3] for r in rows[1:]] == [["stub-last-value", i, h] for i in ids for h in ("8", "32")]
+    assert [r[:3] for r in rows[1:]] == [["ushape", i, h] for i in ids for h in ("8", "32")]
     assert all(len(r) == 6 for r in rows)
 
 
-def test_eval_requires_checkpoint_or_stub(workspace):
-    assert run_cli("eval", "--config", workspace / "run.json",
-                   "--out", workspace / "ev3") == 2
+def test_eval_requires_checkpoint_or_stub(workspace, capsys):
+    # a checkpoint is eval's one model source: there is no --stub
+    assert run_cli("eval", "--config", workspace / "run.json", "--out", workspace / "ev3") == 2
+    assert "the following arguments are required: --checkpoint" in capsys.readouterr().err
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
+    assert run_cli("eval", "--config", workspace / "run.json", "--out", workspace / "ev3",
+                   "--checkpoint", workspace / "ck.bin", "--stub", "oracle") == 2
+    assert "unrecognized arguments: --stub oracle" in capsys.readouterr().err
+    assert not (workspace / "ev3").exists()
 
 
-def test_eval_refuses_checkpoint_and_stub_together(workspace, capsys):
-    # a stub would otherwise run and the checkpoint go unread
-    assert run_cli("eval", "--config", workspace / "run.json", "--out", workspace / "ev5",
-                   "--stub", "oracle", "--checkpoint", workspace / "missing.bin") == 2
-    assert "not allowed with argument" in capsys.readouterr().err
-    assert not (workspace / "ev5").exists()
-
-
-def test_eval_rejects_out_of_range_horizon(workspace):
-    assert run_cli("eval", "--config", workspace / "run.json",
-                   "--out", workspace / "ev4", "--stub", "oracle",
-                   "--horizons", "999") == 2
+def test_eval_rejects_out_of_range_horizon(workspace, capsys):
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
+    assert run_cli("eval", "--config", workspace / "run.json", "--out", workspace / "ev4",
+                   "--checkpoint", workspace / "ck.bin", "--horizons", "999") == 2
+    assert "horizon 999 outside 1..32" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("raw, named", [("", "''"), (" ", "' '"), ("8,,16", "'8,,16'"), ("8,", "'8,'"),
@@ -229,8 +247,9 @@ def test_eval_rejects_out_of_range_horizon(workspace):
                                         ("16,8,16", "'16,8,16': horizon 16 is repeated")])
 def test_eval_refuses_an_empty_or_repeated_horizon(workspace, capsys, raw, named):
     # an empty item was skipped, "" meant the default and a repeat was scored twice
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
     assert run_cli("eval", "--config", workspace / "run.json", "--out", workspace / "ev6",
-                   "--stub", "oracle", "--horizons", raw) == 2
+                   "--checkpoint", workspace / "ck.bin", "--horizons", raw) == 2
     assert f"bad --horizons value {named}" in capsys.readouterr().err
     assert not (workspace / "ev6" / "metrics.csv").exists()
 
@@ -250,8 +269,26 @@ def test_forecast_csv_and_denormalize_relation(workspace):
     den = np.array([float(r[1]) for r in read_rows(den_dir / "forecast.csv")[1:]])
     assert norm.shape == (32,)
     probe = load_csv_dataset(workspace / "probe.csv", "probe")
-    _, mu, sigma = normalize_sample(probe.values[0])
+    _, mu, sigma = normalize_sample(probe.values[0, -preset("tiny").lookback_len:])
     assert np.allclose(den, norm * sigma + mu, atol=1e-4)
+
+
+def test_a_forecast_reads_the_last_lookback_values_of_a_longer_input(workspace):
+    # the 40-value probe and its last 32 rows (tiny's lookback) are one request:
+    # same forecast, same denormalization, same attention maps and report
+    lines = (workspace / "probe.csv").read_text().splitlines(keepends=True)
+    assert len(lines) - 1 == preset("tiny").lookback_len + 8
+    (workspace / "last.csv").write_text(lines[0] + "".join(lines[-32:]))
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
+    for command, extra in (("forecast", []), ("forecast", ["--denormalize"]), ("attn-dump", [])):
+        outs = [workspace / f"{command}{len(extra)}-{name}" for name in ("probe", "last")]
+        for out, name in zip(outs, ("probe.csv", "last.csv")):
+            assert run_cli(command, "--config", workspace / "run.json", "--out", out, "--checkpoint",
+                           workspace / "ck.bin", "--input", workspace / name, *extra) == 0
+        files = sorted(p.name for p in outs[0].iterdir())
+        assert files == sorted(p.name for p in outs[1].iterdir()) and len(files) > 1
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (command, extra, name)
 
 
 def test_forecast_from_a_checkpoint_ignores_the_seed(workspace):
@@ -266,8 +303,8 @@ def test_forecast_from_a_checkpoint_ignores_the_seed(workspace):
 def test_forecast_bytes_are_pinned_and_the_parser_is_built_once(workspace):
     # forecast.csv digests for this checkpoint and input (x86-64, numpy's
     # OpenBLAS): the request path may change, its bytes may not
-    pinned = {(): "7a16896089a1fe140a9776c09521360d6d6c7cd71be5465a5d02527a32d72154",
-              ("--denormalize",): "3e955546324fdb871d68f0e78a5f6d5e60ff610f35a63434d02ce344b8ae410a"}
+    pinned = {(): "2e78ee363722de8b677392260825fe5055108ce5e271ee2cca59f985cd8a7f9d",
+              ("--denormalize",): "df83eb0b65f19c26f1860e742332e48db58025c24c32aa6adc00d65d12434c13"}
     save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
     build_parser.cache_clear()
     for extra, digest in pinned.items():
@@ -413,9 +450,9 @@ def test_a_fresh_cli_process_forwards_without_page_faults(tmp_path):
     count = ("import resource, sys\n"
              "from utsf import cli, training\n"
              "forward, faults = training.ModelPredictor.__call__, []\n"
-             "def counted(self, x, truth):\n"
+             "def counted(self, x):\n"
              "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-             "    pred = forward(self, x, truth)\n"
+             "    pred = forward(self, x)\n"
              "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
              "    return pred\n"
              "training.ModelPredictor.__call__ = counted\n"
@@ -644,9 +681,10 @@ def test_a_dataset_without_a_train_window_exits_2_and_is_named(workspace, capsys
                                                          "short": {"path": "short.csv"}}))
     named = "dataset 'short': its train split of 35 steps holds no window of length 64 at stride 8"
     # eval --baseline fits the linear map first, so the fit names the dataset
-    # before the stub is scored on its too-short test split
+    # before the model is scored on its too-short test split
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
     commands = {"checkpoint.bin": ["pretrain"],
-                "metrics.csv": ["eval", "--stub", "last-value", "--baseline", "--horizons", "8,32"]}
+                "metrics.csv": ["eval", "--checkpoint", workspace / "ck.bin", "--baseline", "--horizons", "8,32"]}
     monkeypatch.setenv("PYTHONWARNINGS", "error")  # for the subprocesses
     for artifact, command in commands.items():
         for policy in ("default", "error"):
@@ -771,7 +809,7 @@ def test_failing_config_command_writes_no_resolved_config(workspace, capsys):
                     "--input", workspace / "probe.csv", "--channel", "5"],
         "attn": ["attn-dump", "--checkpoint", workspace / "ck.bin",
                  "--input", workspace / "probe.csv", "--channel", "-1"],
-        "horizons": ["eval", "--stub", "oracle", "--horizons", "8,x"],
+        "horizons": ["eval", "--checkpoint", workspace / "ck.bin", "--horizons", "8,x"],
     }
     for name, argv in cases.items():
         out = workspace / name

@@ -23,7 +23,7 @@ from utsf.model import (ParameterStore, UShapedTransformer, config_from_dict, co
                         param_count, param_layout, preset)
 from utsf.tensor import GradTape, Tensor
 from utsf.training import (EVAL_CHUNK, LINEAR_CHUNK, LINEAR_RIDGE, Adam, BaselinePredictor, LastValuePredictor,
-                           ModelPredictor, OraclePredictor, TrainerConfig, TrainReport,
+                           ModelPredictor, TrainerConfig, TrainReport,
                            apply_checkpoint, backbone_hash, compute_metrics, evaluate, finetune_epoch,
                            fit_linear, load_checkpoint, pretrain_epoch, save_checkpoint)
 
@@ -425,7 +425,7 @@ def test_every_op_of_a_step_and_a_forecast_goes_through_record_op(monkeypatch):
     nodes = [node.name for node in tape._nodes]
     m.freeze_backbone()
     calls.clear()
-    ModelPredictor(m)(x[:, :m.config.lookback_len], None)
+    ModelPredictor(m)(x[:, :m.config.lookback_len])
     assert [name for name, _ in calls] == ["reshape"] + nodes
 
 
@@ -504,11 +504,45 @@ def test_non_finite_gradient_names_phase_epoch_and_step(phase, monkeypatch):
 
 
 def test_oracle_predictor_scores_zero():
-    frame = make_sine_frame("s", n_channels=1, length=640, period=16.0, seed=3)
-    out = evaluate(OraclePredictor(), frame, 32, 32, horizons=[8, 32])
+    # a predictor that returns the truth rows, cut here in evaluate's order
+    # (channel-major, then start), pins the all-zero-metrics end of the harness
+    frame = make_sine_frame("s", n_channels=2, length=6000, period=16.0, seed=3)
+    lo, hi = frame.split_bounds("test")
+    samples = [make_window_sample(frame, channel, start, 32, 32)
+               for channel in range(2) for start in range(lo, hi - 64 + 1, 64)]
+    inputs = np.concatenate([x for x, _ in samples])
+    truths = np.concatenate([y for _, y in samples])
+    seen = []
+
+    def oracle(input_norm):
+        i = sum(seen)
+        seen.append(len(input_norm))
+        assert np.array_equal(input_norm, inputs[i:i + len(input_norm)])
+        return truths[i:i + len(input_norm)]
+
+    out = evaluate(oracle, frame, 32, 32, horizons=[8, 32])
+    assert len(seen) > 1 and sum(seen) == len(samples)
     for h in (8, 32):
         assert out[h]["mse"] == 0.0 and out[h]["mae"] == 0.0
-        assert out[h]["n_windows"] >= 1
+        assert out[h]["n_windows"] == len(samples)
+
+
+def test_evaluate_hands_each_predictor_one_positional_array():
+    frame = make_sine_frame("s", n_channels=2, length=6000, period=16.0, seed=3)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return np.zeros((len(args[0]), 32))
+
+    out = evaluate(recording, frame, 32, 32, horizons=[32])
+    assert len(calls) > 1
+    for args, kwargs in calls:
+        assert len(args) == 1 and kwargs == {}
+        assert isinstance(args[0], np.ndarray) and args[0].ndim == 2 and args[0].shape[1] == 32
+    assert sum(len(args[0]) for args, _ in calls) == out[32]["n_windows"]
+    # a predictor of one parameter is all the contract asks for
+    assert evaluate(lambda x: np.zeros((len(x), 32)), frame, 32, 32, horizons=[32]) == out
 
 
 def test_last_value_on_constant_series_scores_zero():
@@ -522,16 +556,16 @@ def test_last_value_on_constant_series_scores_zero():
 def test_evaluate_validates_horizons_and_predictor_shape():
     frame = make_sine_frame("s", n_channels=1, length=640, period=16.0)
     with pytest.raises(UsageError, match="horizon"):
-        evaluate(OraclePredictor(), frame, 32, 32, horizons=[33])
+        evaluate(LastValuePredictor(32), frame, 32, 32, horizons=[33])
     with pytest.raises(UsageError, match="horizon"):
-        evaluate(OraclePredictor(), frame, 32, 32, horizons=[0])
+        evaluate(LastValuePredictor(32), frame, 32, 32, horizons=[0])
     with pytest.raises(UsageError, match="shape"):
-        evaluate(lambda i, t: np.zeros((1, 3)), frame, 32, 32, horizons=[32])
+        evaluate(lambda i: np.zeros((1, 3)), frame, 32, 32, horizons=[32])
     with pytest.raises(UsageError, match=r"expected \(B, T\) = \(2, 32\)"):  # one row for 2 windows
-        evaluate(lambda i, t: np.zeros((1, 32)), frame, 32, 32, horizons=[32])
+        evaluate(lambda i: np.zeros((1, 32)), frame, 32, 32, horizons=[32])
     short = make_sine_frame("tiny", n_channels=1, length=80, period=16.0)
     with pytest.raises(UsageError, match="too short"):
-        evaluate(OraclePredictor(), short, 32, 32, horizons=[32])
+        evaluate(LastValuePredictor(32), short, 32, 32, horizons=[32])
 
 
 def test_model_predictor_matches_direct_forward():
@@ -540,9 +574,9 @@ def test_model_predictor_matches_direct_forward():
     frame = make_sine_frame("s", n_channels=2, length=12_000, period=16.0, noise=0.1, seed=5)
     predictor, chunks = ModelPredictor(m), []
 
-    def recording(input_norm, truth_norm):
+    def recording(input_norm):
         chunks.append(len(input_norm))
-        return predictor(input_norm, truth_norm)
+        return predictor(input_norm)
 
     out = evaluate(recording, frame, 32, 32, horizons=[8, 32])
     assert chunks == [EVAL_CHUNK, EVAL_CHUNK, 10]
@@ -564,17 +598,15 @@ def test_model_predictor_matches_direct_forward():
 def test_stub_and_baseline_rows_match_a_per_window_loop():
     rng = np.random.default_rng(6)
     inputs = rng.standard_normal((5, 32)).astype(np.float32)
-    truths = rng.standard_normal((5, 32)).astype(np.float32)
     weights, bias = rng.standard_normal((32, 32)), rng.standard_normal(32)
-    for predictor, rtol in ((LastValuePredictor(32), 0.0), (OraclePredictor(), 0.0),
-                            (BaselinePredictor(weights, bias), 1e-12)):
-        batch = predictor(inputs, truths)
+    for predictor, rtol in ((LastValuePredictor(32), 0.0), (BaselinePredictor(weights, bias), 1e-12)):
+        batch = predictor(inputs)
         assert batch.shape == (5, 32)
         for b in range(5):
-            row = predictor(inputs[b:b + 1], truths[b:b + 1])
+            row = predictor(inputs[b:b + 1])
             assert np.abs(batch[b] - row[0]).max() <= rtol * np.abs(row).max(), (predictor, b)
     # each last-value row repeats its own window's last value
-    assert np.array_equal(LastValuePredictor(32)(inputs, truths), np.repeat(inputs[:, -1:], 32, axis=1))
+    assert np.array_equal(LastValuePredictor(32)(inputs), np.repeat(inputs[:, -1:], 32, axis=1))
 
 
 def two_sine_frames():
