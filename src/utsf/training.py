@@ -261,6 +261,8 @@ def _draw_window_epoch(phase: str, step_loss, optimizer: Adam, frames: dict,
     uniformly, then a start and a channel, cuts that window's normalized
     ``(x, y)`` pair and minimizes ``step_loss(x, y)``, which may draw
     further from ``rng``."""
+    if steps < 1:
+        raise UsageError(f"{phase} epoch needs steps >= 1, got {steps}")
     report = report if report is not None else TrainReport()
     table = _window_table(frames, lookback_len + horizon_len, sampler, epoch)
     counts = [(ds_id, len(table[ds_id])) for ds_id in sorted(table)]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from utsf import tensor as T
-from utsf.cli import main, run_gradient_suite
+from utsf.cli import GRADCHECK_TOLERANCE, main, run_gradient_suite
 from utsf.data import (SamplerConfig, SeriesFrame, make_sine_frame,
                        normalize_sample, denormalize, save_csv_dataset,
                        weighted_sample, window_starts, zero_mask_patches)
@@ -55,8 +55,8 @@ def test_criterion_01_gradients_match_finite_differences():
     # inside a 120 s budget
     with criterion(1, "autodiff vs finite differences") as detail:
         t0 = time.perf_counter()
-        ok = run_gradient_suite(n_seeds=20, tolerance=1e-6,
-                                include_backbone=True, log=lambda *_: None)
+        assert GRADCHECK_TOLERANCE == 1e-6
+        ok = run_gradient_suite(n_seeds=20, log=lambda *_: None)
         elapsed = time.perf_counter() - t0
         assert ok, "finite-difference suite reported a failure"
         assert elapsed < 120.0, f"took {elapsed:.1f} s, budget is 120 s"

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from utsf import training
+from utsf import cli, training
 from utsf.cli import RunConfig, _raise_mmap_threshold, build_parser, main
 from utsf.data import (SamplerConfig, load_csv_dataset, make_sine_frame, normalize_sample,
                        save_csv_dataset)
@@ -512,18 +512,22 @@ def test_attn_dump_refuses_a_one_token_model(workspace, capsys):
     assert out.is_dir() and not any(out.iterdir())
 
 
-def test_gradcheck_exit_codes(capsys):
-    assert run_cli("gradcheck", "--seeds", "1", "--ops-only") == 0
+def test_gradcheck_exit_codes(capsys, monkeypatch):
+    assert run_cli("gradcheck", "--seeds", "1") == 0
     assert "PASS" in capsys.readouterr().out
-    assert run_cli("gradcheck", "--seeds", "1", "--ops-only",
-                   "--tolerance", "1e-30") == 3
+    monkeypatch.setattr(cli, "GRADCHECK_TOLERANCE", 1e-30)
+    assert run_cli("gradcheck", "--seeds", "1") == 3
     assert "FAIL" in capsys.readouterr().out
-    # checking nothing, or against no usable tolerance, is a usage error
-    for flag, value in (("--seeds", "0"), ("--seeds", "-3"), ("--tolerance", "0"),
-                        ("--tolerance", "-1e-6"), ("--tolerance", "nan"), ("--tolerance", "inf")):
-        assert run_cli("gradcheck", "--ops-only", flag, value) == 2, (flag, value)
+    # checking nothing is a usage error
+    for value in ("0", "-3"):
+        assert run_cli("gradcheck", "--seeds", value) == 2, value
         captured = capsys.readouterr()
-        assert flag in captured.err and "PASS" not in captured.out
+        assert "--seeds" in captured.err and "PASS" not in captured.out
+    # the bar is GRADCHECK_TOLERANCE alone, and every check includes the backbone
+    for argv in (("--tolerance", "1e-6"), ("--ops-only",)):
+        assert run_cli("gradcheck", *argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err and "PASS" not in captured.out
 
 
 def test_config_errors_exit_2(workspace, capsys):

@@ -473,9 +473,9 @@ def test_forecast_head_gradients_pass_finite_differences():
         return T.mean_all(T.mul(pred, pred))
 
     head = {n: t for n, t in m.params.items() if n.startswith("head.forecast")}
-    rep = T.finite_diff_check(loss_fn, head, tolerance=1e-6)
-    assert rep.passed, str(rep)
-    assert all(e <= 1e-6 or e == 0.0 for e in rep.errors.values())
+    errors = T.finite_diff_check(loss_fn, head)
+    assert all(e < 1e-6 for e in errors.values()), errors
+    assert all(e <= 1e-6 or e == 0.0 for e in errors.values())
 
 
 def test_two_layer_groups_pass_finite_differences():
@@ -489,6 +489,6 @@ def test_two_layer_groups_pass_finite_differences():
         pred, _m = m.reconstruct(x)
         return T.mean_all(T.mul(pred, pred))
 
-    rep = T.finite_diff_check(loss_fn, dict(m.params.items()), tolerance=1e-6, max_entries=2)
-    assert rep.passed, str(rep)
+    errors = T.finite_diff_check(loss_fn, dict(m.params.items()), max_entries=2)
+    assert all(e < 1e-6 for e in errors.values()), errors
 

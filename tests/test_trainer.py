@@ -464,6 +464,29 @@ def test_finetune_touches_only_the_heads():
 
 
 @pytest.mark.parametrize("phase", ["pretrain", "finetune"])
+def test_an_epoch_of_fewer_than_one_step_is_refused_before_it_draws(phase, monkeypatch):
+    # a closed epoch of no step would record the mean of earlier steps
+    model = tiny_model()
+    epoch_fn = pretrain_epoch
+    if phase == "finetune":
+        model.freeze_backbone()
+        epoch_fn = finetune_epoch
+    opt, rng = Adam(model.params, lr=1e-3), np.random.default_rng(0)
+    report = epoch_fn(model, sine_frames(), SAMPLER, opt, steps=3, rng=rng)
+    steps, means, state = list(report.steps), list(report.epoch_means), rng.bit_generator.state
+
+    def no_table(*_):
+        raise AssertionError("the window table was built")
+
+    monkeypatch.setattr(utsf.training, "_window_table", no_table)
+    for n in (0, -2):
+        with pytest.raises(UsageError, match=f"{phase} epoch needs steps >= 1, got {n}"):
+            epoch_fn(model, sine_frames(), SAMPLER, opt, steps=n, rng=rng, report=report)
+        assert report.steps == steps and report.epoch_means == means
+        assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("phase", ["pretrain", "finetune"])
 def test_non_finite_gradient_names_phase_epoch_and_step(phase, monkeypatch):
     # both phases run the same draw-window loop; poison the gradients after
     # the third backward pass and the abort must say where it happened, down
