@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -91,13 +91,13 @@ class ModelConfig:
     patch_size: int
     d_model: int = 64
     n_levels: int = 3
-    n_layers_per_group: int = 1
     n_heads: int = 4
 
     def __post_init__(self):
-        if min(self.lookback_len, self.horizon_len, self.patch_size, self.d_model,
-               self.n_levels, self.n_layers_per_group, self.n_heads) < 1:
-            raise ConfigError("model dimensions must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value < 1:
+                raise ConfigError(f"model config '{f.name}' must be positive, got {value}")
         total = self.lookback_len + self.horizon_len
         if total % self.patch_size != 0:
             raise ConfigError(f"L + T = {total} is not divisible by patch_size {self.patch_size}")
@@ -224,16 +224,14 @@ def param_layout(config: ModelConfig) -> Iterator[tuple[str, tuple, tuple]]:
         yield f"{name}.b", (d_out,), ("fan_in", d_in)
 
     def group(prefix, d):
-        for j in range(config.n_layers_per_group):
-            layer = f"{prefix}.layer{j}"
-            yield f"{layer}.ln1.g", (d,), ("const", 1.0)
-            yield f"{layer}.ln1.b", (d,), ("const", 0.0)
-            for proj in ("q", "k", "v", "o"):
-                yield from linear(f"{layer}.attn.{proj}", d, d)
-            yield f"{layer}.ln2.g", (d,), ("const", 1.0)
-            yield f"{layer}.ln2.b", (d,), ("const", 0.0)
-            yield from linear(f"{layer}.ffn.fc1", d, FFN_MULT * d)
-            yield from linear(f"{layer}.ffn.fc2", FFN_MULT * d, d)
+        yield f"{prefix}.ln1.g", (d,), ("const", 1.0)
+        yield f"{prefix}.ln1.b", (d,), ("const", 0.0)
+        for proj in ("q", "k", "v", "o"):
+            yield from linear(f"{prefix}.attn.{proj}", d, d)
+        yield f"{prefix}.ln2.g", (d,), ("const", 1.0)
+        yield f"{prefix}.ln2.b", (d,), ("const", 0.0)
+        yield from linear(f"{prefix}.ffn.fc1", d, FFN_MULT * d)
+        yield from linear(f"{prefix}.ffn.fc2", FFN_MULT * d, d)
 
     # embedding: pointwise conv patch_size -> d_model, plus position table
     yield "embed.w", (config.d_model, config.patch_size), ("fan_in", config.patch_size)
@@ -259,18 +257,13 @@ def param_layout(config: ModelConfig) -> Iterator[tuple[str, tuple, tuple]]:
 def param_count(config: ModelConfig) -> int:
     """The number of parameter scalars ``config`` lays out. A config past
     ``MAX_PARAMS`` raises ``ConfigError`` naming the entry at which a running
-    count over its layout passes the bound. Every layer of a group has its
-    first layer's shapes, so the layout is walked with one layer per group
-    and each first-layer entry counts once per layer: a few dozen steps,
-    allocating no parameter, whatever ``n_layers_per_group`` claims."""
-    count, layers = 0, config.n_layers_per_group
-    for name, shape, _ in param_layout(replace(config, n_layers_per_group=1)):
-        copies = layers if ".layer0." in name else 1
-        count += copies * math.prod(shape)
+    count over its layout passes the bound, allocating no parameter."""
+    count = 0
+    for name, shape, _ in param_layout(config):
+        count += math.prod(shape)
         if count > MAX_PARAMS:
-            where = f" in each of {layers} layers" if copies > 1 else ""
             raise ConfigError(f"model too large to build: its parameters pass {MAX_PARAMS} scalars "
-                              f"at '{name}' of shape {list(shape)}{where}")
+                              f"at '{name}' of shape {list(shape)}")
     return count
 
 
@@ -335,8 +328,10 @@ class UShapedTransformer:
     def _linear(self, x: Tensor, name: str) -> Tensor:
         return T.linear(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
 
-    def _layer(self, x: Tensor, prefix: str, windows: int) -> tuple[Tensor, np.ndarray]:
-        """One pre-norm layer; also returns the first window's head-averaged attention."""
+    def _group(self, x: Tensor, prefix: str, level: int, side: str, windows: int) -> tuple[Tensor, AttentionMap]:
+        """Run the group ``prefix``, one pre-norm transformer layer, over
+        ``windows`` row-stacked sequences of its level's tokens; the map is
+        the first window's head-averaged attention."""
         p = self.params
         h = T.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
         q, k, v = (self._linear(h, f"{prefix}.attn.{proj}") for proj in ("q", "k", "v"))
@@ -347,16 +342,7 @@ class UShapedTransformer:
         x = T.add(x, self._linear(ctx, f"{prefix}.attn.o"))
         h = T.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
         h = self._linear(T.gelu(self._linear(h, f"{prefix}.ffn.fc1")), f"{prefix}.ffn.fc2")
-        return T.add(x, h), weights
-
-    def _group(self, x: Tensor, prefix: str, level: int, side: str, windows: int) -> tuple[Tensor, AttentionMap]:
-        """Run the group ``prefix`` over ``windows`` row-stacked sequences of
-        its level's tokens; the map is the first layer's head average for the
-        first window."""
-        x, weights = self._layer(x, f"{prefix}.layer0", windows)
-        for j in range(1, self.config.n_layers_per_group):
-            x, _ = self._layer(x, f"{prefix}.layer{j}", windows)
-        return x, AttentionMap(level=level, side=side, weights=weights)
+        return T.add(x, h), AttentionMap(level=level, side=side, weights=weights)
 
     def patch_merge(self, tokens: Tensor, level: int) -> Tensor:
         """Halve tokens / double dimension with a learned stride-2 conv: level -> level + 1."""

@@ -503,10 +503,10 @@ def _read_manifest(fh, size: int, path) -> tuple[dict, ModelConfig, int]:
         raise CheckpointError(f"{path}: manifest is not valid JSON: {e}") from None
     if not isinstance(manifest, dict):
         raise CheckpointError(f"{path}: manifest is not a JSON object")
-    if "format_version" in manifest and manifest["format_version"] != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: format_version {manifest['format_version']} unsupported (expected {CHECKPOINT_VERSION})"
-        )
+    # by type as well as value, as 2.0 == 2; !r tells "2" from 2
+    version = manifest.get("format_version", CHECKPOINT_VERSION)
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: format_version {version!r} unsupported (expected {CHECKPOINT_VERSION})")
     unknown = sorted(set(manifest) - set(_MANIFEST_FIELDS))
     if unknown:
         raise CheckpointError(f"{path}: unknown manifest fields: {unknown} "

@@ -36,7 +36,7 @@ def _manifest_paths():
     does not have (format 1's ``params``, an unknown one and the config keys
     of earlier releases), which ``_walk`` inserts."""
     config = config_to_dict(preset("tiny"))
-    legacy = ("patch_stride", "dropout", "ffn_mult", "mask_ratio")
+    legacy = ("patch_stride", "dropout", "ffn_mult", "mask_ratio", "n_layers_per_group")
     paths = [(k,) for k in ("format_version", "config", "seed", "params", "extra")]
     paths += [("config", k) for k in (*config, *legacy)]
     return paths

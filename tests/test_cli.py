@@ -326,7 +326,7 @@ def test_resolved_config_bytes_are_pinned(workspace):
     assert run_cli("forecast", "--config", workspace / "run.json", "--out", workspace / "fc",
                    "--checkpoint", workspace / "ck.bin", "--input", workspace / "probe.csv") == 0
     digest = hashlib.sha256((workspace / "fc" / "resolved_config.json").read_bytes()).hexdigest()
-    assert digest == "944c291e6cb23ec47d87e2f144b8bd7d2f3bfd4f9a8d03fbfce395ecd483d46d"
+    assert digest == "7fd0ed31663e121341b107f988c14726641a929c3b5416bf3f10a1501e621bb7"
 
 
 def test_checkpoint_payload_of_the_wrong_size_exits_2_and_loads_nothing(workspace, capsys):
@@ -559,9 +559,13 @@ def test_config_errors_exit_2(workspace, capsys):
              ({"model": {"preset": "tiny", "dropout": 0}}, "dropout"),
              ({"model": {"preset": "tiny", "ffn_mult": 4}}, "ffn_mult"),
              ({"model": {"preset": "tiny", "mask_ratio": 0.4}}, "mask_ratio"),
+             ({"model": {"preset": "tiny", "n_layers_per_group": 1}}, "n_layers_per_group"),
+             # a non-positive dimension is named with its value
+             ({"model": {"preset": "tiny", "d_model": 0}}, "model config 'd_model' must be positive, got 0"),
              # a preset key names a preset
              ({"model": {"preset": None}}, "unknown preset None"),
              ({"trainer": {"lr": float("nan")}}, "lr"), ({"trainer": {"lr": float("inf")}}, "lr"),
+             ({"sampler": {"stride": 0}}, "sampler stride must be >= 1, got 0"),
              # Adam's constants, even at the values they once defaulted to
              ({"trainer": {"beta1": 0.9}}, "beta1"), ({"trainer": {"beta2": 0.999}}, "beta2"),
              ({"trainer": {"eps": 1e-8}}, "eps"),
@@ -590,6 +594,18 @@ def test_config_errors_exit_2(workspace, capsys):
         bad.write_text(json.dumps({"model": {"preset": "tiny"}, "registry": "odd.json"}))
         assert run_cli("pretrain", "--config", bad, "--out", workspace / "x6") == 2, entry
         assert "odd" in capsys.readouterr().err, entry
+    # a registry must be an object that lists a dataset
+    for text, named in (("[1]", "odd.json must hold a JSON object"), ("{}", "odd.json lists no datasets")):
+        (workspace / "odd.json").write_text(text)
+        assert run_cli("pretrain", "--config", bad, "--out", workspace / "x6") == 2, text
+        assert named in capsys.readouterr().err, text
+    # and a command that reads datasets needs one
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
+    bad.write_text(json.dumps({"model": {"preset": "tiny"}}))
+    for command in (["pretrain"], ["finetune", "--checkpoint", workspace / "ck.bin"],
+                    ["eval", "--checkpoint", workspace / "ck.bin"]):
+        assert run_cli(*command, "--config", bad, "--out", workspace / "x10") == 2, command
+        assert "this command needs a 'registry' entry in the config" in capsys.readouterr().err, command
 
     # an integer literal longer than Python converts (4300 digits) is invalid JSON, not a ValueError
     huge = "9" * 5000
@@ -608,9 +624,14 @@ def test_malformed_checkpoint_manifest_exits_2(workspace, capsys):
     blob = (workspace / "ck.bin").read_bytes()
     n = struct.unpack("<Q", blob[:8])[0]
     manifest = json.loads(blob[8:8 + n])
+    # a manifest that is JSON but not an object
+    (workspace / "bad.bin").write_bytes(struct.pack("<Q", 3) + b"[1]" + blob[8 + n:])
+    assert run_cli("forecast", "--config", workspace / "run.json", "--out", workspace / "fc",
+                   "--checkpoint", workspace / "bad.bin", "--input", workspace / "probe.csv") == 2
+    assert "bad.bin: manifest is not a JSON object" in capsys.readouterr().err
     # a manifest config past the size bound, or one whose count is not the
     # payload's: named before the payload buffer is allocated
-    for edit, named in (({"n_layers_per_group": 10 ** 9}, "in each of 1000000000 layers"),
+    for edit, named in (({"d_model": 2 ** 20}, "at 'enc1.attn.q.w' of shape [1048576, 1048576]"),
                         ({"d_model": 2 ** 40}, "at 'embed.w' of shape [1099511627776, 8]"),
                         ({"d_model": 16}, f"payload is {len(blob) - 8 - n} bytes, manifest implies ")):
         doctored = json.dumps({**manifest, "config": {**manifest["config"], **edit}}).encode()
@@ -633,7 +654,7 @@ def test_malformed_checkpoint_manifest_exits_2(workspace, capsys):
     for model, field in (({"preset": "tiny", "n_heads": 1}, "n_heads"),
                          ({"preset": "tiny", "lookback_len": 48, "horizon_len": 16}, "lookback_len"),
                          ({"preset": "tiny", "d_model": 2 ** 40}, "d_model"),
-                         ({"preset": "tiny", "n_layers_per_group": 5000}, "n_layers_per_group")):
+                         ({"preset": "tiny", "d_model": 512}, "d_model")):
         (workspace / "other.json").write_text(json.dumps({**run, "model": model}))
         tracemalloc.start()
         try:
@@ -649,12 +670,12 @@ def test_malformed_checkpoint_manifest_exits_2(workspace, capsys):
 
 def test_pretrain_refuses_a_model_too_large_to_build(workspace, capsys):
     # past 2**31 parameter scalars the build names the parameter that passes
-    # the bound, before it allocates any; a billion layers are refused as fast
+    # the bound, before it allocates any
     run = json.loads((workspace / "run.json").read_text())
     for model, named in (({"preset": "tiny", "lookback_len": 10 ** 400}, "at 'pos' of shape [125"),
                          ({"preset": "tiny", "d_model": 2 ** 40}, "at 'embed.w' of shape [1099511627776, 8]"),
-                         ({"preset": "tiny", "n_layers_per_group": 10 ** 9},
-                          "at 'enc1.layer0.ln1.g' of shape [8] in each of 1000000000 layers")):
+                         ({"preset": "tiny", "d_model": 2 ** 20, "n_heads": 2},
+                          "at 'enc1.attn.q.w' of shape [1048576, 1048576]")):
         (workspace / "big.json").write_text(json.dumps({**run, "model": model}))
         tracemalloc.start()
         t0 = time.perf_counter()
@@ -726,6 +747,12 @@ def test_unreadable_input_files_exit_2(workspace, capsys):
     (workspace / "datasets.json").write_text(json.dumps({"sine": {"path": "folder"}}))
     assert run_cli("pretrain", "--config", workspace / "run.json", "--out", workspace / "x8") == 2
     assert "sine" in capsys.readouterr().err
+    # a header cell longer than the csv module reads
+    limit = csv.field_size_limit()
+    (workspace / "wide.csv").write_text("x" * (limit + 1) + "\n1.0\n")
+    (workspace / "datasets.json").write_text(json.dumps({"sine": {"path": "wide.csv"}}))
+    assert run_cli("pretrain", "--config", workspace / "run.json", "--out", workspace / "x9") == 2
+    assert f"wide.csv: field larger than field limit ({limit})" in capsys.readouterr().err
 
 
 def test_missing_dataset_file_names_the_dataset(workspace, capsys):

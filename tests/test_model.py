@@ -59,18 +59,27 @@ def test_config_validation():
         ModelConfig(lookback_len=32, horizon_len=32, patch_size=8, d_model=8, n_heads=2, n_levels=2**62)
     # the legacy keys are unknown keys, even at the one value they once loaded at
     for key, value in (("patch_stride", 8), ("patch_stride", None), ("dropout", 0.0), ("dropout", 0.1),
-                       ("ffn_mult", 4), ("ffn_mult", 2), ("mask_ratio", 0.4), ("mask_ratio", 0.25)):
+                       ("ffn_mult", 4), ("ffn_mult", 2), ("mask_ratio", 0.4), ("mask_ratio", 0.25),
+                       ("n_layers_per_group", 1), ("n_layers_per_group", 2)):
         with pytest.raises(ConfigError, match=rf"unknown model config keys: \['{key}'\]"):
             ModelConfig.from_dict({"preset": "tiny", key: value})
+    # a non-positive dimension is named with its value, the first in field order
+    for f in fields(ModelConfig):
+        with pytest.raises(ConfigError, match=rf"^model config '{f.name}' must be positive, got 0$"):
+            ModelConfig.from_dict({"preset": "tiny", f.name: 0})
+    with pytest.raises(ConfigError, match=r"^model config 'patch_size' must be positive, got -8$"):
+        ModelConfig.from_dict({"preset": "tiny", "patch_size": -8, "n_heads": -1})
 
 
 def test_the_model_config_is_the_architecture():
     assert [f.name for f in fields(ModelConfig)] == ["lookback_len", "horizon_len", "patch_size", "d_model",
-                                                     "n_levels", "n_layers_per_group", "n_heads"]
+                                                     "n_levels", "n_heads"]
     # the feed-forward width and the pretraining mask are constants, not settings
     assert utsf.model.FFN_MULT == 4 and utsf.training.MASK_RATIO == 0.4
     shapes = {name: shape for name, shape, _ in param_layout(preset("small"))}
-    assert shapes["mid.layer0.ffn.fc1.w"] == (256, 4 * 256) and shapes["mid.layer0.ffn.fc2.w"] == (4 * 256, 256)
+    assert shapes["mid.ffn.fc1.w"] == (256, 4 * 256) and shapes["mid.ffn.fc2.w"] == (4 * 256, 256)
+    # a group is one layer: its parameter names hold no layer segment
+    assert not [name for name in shapes if ".layer" in name]
 
 
 def test_the_readme_lists_every_model_config_field():
@@ -122,16 +131,18 @@ def test_param_layout_is_the_built_model_and_is_lazy():
     for name in ("tiny", "small"):
         m = UShapedTransformer(preset(name), seed=0)
         assert [(n, s) for n, s, _ in param_layout(m.config)] == [(n, p.shape) for n, p in m.params.items()]
-    assert len(list(param_layout(preset("tiny")))) == 59
-    # a config that lays out a billion layers per group yields its first entries at once
-    huge = param_layout(replace(preset("tiny"), n_layers_per_group=10 ** 9))
-    assert [next(huge)[0] for _ in range(4)] == ["embed.w", "embed.b", "pos", "enc1.layer0.ln1.g"]
+    # 7 entries for embedding, position and heads, 16 per group (2n - 1 of them), 2 per merge and split
+    for name in ("tiny", "small", "base"):
+        assert len(list(param_layout(preset(name)))) == 36 * preset(name).n_levels - 13
+    # a config whose parameters no memory holds yields its first entries at once
+    huge = param_layout(replace(preset("tiny"), d_model=2 ** 40, n_heads=2))
+    assert [next(huge)[:2] for _ in range(4)] == [("embed.w", (2 ** 40, 8)), ("embed.b", (2 ** 40,)),
+                                                  ("pos", (8, 2 ** 40)), ("enc1.ln1.g", (2 ** 40,))]
 
 
 def test_the_build_refuses_a_model_past_the_size_bound(monkeypatch):
-    # two layers per group: the count multiplies first-layer entries, and
-    # must equal the full layout's, so the bound is met at the last entry
-    config = replace(preset("tiny"), n_layers_per_group=2)
+    # the count is the layout's sum, so the bound is met at the last entry
+    config = preset("tiny")
     total = sum(math.prod(shape) for _, shape, _ in param_layout(config))
     for other in (config, preset("small"), preset("base")):
         assert param_count(other) == sum(math.prod(shape) for _, shape, _ in param_layout(other))
@@ -144,8 +155,8 @@ def test_the_build_refuses_a_model_past_the_size_bound(monkeypatch):
 
 def test_seeded_init_is_pinned_and_the_seed_is_a_non_negative_int():
     # sha256 over (name, float32 bytes) of every parameter in store order
-    pinned = {("tiny", 0): "04064a2f8f3e03832415617ab1ab48ec4b6019646f0861219858a06b827f74e2",
-              ("small", 3): "349fd2615c0fb62534d27286124d6b8ae813e3d54fa740ab81526aa35523ab0b"}
+    pinned = {("tiny", 0): "ed1c2e9ef901d05b2ee4e592e6dd13cc0aec1d88ea43e599fbd7c48728db0a64",
+              ("small", 3): "aa9e1cd913effa22aa811a818b419a04a0d6a36a687fbb583eb2ce2152acf916"}
     for (name, seed), digest in pinned.items():
         h = hashlib.sha256()
         for n, p in UShapedTransformer(preset(name), seed=seed).params.items():
@@ -394,12 +405,11 @@ def test_backbone_map_inventory_and_row_sums(monkeypatch):
         assert a.weights.tobytes() in head_means  # np.mean's bits, bit for bit
 
 
-@pytest.mark.parametrize("name, layers", [("tiny", 1), ("small", 1), ("tiny", 2)],
-                         ids=["tiny", "small", "tiny-2layers"])
-def test_batch_rows_equal_single_window_passes(name, layers):
+@pytest.mark.parametrize("name", ["tiny", "small"])
+def test_batch_rows_equal_single_window_passes(name):
     # row b of a (B, L) pass is window b's own pass: attention, merge and
     # split never mix windows
-    m = UShapedTransformer(replace(preset(name), n_layers_per_group=layers), seed=6)
+    m = UShapedTransformer(preset(name), seed=6)
     x = np.random.default_rng(7).standard_normal((3, m.config.model_len)).astype(np.float32)
     recon, maps = m.reconstruct(Tensor(x))
     fc, _ = m.forecast(Tensor(x))
@@ -476,19 +486,3 @@ def test_forecast_head_gradients_pass_finite_differences():
     errors = T.finite_diff_check(loss_fn, head)
     assert all(e < 1e-6 for e in errors.values()), errors
     assert all(e <= 1e-6 or e == 0.0 for e in errors.values())
-
-
-def test_two_layer_groups_pass_finite_differences():
-    # the gradient suite checks the one-layer tiny preset; this runs the
-    # group's loop over its later layers
-    m = UShapedTransformer(replace(preset("tiny"), n_layers_per_group=2), seed=13, dtype=F64)
-    assert "enc1.layer1.attn.q.w" in m.params.names()
-    x = Tensor(np.random.default_rng(14).standard_normal((1, 64)), dtype=F64)
-
-    def loss_fn(_):
-        pred, _m = m.reconstruct(x)
-        return T.mean_all(T.mul(pred, pred))
-
-    errors = T.finite_diff_check(loss_fn, dict(m.params.items()), max_entries=2)
-    assert all(e < 1e-6 for e in errors.values()), errors
-

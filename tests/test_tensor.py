@@ -756,6 +756,41 @@ def test_finite_diff_restores_every_input_when_fn_raises():
 
 
 # ---------------------------------------------------------------------------
+# shape refusals
+
+
+def _ones(*shape):
+    return Tensor(np.ones(shape), dtype=F64)
+
+
+# each op, a word of its message, the error it raises and a call it refuses
+_REFUSALS = [
+    ("item", "shape", UsageError, lambda: _ones(2).item()),
+    ("conv1d_k2s2", "expects", DimensionError, lambda: T.conv1d_k2s2(_ones(4), _ones(3, 2, 2), _ones(3))),
+    ("conv1d_k2s2", "mismatch", DimensionError, lambda: T.conv1d_k2s2(_ones(4, 2), _ones(3, 5, 2), _ones(3))),
+    ("conv_transpose1d_k2s2", "expects", DimensionError,
+     lambda: T.conv_transpose1d_k2s2(_ones(4), _ones(2, 3, 2), _ones(3))),
+    ("conv_transpose1d_k2s2", "mismatch", DimensionError,
+     lambda: T.conv_transpose1d_k2s2(_ones(4, 2), _ones(3, 3, 2), _ones(3))),
+    ("pointwise_conv", "expects", DimensionError, lambda: T.pointwise_conv(_ones(4), _ones(3, 2), _ones(3))),
+    ("pointwise_conv", "mismatch", DimensionError, lambda: T.pointwise_conv(_ones(4, 2), _ones(3, 5), _ones(3))),
+    ("adaptive_avg_pool1d", "expects", DimensionError, lambda: T.adaptive_avg_pool1d(np.ones(4), 2)),
+    ("adaptive_avg_pool1d", "positive", DimensionError, lambda: T.adaptive_avg_pool1d(np.ones((1, 4)), 0)),
+    ("layer_norm", "gain", DimensionError, lambda: T.layer_norm(_ones(4, 3), _ones(2), _ones(3))),
+    ("narrow", "range", DimensionError, lambda: T.narrow(_ones(4, 3), 0, 3, 2)),
+    ("concat", "empty", UsageError, lambda: T.concat([], axis=0)),
+    ("finite_diff_check", "scalar", UsageError,
+     lambda: finite_diff_check(lambda inp: inp["x"], {"x": _ones(3)})),
+]
+
+
+@pytest.mark.parametrize("op, word, error, call", _REFUSALS, ids=[f"{op}-{word}" for op, word, _, _ in _REFUSALS])
+def test_a_shape_an_op_cannot_take_is_refused_and_names_the_op(op, word, error, call):
+    with pytest.raises(error, match=rf"^{op}\W.*{word}"):
+        call()
+
+
+# ---------------------------------------------------------------------------
 # finiteness
 
 

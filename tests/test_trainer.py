@@ -875,6 +875,11 @@ def test_checkpoint_version_and_manifest_errors(tmp_path):
                           (lambda mf: mf.update(format_version=99), 99)):
         with pytest.raises(CheckpointError, match=rf"format_version {version} unsupported \(expected 2\)"):
             load_checkpoint(rewrite_manifest(path, tmp_path / "bad.bin", edit))
+    # the version is the int 2: not a float, a string or a bool equal to it, quoted as written
+    for value, shown in ((2.0, "2.0"), ("2", "'2'"), (True, "True"), (3, "3")):
+        with pytest.raises(CheckpointError, match=rf"format_version {shown} unsupported \(expected 2\)$"):
+            load_checkpoint(rewrite_manifest(path, tmp_path / "bad.bin",
+                                             lambda mf: mf.update(format_version=value)))
     tiny = param_count(m.config)
     edits = {
         # the manifest holds exactly its three fields
@@ -884,19 +889,20 @@ def test_checkpoint_version_and_manifest_errors(tmp_path):
         r"manifest is missing fields: \['config', 'seed'\]": lambda mf: [mf.pop("config"), mf.pop("seed")],
         "'seed'": lambda mf: mf.update(seed="abc"),
         # a config past the size bound, refused by its count before anything is allocated
-        r"manifest field 'config': model too large to build: .* at 'enc1.layer0.ln1.g' of shape \[8\] "
-        r"in each of 1000000000 layers": lambda mf: mf["config"].update(n_layers_per_group=10 ** 9),
+        r"manifest field 'config': model too large to build: .* at 'enc1.attn.q.w' of shape "
+        r"\[1048576, 1048576\]$": lambda mf: mf["config"].update(d_model=2 ** 20),
         r"manifest field 'config': .* at 'embed.w' of shape \[1099511627776, 8\]":
             lambda mf: mf["config"].update(d_model=2 ** 40),
         # a config within the bound whose count is not the payload's
         rf"payload is {4 * tiny} bytes, manifest implies "
-        rf"{4 * param_count(replace(m.config, n_layers_per_group=5000))}$":
-            lambda mf: mf["config"].update(n_layers_per_group=5000),
+        rf"{4 * param_count(replace(m.config, d_model=512))}$":
+            lambda mf: mf["config"].update(d_model=512),
         "manifest field 'config': model config is missing required keys": lambda mf: mf.update(config={}),
         "patch_stride": lambda mf: mf["config"].update(patch_stride=4),
         "dropout": lambda mf: mf["config"].update(dropout=0.5),
         "ffn_mult": lambda mf: mf["config"].update(ffn_mult=2),
         "mask_ratio": lambda mf: mf["config"].update(mask_ratio=0.25),
+        "n_layers_per_group": lambda mf: mf["config"].update(n_layers_per_group=1),
     }
     for match, edit in edits.items():
         with pytest.raises(CheckpointError, match=match):
@@ -921,21 +927,23 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     blob = (tmp_path / "ck.bin").read_bytes()
     n = 8 + struct.unpack("<Q", blob[:8])[0]
     manifest, payload = (hashlib.sha256(part).hexdigest() for part in (blob[:n], blob[n:]))
-    assert manifest == "dd2e468fea178cb33c1223f82c916df27cd406b46097e877f93d84f2346a5fa7"
+    assert manifest == "32fe7113717a0df7ca5b07f2e8a7f4cb9a23738b5c8535415fc0d0198352eff1"
     assert payload == "f9f4930981ca9ceb096651e89349fa327b3291cccb488a55291d3b92a350666a"
 
 
 def test_checkpoint_with_legacy_config_keys_is_refused(tmp_path, capsys):
     # early releases wrote patch_stride and dropout, at their one implemented
-    # value, into every manifest, and later ones ffn_mult and mask_ratio, now
-    # constants: they are unknown keys now
+    # value, into every manifest, later ones ffn_mult and mask_ratio, now
+    # constants, and n_layers_per_group, a group being one layer: they are
+    # unknown keys now
     m = tiny_model(seed=10)
     path = tmp_path / "ck.bin"
     save_checkpoint(m, path, seed=10)
     save_csv_dataset(make_sine_frame("probe", length=40, period=16.0, seed=7), tmp_path / "probe.csv")
     (tmp_path / "run.json").write_text(json.dumps({"model": {"preset": "tiny"}}))
     for keys, match in (({"patch_stride": 8, "dropout": 0.0}, r"\['dropout', 'patch_stride'\]"),
-                        ({"ffn_mult": 4, "mask_ratio": 0.4}, r"\['ffn_mult', 'mask_ratio'\]")):
+                        ({"ffn_mult": 4, "mask_ratio": 0.4}, r"\['ffn_mult', 'mask_ratio'\]"),
+                        ({"n_layers_per_group": 1}, r"\['n_layers_per_group'\]")):
         legacy = rewrite_manifest(path, tmp_path / "legacy.bin", lambda mf: mf["config"].update(keys))
         with pytest.raises(CheckpointError, match=rf"unknown model config keys: {match}"):
             load_checkpoint(legacy)
@@ -960,5 +968,5 @@ def test_backbone_hash_ignores_heads():
         assert backbone_hash(m) == h.hexdigest() == backbone_hash(a), dtype
     b.params["head.forecast.b"].data[:] += 1.0
     assert backbone_hash(a) == backbone_hash(b)
-    b.params["enc1.layer0.attn.q.w"].data[0, 0] += 1e-3
+    b.params["enc1.attn.q.w"].data[0, 0] += 1e-3
     assert backbone_hash(a) != backbone_hash(b)
