@@ -255,7 +255,6 @@ def _op_cases(rng):
     def sq(x):
         return T.mean_all(T.mul(x, x))
 
-    w_conv = t(3, 2, 2)
     cases = {
         "matmul": (lambda i: sq(T.matmul(i["a"], i["b"])), {"a": t(3, 4), "b": t(4, 2)}),
         "linear": (lambda i: sq(T.linear(i["x"], i["w"], i["b"])), {"x": t(5, 3), "w": t(3, 2), "b": t(2)}),
@@ -263,11 +262,11 @@ def _op_cases(rng):
         "attention": (lambda i: sq(T.attention(i["q"], i["k"], i["v"], 2, 2)[0]),
                       {"q": t(6, 4), "k": t(6, 4), "v": t(6, 4)}),
         "conv1d_k2s2": (lambda i: sq(T.conv1d_k2s2(i["x"], i["w"], i["b"])),
-                        {"x": t(6, 2), "w": w_conv, "b": t(3)}),
+                        {"x": t(6, 2), "w": t(4, 3), "b": t(3)}),
         "conv_transpose1d_k2s2": (lambda i: sq(T.conv_transpose1d_k2s2(i["x"], i["w"], i["b"])),
-                                  {"x": t(3, 3), "w": w_conv, "b": t(2)}),
+                                  {"x": t(3, 3), "w": t(3, 4), "b": t(2)}),
         "pointwise_conv": (lambda i: sq(T.pointwise_conv(i["x"], i["w"], i["b"])),
-                           {"x": t(5, 2), "w": t(3, 2), "b": t(3)}),
+                           {"x": t(5, 2), "w": t(2, 3), "b": t(3)}),
         "softmax_lastdim": (lambda i: sq(T.softmax_lastdim(i["x"])), {"x": t(3, 5)}),
         "layer_norm": (lambda i: sq(T.layer_norm(i["x"], i["g"], i["b"])),
                        {"x": t(4, 6), "g": t(6), "b": t(6)}),

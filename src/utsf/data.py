@@ -43,7 +43,7 @@ class SeriesFrame:
     dataset_id : str
         Identity used by the sampler and in metric rows.
     channel_names : list of str
-    values : ndarray [C x length], float32
+    values : ndarray [C x length], float32, stored C-contiguous
     splits : (train, validate, test) fractions summing to 1
     """
 
@@ -53,7 +53,7 @@ class SeriesFrame:
     splits: tuple = DEFAULT_SPLITS
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float32)
+        self.values = np.ascontiguousarray(self.values, dtype=np.float32)
         if self.values.ndim != 2:
             raise IngestionError(f"series values must be 2-D (channels x time), got {self.values.shape}")
         if len(self.channel_names) != self.values.shape[0]:

@@ -234,20 +234,20 @@ def param_layout(config: ModelConfig) -> Iterator[tuple[str, tuple, tuple]]:
         yield from linear(f"{prefix}.ffn.fc2", FFN_MULT * d, d)
 
     # embedding: pointwise conv patch_size -> d_model, plus position table
-    yield "embed.w", (config.d_model, config.patch_size), ("fan_in", config.patch_size)
+    yield "embed.w", (config.patch_size, config.d_model), ("fan_in", config.patch_size)
     yield "embed.b", (config.d_model,), ("fan_in", config.patch_size)
     yield "pos", (config.n_patches, config.d_model), ("normal", 0.02)
     for i in range(1, config.n_levels):
         d = config.d_model << (i - 1)
         yield from group(f"enc{i}", d)
-        # merge level i -> i+1: conv weight [2d, d, 2]
-        yield f"merge{i}.w", (2 * d, d, 2), ("fan_in", 2 * d)
+        # merge level i -> i+1: a token pair [2d] -> [2d]
+        yield f"merge{i}.w", (2 * d, 2 * d), ("fan_in", 2 * d)
         yield f"merge{i}.b", (2 * d,), ("fan_in", 2 * d)
     yield from group("mid", config.d_model << (config.n_levels - 1))
     for i in range(config.n_levels - 1, 0, -1):
         d = config.d_model << (i - 1)
-        # split level i+1 -> i: transpose conv weight [2d, d, 2]
-        yield f"split{i}.w", (2 * d, d, 2), ("fan_in", 2 * d)
+        # split level i+1 -> i: a token [2d] -> a token pair [2d]
+        yield f"split{i}.w", (2 * d, 2 * d), ("fan_in", 2 * d)
         yield f"split{i}.b", (d,), ("fan_in", 2 * d)
         yield from group(f"dec{i}", d)
     yield from linear("head.recon", config.d_model, config.patch_size)

@@ -1,15 +1,14 @@
 """Dense tensors with reverse-mode automatic differentiation on numpy.
 
 The model and its training losses record the fused affine map ``linear``,
-fused multi-head ``attention``, the stride-2 convolution and transpose
-convolution and the pointwise convolution over token-major
-``(tokens, channels)`` sequences, ``layer_norm``, ``gelu``,
-``add``/``sub``/``mul``, ``reshape``/``transpose``/``narrow`` and
-``mean_all``, all on Tensor operands. ``matmul``, ``softmax_lastdim``,
-``neg``, ``sum_all`` and ``concat`` serve only the gradient suite (which
-checks every op), ``patch_merge_naive`` and the benchmark's tracer and smoke
-test. Scalars are 32-bit by default; build tensors with ``dtype=np.float64``
-for gradient verification.
+fused multi-head ``attention``, ``matmul``, ``layer_norm``, ``gelu``,
+``add``/``sub``/``mul``, ``reshape``/``narrow`` and ``mean_all``, all on
+Tensor operands; the stride-2 convolution, its transpose and the pointwise
+convolution over token-major ``(tokens, channels)`` sequences are built from
+them. ``softmax_lastdim``, ``transpose``, ``neg``, ``sum_all`` and ``concat``
+serve only the gradient suite (which checks every op), ``patch_merge_naive``
+and the benchmark's tracer and smoke test. Scalars are 32-bit by default;
+build tensors with ``dtype=np.float64`` for gradient verification.
 
 Every forward op validates that its output is finite and raises
 ``NumericError`` naming the op otherwise, so instabilities surface where
@@ -17,13 +16,11 @@ they happen instead of propagating. The test, :func:`all_finite`, takes one
 dot product of the output with itself: a sum of squares is finite exactly
 when every entry is, so only a non-finite sum pays for ``np.isfinite``.
 
-Three kernels save memory passes and keep every bit. ``gelu`` runs its nine
+Two kernels save memory passes and keep every bit. ``gelu`` runs its nine
 in-place passes over cache-sized blocks of ``GELU_BLOCK`` elements.
 ``attention`` takes each score row's max from a key-major copy (numpy reduces
 short contiguous rows slowly; a max is exact in any order) and keeps the
-scores query-major, so their row sums keep their bits. The merge's forward
-and the split's VJP pair rows by parity copies, not a transpose copy whose
-inner loop is 2 elements long (``_pair_rows``).
+scores query-major, so their row sums keep their bits.
 
 Recording happens on an explicit :class:`GradTape`::
 
@@ -359,82 +356,51 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, windows: int) -> tupl
 
 
 def conv1d_k2s2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Kernel-2 stride-2 convolution of ``x[P, C_in]`` to ``(P/2, C_out)``.
-
-    ``out[t, j] = bias[j] + sum_r sum_k weight[j, k, r] * x[2t + r, k]``:
-    one matmul over adjacent token pairs stacked as rows. P must be even.
-    """
-    if x.ndim != 2 or weight.ndim != 3 or bias.ndim != 1:
+    """Kernel-2 stride-2 convolution of ``x[P, C_in]`` to ``(P/2, C_out)``:
+    ``linear`` over the free ``(P/2, 2*C_in)`` view of ``x`` whose row t is
+    ``[x[2t], x[2t + 1]]``. P must be even."""
+    if x.ndim != 2 or weight.ndim != 2 or bias.ndim != 1:
         raise DimensionError(
-            f"conv1d_k2s2 expects x[P,C_in], weight[C_out,C_in,2], bias[C_out]; "
+            f"conv1d_k2s2 expects x[P,C_in], weight[2*C_in,C_out], bias[C_out]; "
             f"got {x.shape}, {weight.shape}, {bias.shape}"
         )
     p, c_in = x.shape
-    c_out = weight.shape[0]
-    if weight.shape != (c_out, c_in, 2) or bias.shape != (c_out,):
+    if weight.shape[0] != 2 * c_in or bias.shape != weight.shape[1:]:
         raise DimensionError(f"conv1d_k2s2 weight/bias mismatch: {x.shape}, {weight.shape}, {bias.shape}")
     if p < 2 or p % 2 != 0:
         raise DimensionError(f"conv1d_k2s2 needs an even token count >= 2, got {p}")
-    pairs = _pair_rows(x.data)
-    w2 = weight.data.reshape(c_out, 2 * c_in)
-    out = pairs @ w2.T
-    out += bias.data
-
-    def vjp(g):
-        dx = (g @ w2).reshape(p // 2, c_in, 2).transpose(0, 2, 1).reshape(p, c_in)
-        return dx, (g.T @ pairs).reshape(weight.shape), g.sum(axis=0)
-
-    return record_op("conv1d_k2s2", out, (x, weight, bias), vjp)
+    return linear(reshape(x, (p // 2, 2 * c_in)), weight, bias)
 
 
 def conv_transpose1d_k2s2(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Adjoint (up to bias) of ``conv1d_k2s2``: ``x[P, C_in]`` to ``(2P, C_out)``.
+    """Adjoint (up to bias) of ``conv1d_k2s2`` with ``weight.T``: ``x[P, C_in]`` to ``(2P, C_out)``.
 
-    ``out[2t + r, j] = bias[j] + sum_k weight[k, j, r] * x[t, k]``: one
-    matmul whose ``(P, 2*C_out)`` rows unfold into token pairs.
+    Row t of ``matmul(x, weight)`` is ``[out[2t], out[2t + 1]]`` less the
+    bias: a free reshape to ``(2P, C_out)`` unfolds the pairs, then one
+    ``(C_out,)`` bias is added to even and odd tokens alike.
     """
-    if x.ndim != 2 or weight.ndim != 3 or bias.ndim != 1:
+    if x.ndim != 2 or weight.ndim != 2 or bias.ndim != 1:
         raise DimensionError(
-            f"conv_transpose1d_k2s2 expects x[P,C_in], weight[C_in,C_out,2], bias[C_out]; "
+            f"conv_transpose1d_k2s2 expects x[P,C_in], weight[C_in,2*C_out], bias[C_out]; "
             f"got {x.shape}, {weight.shape}, {bias.shape}"
         )
     p, c_in = x.shape
-    c_out = weight.shape[1]
-    if weight.shape != (c_in, c_out, 2) or bias.shape != (c_out,):
+    c_out = bias.shape[0]
+    if weight.shape != (c_in, 2 * c_out):
         raise DimensionError(f"conv_transpose1d_k2s2 weight/bias mismatch: {x.shape}, {weight.shape}, {bias.shape}")
-    # row t of x @ w2 is [out[2t, j], out[2t + 1, j] for j]
-    w2 = weight.data.reshape(c_in, 2 * c_out)
-    x_data = x.data
-    out = (x_data @ w2).reshape(p, c_out, 2).transpose(0, 2, 1).reshape(2 * p, c_out)
-    out += bias.data
-
-    def vjp(g):
-        pairs = _pair_rows(g)
-        return pairs @ w2.T, (x_data.T @ pairs).reshape(weight.shape), g.sum(axis=0)
-
-    return record_op("conv_transpose1d_k2s2", out, (x, weight, bias), vjp)
-
-
-def _pair_rows(x: np.ndarray) -> np.ndarray:
-    """``x[P, C]`` as ``(P/2, 2C)`` rows ``[x[2t, k], x[2t + 1, k] for k]``, the
-    layout of ``weight.reshape(C_out, 2*C_in)``, by one copy per parity."""
-    p, c = x.shape
-    out = np.empty((p // 2, c, 2), x.dtype)
-    out[:, :, 0] = x[0::2]
-    out[:, :, 1] = x[1::2]
-    return out.reshape(p // 2, 2 * c)
+    return add(reshape(matmul(x, weight), (2 * p, c_out)), bias)
 
 
 def pointwise_conv(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Per-token channel projection of ``x[P, C_in]``: ``out[t] = weight @ x[t] + bias``."""
+    """Per-token channel projection of ``x[P, C_in]``: ``linear``, ``out[t] = x[t] @ weight + bias``."""
     if x.ndim != 2 or weight.ndim != 2 or bias.ndim != 1:
         raise DimensionError(
-            f"pointwise_conv expects x[P,C_in], weight[C_out,C_in], bias[C_out]; "
+            f"pointwise_conv expects x[P,C_in], weight[C_in,C_out], bias[C_out]; "
             f"got {x.shape}, {weight.shape}, {bias.shape}"
         )
-    if weight.shape[1] != x.shape[1] or bias.shape[0] != weight.shape[0]:
+    if weight.shape[0] != x.shape[1] or bias.shape[0] != weight.shape[1]:
         raise DimensionError(f"pointwise_conv shape mismatch: {x.shape}, {weight.shape}, {bias.shape}")
-    return linear(x, transpose(weight, (1, 0)), bias)
+    return linear(x, weight, bias)
 
 
 def adaptive_avg_pool1d(x: np.ndarray, out_len: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from .model import (ModelConfig, UShapedTransformer, config_from_dict, config_to
 from .tensor import GradTape, Tensor
 
 MAPE_FLOOR = 0.1
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # a manifest holds these fields and no other: the payload follows from its config
 _MANIFEST_FIELDS = ("config", "format_version", "seed")
 # evaluate() passes at most this many windows to one predictor call
@@ -413,24 +413,44 @@ def fit_linear(frames: dict, sampler: D.SamplerConfig, lookback_len: int,
                horizon_len: int) -> tuple[np.ndarray, np.ndarray]:
     """The affine map ``(w[L, T], b[T])`` of least squared error over epoch 0's
     train-split windows, weighted as training draws them: 1/D per dataset, and
-    alike within it. The float64 normal equations are summed ``LINEAR_CHUNK``
-    windows at a time and solved with ``LINEAR_RIDGE`` on the diagonal."""
+    alike within it, with ``LINEAR_RIDGE`` on the diagonal.
+
+    With at least as many windows as features ``[x, 1]``, the float64 normal
+    equations are summed ``LINEAR_CHUNK`` windows at a time and solved. With
+    fewer, the smaller dual system is: ``(A Aᵀ + LINEAR_RIDGE I) α = B`` and
+    ``W = Aᵀ α``, where A and B are the rows and targets scaled by the square
+    roots of their weights, so no (L+1)² Gram is formed."""
     table = _window_table(frames, lookback_len + horizon_len, sampler, 0)
     n = lookback_len + 1
-    gram, moment = np.zeros((n, n)), np.zeros((n, horizon_len))
+    chunks = _weighted_chunks(frames, table, lookback_len, horizon_len)
+    if sum(frames[ds_id].n_channels * len(starts) for ds_id, starts in table.items()) < n:
+        rows = [(xa * np.sqrt(weight), np.multiply(y, np.sqrt(weight), dtype=np.float64))
+                for xa, y, weight in chunks]
+        a, b = (np.concatenate(parts) for parts in zip(*rows))
+        kernel = a @ a.T
+        kernel.flat[::len(a) + 1] += LINEAR_RIDGE
+        coef = a.T @ np.linalg.solve(kernel, b)
+    else:
+        gram, moment = np.zeros((n, n)), np.zeros((n, horizon_len))
+        for xa, y, weight in chunks:
+            xw = xa.T * weight
+            gram += xw @ xa
+            moment += xw @ y
+        gram.flat[::n + 1] += LINEAR_RIDGE
+        coef = np.linalg.solve(gram, moment)
+    return coef[:-1], coef[-1]
+
+
+def _weighted_chunks(frames: dict, table: dict, lookback_len: int, horizon_len: int):
+    """``fit_linear``'s windows, ``LINEAR_CHUNK`` at a time: the float64 rows
+    ``[x, 1]``, the float32 targets and the weight of each of their windows."""
     for ds_id, starts in table.items():
         frame = frames[ds_id]
         pairs = [(channel, int(start)) for channel in range(frame.n_channels) for start in starts]
         weight = 1.0 / (len(table) * len(pairs))
         for i in range(0, len(pairs), LINEAR_CHUNK):
             x, y = _cut_windows(frame, pairs[i:i + LINEAR_CHUNK], lookback_len, horizon_len)
-            xa = np.concatenate([x, np.ones((len(x), 1), np.float32)], axis=1, dtype=np.float64)
-            xw = xa.T * weight
-            gram += xw @ xa
-            moment += xw @ y
-    gram.flat[::n + 1] += LINEAR_RIDGE
-    coef = np.linalg.solve(gram, moment)
-    return coef[:-1], coef[-1]
+            yield np.concatenate([x, np.ones((len(x), 1), np.float32)], axis=1, dtype=np.float64), y, weight
 
 
 # ---------------------------------------------------------------------------

@@ -200,8 +200,8 @@ def test_eval_model_with_baseline_rows(workspace):
 def test_eval_bytes_are_pinned(workspace):
     # metrics.csv and metrics.json digests for this checkpoint and registry
     # (x86-64, numpy's OpenBLAS): the scoring path may change, its bytes may not
-    pinned = {"metrics.csv": "ad8be56c4f992b217a4d7e58d5dffe701af66b29519a72b48a27bbae30fe8f17",
-              "metrics.json": "50354b63f6de99a520faec4690103a30915a05da450992bc7d36e0a04e110e7a"}
+    pinned = {"metrics.csv": "8a3164dd698a44a89ff1528ac085719db8a72d5f9c07b0278c3b3c902f86c12f",
+              "metrics.json": "e569d58840fc68a084316348a38711b8da2cd3c7da7d14e9c780f98a486ad5fc"}
     save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
     assert run_cli("eval", "--config", workspace / "run.json", "--out", workspace / "ev",
                    "--checkpoint", workspace / "ck.bin", "--baseline", "--horizons", "8,32") == 0
@@ -303,8 +303,8 @@ def test_forecast_from_a_checkpoint_ignores_the_seed(workspace):
 def test_forecast_bytes_are_pinned_and_the_parser_is_built_once(workspace):
     # forecast.csv digests for this checkpoint and input (x86-64, numpy's
     # OpenBLAS): the request path may change, its bytes may not
-    pinned = {(): "2e78ee363722de8b677392260825fe5055108ce5e271ee2cca59f985cd8a7f9d",
-              ("--denormalize",): "df83eb0b65f19c26f1860e742332e48db58025c24c32aa6adc00d65d12434c13"}
+    pinned = {(): "b6638fa6517842877b6554693d2085a337e5fdcbc1078a4d2bfa5d5b59d09768",
+              ("--denormalize",): "d56b2bbfc23482cff5770cfd5745d89e80382c25ce25dfe356537718c2ce8fff"}
     save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
     build_parser.cache_clear()
     for extra, digest in pinned.items():
@@ -462,6 +462,29 @@ def test_a_fresh_cli_process_forwards_without_page_faults(tmp_path):
     code, *faults = map(int, done.stdout.split())
     assert code == 0 and len(faults) == 4, done.stderr
     assert max(faults[1:]) < 256, faults
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_a_base_linear_fit_of_fewer_windows_than_features_stays_small():
+    # 539 base windows against 3,073 features [x, 1]: the (L+1)-square
+    # primal Gram, with the copies of it and of the moment that the solve
+    # makes, raised peak RSS by 252 MiB; the 539-square dual system raised it
+    # by 72-74 MiB in runs before this test was written
+    fit = ("import resource\n"
+           "from utsf.data import SamplerConfig, jittered_windows, make_sine_frame\n"
+           "from utsf.training import fit_linear\n"
+           "frames = {'sine': make_sine_frame('sine', 12846, n_channels=6, period=24.0, noise=0.1),\n"
+           "          'other': make_sine_frame('other', 12846, period=168.0, noise=0.1)}\n"
+           "sampler = SamplerConfig(stride=64)\n"
+           "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+           "w, b = fit_linear(frames, sampler, 3072, 1024)\n"
+           "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+           "print(sum(f.n_channels * len(jittered_windows(f, 4096, sampler)) for f in frames.values()),\n"
+           "      *w.shape, grown // 1024)\n")
+    done = run_python("-c", fit)
+    windows, rows, cols, grown_mib = map(int, done.stdout.split())
+    assert (windows, rows, cols) == (539, 3072, 1024), done.stderr
+    assert grown_mib < 128, grown_mib
 
 
 def test_forecast_rejects_bad_channel(workspace):
@@ -632,7 +655,7 @@ def test_malformed_checkpoint_manifest_exits_2(workspace, capsys):
     # a manifest config past the size bound, or one whose count is not the
     # payload's: named before the payload buffer is allocated
     for edit, named in (({"d_model": 2 ** 20}, "at 'enc1.attn.q.w' of shape [1048576, 1048576]"),
-                        ({"d_model": 2 ** 40}, "at 'embed.w' of shape [1099511627776, 8]"),
+                        ({"d_model": 2 ** 40}, "at 'embed.w' of shape [8, 1099511627776]"),
                         ({"d_model": 16}, f"payload is {len(blob) - 8 - n} bytes, manifest implies ")):
         doctored = json.dumps({**manifest, "config": {**manifest["config"], **edit}}).encode()
         (workspace / "bad.bin").write_bytes(struct.pack("<Q", len(doctored)) + doctored + blob[8 + n:])
@@ -668,12 +691,29 @@ def test_malformed_checkpoint_manifest_exits_2(workspace, capsys):
         assert peak < 2 * 2 ** 20, (field, peak)
 
 
+def test_a_format_2_checkpoint_exits_2_and_names_both_versions(workspace, capsys):
+    # format 2 stored the merge, split and embedding weights in another order,
+    # in a payload of format 3's size: only its version keeps it from loading
+    # with those weights scrambled
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
+    blob = (workspace / "ck.bin").read_bytes()
+    n = struct.unpack("<Q", blob[:8])[0]
+    v2 = json.dumps({**json.loads(blob[8:8 + n]), "format_version": 2}).encode()
+    (workspace / "v2.bin").write_bytes(struct.pack("<Q", len(v2)) + v2 + blob[8 + n:])
+    for command, extra, written in (("forecast", ["--input", workspace / "probe.csv"], "forecast.csv"),
+                                    ("eval", [], "metrics.csv")):
+        assert run_cli(command, "--config", workspace / "run.json", "--out", workspace / command,
+                       "--checkpoint", workspace / "v2.bin", *extra) == 2
+        assert "v2.bin: format_version 2 unsupported (expected 3)" in capsys.readouterr().err
+        assert not (workspace / command / written).exists()
+
+
 def test_pretrain_refuses_a_model_too_large_to_build(workspace, capsys):
     # past 2**31 parameter scalars the build names the parameter that passes
     # the bound, before it allocates any
     run = json.loads((workspace / "run.json").read_text())
     for model, named in (({"preset": "tiny", "lookback_len": 10 ** 400}, "at 'pos' of shape [125"),
-                         ({"preset": "tiny", "d_model": 2 ** 40}, "at 'embed.w' of shape [1099511627776, 8]"),
+                         ({"preset": "tiny", "d_model": 2 ** 40}, "at 'embed.w' of shape [8, 1099511627776]"),
                          ({"preset": "tiny", "d_model": 2 ** 20, "n_heads": 2},
                           "at 'enc1.attn.q.w' of shape [1048576, 1048576]")):
         (workspace / "big.json").write_text(json.dumps({**run, "model": model}))

@@ -51,6 +51,15 @@ def test_csv_loader_shapes(tmp_path):
     assert np.array_equal(frame.values[:, 1], [3.0, 4.0])
 
 
+def test_a_frame_is_stored_channels_major(tmp_path):
+    # the loader reads (rows, C) and passes its transpose: the frame keeps a
+    # C-contiguous copy, so each channel's windows are contiguous slices
+    p = tmp_path / "d.csv"
+    p.write_text("a,b\n1,2\n3,4\n5,6\n")
+    for frame in (load_csv_dataset(p, "d"), SeriesFrame("x", ["a", "b"], np.ones((3, 2), dtype=np.float32).T)):
+        assert frame.values.shape == (2, 3) and frame.values.flags.c_contiguous
+
+
 def test_csv_loader_reports_cell_coordinates(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,b\n1,2\n3,\n")

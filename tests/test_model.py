@@ -136,7 +136,7 @@ def test_param_layout_is_the_built_model_and_is_lazy():
         assert len(list(param_layout(preset(name)))) == 36 * preset(name).n_levels - 13
     # a config whose parameters no memory holds yields its first entries at once
     huge = param_layout(replace(preset("tiny"), d_model=2 ** 40, n_heads=2))
-    assert [next(huge)[:2] for _ in range(4)] == [("embed.w", (2 ** 40, 8)), ("embed.b", (2 ** 40,)),
+    assert [next(huge)[:2] for _ in range(4)] == [("embed.w", (8, 2 ** 40)), ("embed.b", (2 ** 40,)),
                                                   ("pos", (8, 2 ** 40)), ("enc1.ln1.g", (2 ** 40,))]
 
 
@@ -347,27 +347,25 @@ def test_embed_merge_split_record_no_layout_transpose(monkeypatch):
     monkeypatch.setattr(T, "record_op", naming_record_op)
     m = tiny_model()
     rng = np.random.default_rng(3)
-    for level, fn, shape, op in ((1, m.patch_merge, (8, 8), "conv1d_k2s2"),
-                                 (2, m.patch_split, (4, 16), "conv_transpose1d_k2s2")):
+    # the merge views token pairs as rows; the split's rows unfold into token pairs
+    for level, fn, shape, ops in ((1, m.patch_merge, (8, 8), ["reshape", "linear"]),
+                                  (2, m.patch_split, (4, 16), ["matmul", "reshape", "add"])):
         recorded.clear()
         with GradTape() as tape:
             fn(Tensor(rng.standard_normal(shape), requires_grad=True), level)
-        assert len(tape) == 1 and [name for name, _ in recorded] == [op]
-    # trainable: the one transpose is the embedding weight's, never the tokens'
+        assert len(tape) == len(ops) and [name for name, _ in recorded] == ops
+    # the embedding weight is in linear's layout: trainable or frozen, no
+    # transpose is recorded; the reshapes only view the rows per window to
+    # add the position table
     series = Tensor(rng.standard_normal((1, 64)), requires_grad=True)
-    recorded.clear()
-    with GradTape() as tape:
-        m.patch_embed(series)
-    transposed = [inputs[0] for name, inputs in recorded if name == "transpose"]
-    assert len(tape) == 6 and len(transposed) == 1 and transposed[0] is m.params["embed.w"]
-    # frozen weights: the token path alone records no transpose at all; the
-    # reshapes only view the rows per window to add the position table
-    m.freeze_backbone()
-    recorded.clear()
-    with GradTape() as tape:
-        m.patch_embed(series)
-    assert [name for name, _ in recorded] == ["reshape", "linear", "reshape", "add", "reshape"]
-    assert len(tape) == 5
+    for freeze in (False, True):
+        if freeze:
+            m.freeze_backbone()
+        recorded.clear()
+        with GradTape() as tape:
+            m.patch_embed(series)
+        assert [name for name, _ in recorded] == ["reshape", "linear", "reshape", "add", "reshape"]
+        assert len(tape) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -253,18 +253,11 @@ def test_in_place_forwards_match_out_of_place_formulas_bit_for_bit(dtype):
         assert out.data.tobytes() == want_out.tobytes() and grad.tobytes() == want_grad.tobytes()
 
 
-def _pairs_by_transpose(x):
-    """Adjacent rows of ``x[P, C]`` interleaved per channel by one transpose copy."""
-    p, c = x.shape
-    return x.reshape(p // 2, 2, c).transpose(0, 2, 1).reshape(p // 2, 2 * c)
-
-
 @pytest.mark.parametrize("dtype", [F32, F64])
-def test_blocked_gelu_attention_row_max_and_parity_pairing_match_bit_for_bit(dtype):
-    # gelu runs block by block, attention takes its row max from a key-major
-    # copy and the merge pairs rows by parity copies; at sizes that span
-    # several GELU blocks, an F-ordered input, 128-token windows and the
-    # merge/split shapes of the model, no bit may move
+def test_blocked_gelu_and_attention_row_max_match_bit_for_bit(dtype):
+    # gelu runs block by block and attention takes its row max from a
+    # key-major copy; at sizes that span several GELU blocks, an F-ordered
+    # input and 128-token windows, no bit may move
     rng = np.random.default_rng(23)
 
     def draw(*shape, scale=1.0):
@@ -286,23 +279,6 @@ def test_blocked_gelu_attention_row_max_and_parity_pairing_match_bit_for_bit(dty
         for got, want in zip(grads, want_grads):
             assert got.tobytes() == want.tobytes()
 
-    for p, c_in, c_out in ((1536, 64, 128), (48, 64, 128), (2, 1, 3), (10, 7, 5)):
-        x, w, b, g = draw(p, c_in), draw(c_out, c_in, 2), draw(c_out), draw(p // 2, c_out)
-        w2, pairs = w.reshape(c_out, 2 * c_in), _pairs_by_transpose(x)
-        out, grads = _grads_through_tape(T.conv1d_k2s2, [Tensor(a, requires_grad=True, dtype=dtype)
-                                                         for a in (x, w, b)], g)
-        assert out.data.tobytes() == (pairs @ w2.T + b).tobytes()
-        assert grads[1].tobytes() == (g.T @ pairs).reshape(w.shape).tobytes()
-
-        x, b, g = draw(p // 2, c_out), draw(c_in), draw(p, c_in)
-        w2, pairs = w.reshape(c_out, 2 * c_in), _pairs_by_transpose(g)
-        out, grads = _grads_through_tape(T.conv_transpose1d_k2s2, [Tensor(a, requires_grad=True, dtype=dtype)
-                                                                   for a in (x, w, b)], g)
-        unpaired = (x @ w2).reshape(p // 2, c_in, 2).transpose(0, 2, 1).reshape(p, c_in)
-        assert out.data.tobytes() == (unpaired + b).tobytes()
-        for got, want in zip(grads, (pairs @ w2.T, (x.T @ pairs).reshape(w.shape), g.sum(axis=0))):
-            assert got.tobytes() == want.tobytes()
-
 
 # ---------------------------------------------------------------------------
 # convolutions
@@ -310,7 +286,7 @@ def test_blocked_gelu_attention_row_max_and_parity_pairing_match_bit_for_bit(dty
 
 def test_conv_zero_weights_zero_output():
     x = Tensor(np.random.default_rng(0).standard_normal((6, 2)))
-    out = T.conv1d_k2s2(x, Tensor(np.zeros((3, 2, 2))), Tensor(np.zeros(3)))
+    out = T.conv1d_k2s2(x, Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
     assert out.shape == (3, 3)
     assert np.all(out.data == 0.0)
 
@@ -318,53 +294,53 @@ def test_conv_zero_weights_zero_output():
 def test_conv_pairwise_sums():
     # C_in=1, kernel [1,1]: output is the sum of adjacent input pairs
     x = Tensor([[1.0], [2.0], [3.0], [4.0]])
-    out = T.conv1d_k2s2(x, Tensor(np.ones((1, 1, 2))), Tensor(np.zeros(1)))
+    out = T.conv1d_k2s2(x, Tensor(np.ones((2, 1))), Tensor(np.zeros(1)))
     assert np.array_equal(out.data, np.array([[3.0], [7.0]], dtype=F32))
 
 
 def test_conv_shape_contract():
     x = Tensor(np.ones((48, 4)))
-    out = T.conv1d_k2s2(x, Tensor(np.zeros((8, 4, 2))), Tensor(np.zeros(8)))
+    out = T.conv1d_k2s2(x, Tensor(np.zeros((8, 8))), Tensor(np.zeros(8)))
     assert out.shape == (24, 8)
 
 
 def test_conv_odd_length_rejected():
     with pytest.raises(DimensionError, match="even token count"):
-        T.conv1d_k2s2(Tensor(np.ones((5, 1))), Tensor(np.ones((1, 1, 2))), Tensor(np.zeros(1)))
+        T.conv1d_k2s2(Tensor(np.ones((5, 1))), Tensor(np.ones((2, 1))), Tensor(np.zeros(1)))
 
 
 def test_conv_matches_direct_computation():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((8, 2))
-    w = rng.standard_normal((3, 2, 2))
+    w = rng.standard_normal((4, 3))  # row r * C_in + k weighs channel k of token 2t + r
     b = rng.standard_normal(3)
     got = T.conv1d_k2s2(Tensor(x, dtype=F64), Tensor(w, dtype=F64), Tensor(b, dtype=F64)).data
     for t in range(4):
         for j in range(3):
-            want = b[j] + sum(w[j, k, r] * x[2 * t + r, k] for k in range(2) for r in range(2))
+            want = b[j] + sum(w[2 * r + k, j] * x[2 * t + r, k] for k in range(2) for r in range(2))
             assert abs(got[t, j] - want) < 1e-12
 
 
 def test_conv_transpose_shapes_and_zero_weight():
     x = Tensor(np.ones((24, 8)))
-    out = T.conv_transpose1d_k2s2(x, Tensor(np.zeros((8, 4, 2))), Tensor(np.arange(4.0)))
+    out = T.conv_transpose1d_k2s2(x, Tensor(np.zeros((8, 8))), Tensor(np.arange(4.0)))
     assert out.shape == (48, 4)
     # zero weight leaves only the bias, broadcast along tokens
     assert np.array_equal(out.data, np.broadcast_to(np.arange(4.0, dtype=F32), (48, 4)))
 
 
 def test_conv_adjoint_identity():
-    # <conv(x), y> == <x, conv_transpose(y)> with zero biases, same weight array
+    # <conv(x), y> == <x, conv_transpose(y)> with zero biases, the conv's weight transposed
     rng = np.random.default_rng(11)
     for _ in range(20):
         c_in, c_out, p = int(rng.integers(1, 4)), int(rng.integers(1, 4)), 2 * int(rng.integers(1, 5))
         x = rng.standard_normal((p, c_in))
         y = rng.standard_normal((p // 2, c_out))
-        w = rng.standard_normal((c_out, c_in, 2))
+        w = rng.standard_normal((2 * c_in, c_out))
         zb_out = Tensor(np.zeros(c_out, dtype=F64))
         zb_in = Tensor(np.zeros(c_in, dtype=F64))
         lhs = float(np.sum(T.conv1d_k2s2(Tensor(x, dtype=F64), Tensor(w, dtype=F64), zb_out).data * y))
-        rhs = float(np.sum(x * T.conv_transpose1d_k2s2(Tensor(y, dtype=F64), Tensor(w, dtype=F64), zb_in).data))
+        rhs = float(np.sum(x * T.conv_transpose1d_k2s2(Tensor(y, dtype=F64), Tensor(w.T, dtype=F64), zb_in).data))
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
@@ -377,18 +353,18 @@ def test_pointwise_identity_and_zero():
     same = T.pointwise_conv(x, Tensor(np.eye(3)), Tensor(np.zeros(3)))
     assert np.allclose(same.data, x.data, atol=1e-7)
     bias = np.array([1.0, 2.0], dtype=F32)
-    out = T.pointwise_conv(x, Tensor(np.zeros((2, 3))), Tensor(bias))
+    out = T.pointwise_conv(x, Tensor(np.zeros((3, 2))), Tensor(bias))
     assert np.array_equal(out.data, np.broadcast_to(bias, (5, 2)))
 
 
 def test_pointwise_matches_per_column_matmul():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((7, 3))
-    w = rng.standard_normal((4, 3))
+    w = rng.standard_normal((3, 4))
     b = rng.standard_normal(4)
     got = T.pointwise_conv(Tensor(x, dtype=F64), Tensor(w, dtype=F64), Tensor(b, dtype=F64)).data
     for p in range(7):
-        assert np.allclose(got[p], w @ x[p] + b, atol=1e-12)
+        assert np.allclose(got[p], w.T @ x[p] + b, atol=1e-12)
 
 
 def test_pool_identity_and_equal_bins():
@@ -653,18 +629,17 @@ def _fd_cases(rng, dtype):
     def sq(x):
         return T.mean_all(T.mul(x, x))
 
-    w = t(3, 2, 2)
     return {
         "matmul": (lambda i: sq(T.matmul(i["a"], i["b"])), {"a": t(3, 4), "b": t(4, 2)}),
         "linear": (lambda i: sq(T.linear(i["x"], i["w"], i["b"])), {"x": t(5, 3), "w": t(3, 2), "b": t(2)}),
         # 2 windows x 3 tokens, 2 heads of 2 features
         "attention": (lambda i: sq(T.attention(i["q"], i["k"], i["v"], 2, 2)[0]),
                       {"q": t(6, 4), "k": t(6, 4), "v": t(6, 4)}),
-        "conv": (lambda i: sq(T.conv1d_k2s2(i["x"], i["w"], i["b"])), {"x": t(6, 2), "w": w, "b": t(3)}),
+        "conv": (lambda i: sq(T.conv1d_k2s2(i["x"], i["w"], i["b"])), {"x": t(6, 2), "w": t(4, 3), "b": t(3)}),
         "convT": (lambda i: sq(T.conv_transpose1d_k2s2(i["x"], i["w"], i["b"])),
-                  {"x": t(4, 3), "w": w, "b": t(2)}),
+                  {"x": t(4, 3), "w": t(3, 4), "b": t(2)}),
         "pointwise": (lambda i: sq(T.pointwise_conv(i["x"], i["w"], i["b"])),
-                      {"x": t(5, 2), "w": t(4, 2), "b": t(4)}),
+                      {"x": t(5, 2), "w": t(2, 4), "b": t(4)}),
         "softmax": (lambda i: sq(T.softmax_lastdim(i["x"])), {"x": t(3, 5)}),
         "layer_norm": (lambda i: sq(T.layer_norm(i["x"], i["g"], i["b"])),
                        {"x": t(4, 6), "g": t(6), "b": t(6)}),
@@ -700,7 +675,9 @@ def test_every_op_passes_finite_differences_f32():
 def test_the_gradient_suite_checks_every_tape_op(monkeypatch):
     # an op recorded under a name no case reaches is one whose VJP nothing checks
     defined = set(re.findall(r'record_op\(\s*"(\w+)"', inspect.getsource(T)))
-    assert len(defined) >= 18, sorted(defined)
+    assert defined == {"add", "sub", "mul", "neg", "matmul", "linear", "attention", "softmax_lastdim",
+                       "layer_norm", "gelu", "reshape", "transpose", "narrow", "concat", "sum_all",
+                       "mean_all"}, sorted(defined)
     checked = set()
     record = T.record_op
 
@@ -766,14 +743,14 @@ def _ones(*shape):
 # each op, a word of its message, the error it raises and a call it refuses
 _REFUSALS = [
     ("item", "shape", UsageError, lambda: _ones(2).item()),
-    ("conv1d_k2s2", "expects", DimensionError, lambda: T.conv1d_k2s2(_ones(4), _ones(3, 2, 2), _ones(3))),
-    ("conv1d_k2s2", "mismatch", DimensionError, lambda: T.conv1d_k2s2(_ones(4, 2), _ones(3, 5, 2), _ones(3))),
+    ("conv1d_k2s2", "expects", DimensionError, lambda: T.conv1d_k2s2(_ones(4), _ones(2, 3), _ones(3))),
+    ("conv1d_k2s2", "mismatch", DimensionError, lambda: T.conv1d_k2s2(_ones(4, 2), _ones(5, 3), _ones(3))),
     ("conv_transpose1d_k2s2", "expects", DimensionError,
-     lambda: T.conv_transpose1d_k2s2(_ones(4), _ones(2, 3, 2), _ones(3))),
+     lambda: T.conv_transpose1d_k2s2(_ones(4), _ones(3, 4), _ones(2))),
     ("conv_transpose1d_k2s2", "mismatch", DimensionError,
-     lambda: T.conv_transpose1d_k2s2(_ones(4, 2), _ones(3, 3, 2), _ones(3))),
-    ("pointwise_conv", "expects", DimensionError, lambda: T.pointwise_conv(_ones(4), _ones(3, 2), _ones(3))),
-    ("pointwise_conv", "mismatch", DimensionError, lambda: T.pointwise_conv(_ones(4, 2), _ones(3, 5), _ones(3))),
+     lambda: T.conv_transpose1d_k2s2(_ones(4, 2), _ones(3, 6), _ones(3))),
+    ("pointwise_conv", "expects", DimensionError, lambda: T.pointwise_conv(_ones(4), _ones(2, 3), _ones(3))),
+    ("pointwise_conv", "mismatch", DimensionError, lambda: T.pointwise_conv(_ones(4, 2), _ones(5, 3), _ones(3))),
     ("adaptive_avg_pool1d", "expects", DimensionError, lambda: T.adaptive_avg_pool1d(np.ones(4), 2)),
     ("adaptive_avg_pool1d", "positive", DimensionError, lambda: T.adaptive_avg_pool1d(np.ones((1, 4)), 0)),
     ("layer_norm", "gain", DimensionError, lambda: T.layer_norm(_ones(4, 3), _ones(2), _ones(3))),

@@ -6,7 +6,7 @@ import json
 import re
 import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,11 +19,11 @@ from utsf.cli import main
 from utsf.data import (SamplerConfig, build_model_input, jittered_windows, make_sine_frame, make_window_sample,
                        save_csv_dataset)
 from utsf.errors import CheckpointError, ConfigError, NumericError, UsageError
-from utsf.model import (ParameterStore, UShapedTransformer, config_from_dict, config_to_dict,
+from utsf.model import (ModelConfig, ParameterStore, UShapedTransformer, config_from_dict, config_to_dict,
                         param_count, param_layout, preset)
 from utsf.tensor import GradTape, Tensor
-from utsf.training import (EVAL_CHUNK, LINEAR_CHUNK, LINEAR_RIDGE, Adam, BaselinePredictor, LastValuePredictor,
-                           ModelPredictor, TrainerConfig, TrainReport,
+from utsf.training import (_MANIFEST_FIELDS, CHECKPOINT_VERSION, EVAL_CHUNK, LINEAR_CHUNK, LINEAR_RIDGE, Adam,
+                           BaselinePredictor, LastValuePredictor, ModelPredictor, TrainerConfig, TrainReport,
                            apply_checkpoint, backbone_hash, compute_metrics, evaluate, finetune_epoch,
                            fit_linear, load_checkpoint, pretrain_epoch, save_checkpoint)
 
@@ -232,7 +232,7 @@ def test_adam_blocked_update_is_bitwise_the_whole_array_update(dtype):
               "n4095": (4095,), "packed_f": (40, 25), "late": (3,)}
     shapes.update({f"n{n}": (n,) for n in (65536, 65537, 200003)})
     shapes["fortran"] = (64, 1100)
-    fortran = ("packed_f", "fortran")  # F-ordered gradients, as the transpose VJP gives embed.w
+    fortran = ("packed_f", "fortran")  # F-ordered gradients, as a transpose VJP gives
     store = ParameterStore()
     for name, shape in shapes.items():
         store.add(name, Tensor(rng.standard_normal(shape), dtype=dtype))
@@ -311,10 +311,10 @@ def test_a_warm_small_pretrain_step_allocates_little_beyond_its_gradients():
 
 
 @pytest.mark.parametrize("dtype, params_digest, losses_digest", [
-    (np.float32, "737b8212c10b29c6e26c2861544859ae44b9c86b7827940ed52afecccb95baa0",
-     "6822a31a6c15d9ad4ccbb9c280d30b85ca582f0ff2533a707fc32dfd338face6"),
-    (np.float64, "6cfb2bf6dfd042708e875ce8629eab59afa6dd69aa4125103adbd8c24cff49ad",
-     "5b4e42fe98aa497e398b44f5af5d602879f5c7423cecd4adedd04637aa6f9422"),
+    (np.float32, "0c5f77a334df853cee34b169f6afcabb88a44f56c9f28e3e1b8d22a7b287bd58",
+     "bb532bc646597173d87dc43db4dbf0c0fbb1b77e979886dab8986929bea619fc"),
+    (np.float64, "edd0e7aeedf767941de5cb885098cbadcc0113a830f624818ac9d0c1121140a8",
+     "8b02934d083abc2839e176ec95846775e6c7ae98516d8d0ff2b3bc2030e1d8d0"),
 ], ids=["float32", "float64"])
 def test_small_training_bytes_are_pinned(dtype, params_digest, losses_digest):
     # parameter and loss digests after 40 pretrain and 20 finetune steps
@@ -638,29 +638,36 @@ def two_sine_frames():
             "other": make_sine_frame("other", 900, period=24.0)}
 
 
-def test_linear_fit_matches_a_weighted_ridge_lstsq():
+def test_linear_fit_matches_a_weighted_ridge_lstsq(monkeypatch):
     # the fit minimizes the epoch-0 draw's expected squared error: each of the
     # D datasets' n_d train windows weighs 1/(D n_d), so lstsq on rows scaled by
-    # sqrt(1/(D n_d)), with sqrt(LINEAR_RIDGE) I rows appended, must agree
-    frames = two_sine_frames()
-    w, b = fit_linear(frames, SAMPLER, 32, 32)
-    assert w.shape == (32, 32) and b.shape == (32,) and w.dtype == b.dtype == np.float64
-    rows, targets, counts = [], [], {}
-    for ds_id, frame in frames.items():
-        starts = jittered_windows(frame, 64, SAMPLER, 0)
-        pairs = [(channel, int(start)) for channel in range(frame.n_channels) for start in starts]
-        counts[ds_id] = len(pairs)
-        scale = np.sqrt(1.0 / (len(frames) * len(pairs)))
-        for channel, start in pairs:
-            x, y = make_window_sample(frame, channel, start, 32, 32)
-            rows.append(scale * np.append(x[0].astype(np.float64), 1.0))
-            targets.append(scale * y[0].astype(np.float64))
-    # unequal counts, and one dataset cut in more than one chunk
-    assert counts == {"sine": 334, "other": 71} and counts["sine"] > LINEAR_CHUNK
-    stacked = np.vstack(rows + [np.sqrt(LINEAR_RIDGE) * np.eye(33)])
-    coef = np.linalg.lstsq(stacked, np.vstack(targets + [np.zeros((33, 32))]), rcond=None)[0]
-    for got, want in ((w, coef[:32]), (b, coef[32])):
-        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+    # sqrt(1/(D n_d)), with sqrt(LINEAR_RIDGE) I rows appended, must agree:
+    # on the primal path, whose 334 windows are cut in more than one chunk,
+    # and on the dual, whose 16 windows are fewer than the 33 features
+    solve, solved = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(a.shape) or solve(a, b))
+    short = {"sine": make_sine_frame("sine", 160, n_channels=2), "other": make_sine_frame("other", 140, period=24.0)}
+    for frames, want_counts, system in ((two_sine_frames(), {"sine": 334, "other": 71}, (33, 33)),
+                                        (short, {"sine": 12, "other": 4}, (16, 16))):
+        solved.clear()
+        w, b = fit_linear(frames, SAMPLER, 32, 32)
+        assert w.shape == (32, 32) and b.shape == (32,) and w.dtype == b.dtype == np.float64
+        assert solved == [system] and LINEAR_CHUNK < 334
+        rows, targets, counts = [], [], {}
+        for ds_id, frame in frames.items():
+            starts = jittered_windows(frame, 64, SAMPLER, 0)
+            pairs = [(channel, int(start)) for channel in range(frame.n_channels) for start in starts]
+            counts[ds_id] = len(pairs)
+            scale = np.sqrt(1.0 / (len(frames) * len(pairs)))
+            for channel, start in pairs:
+                x, y = make_window_sample(frame, channel, start, 32, 32)
+                rows.append(scale * np.append(x[0].astype(np.float64), 1.0))
+                targets.append(scale * y[0].astype(np.float64))
+        assert counts == want_counts  # unequal counts
+        stacked = np.vstack(rows + [np.sqrt(LINEAR_RIDGE) * np.eye(33)])
+        coef = np.linalg.lstsq(stacked, np.vstack(targets + [np.zeros((33, 32))]), rcond=None)[0]
+        for got, want in ((w, coef[:32]), (b, coef[32])):
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
 def test_linear_fit_forecasts_a_noiseless_sine():
@@ -685,7 +692,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     path = tmp_path / "ck.bin"
     save_checkpoint(m, path, seed=6)
     loaded, manifest = load_checkpoint(path)
-    assert manifest == {"config": config_to_dict(m.config), "format_version": 2, "seed": 6}
+    assert manifest == {"config": config_to_dict(m.config), "format_version": 3, "seed": 6}
     assert loaded.config == m.config
     for (na, ta), (nb, tb) in zip(m.params.items(), loaded.params.items()):
         assert na == nb
@@ -702,7 +709,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
 def _joined_checkpoint_bytes(model, seed):
     """The checkpoint format built in memory: prefix + manifest + each
     parameter's float32 bytes joined, the reference a streamed save must match."""
-    manifest = {"format_version": 2, "config": config_to_dict(model.config), "seed": seed}
+    manifest = {"format_version": 3, "config": config_to_dict(model.config), "seed": seed}
     mjson = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     payload = b"".join(np.ascontiguousarray(p.data, dtype="<f4").tobytes() for _, p in model.params.items())
     return struct.pack("<Q", len(mjson)) + mjson + payload
@@ -873,11 +880,11 @@ def test_checkpoint_version_and_manifest_errors(tmp_path):
     v1_params = [{"name": n, "shape": list(shape), "frozen": False} for n, shape, _ in param_layout(m.config)]
     for edit, version in ((lambda mf: mf.update(format_version=1, params=v1_params), 1),
                           (lambda mf: mf.update(format_version=99), 99)):
-        with pytest.raises(CheckpointError, match=rf"format_version {version} unsupported \(expected 2\)"):
+        with pytest.raises(CheckpointError, match=rf"format_version {version} unsupported \(expected 3\)"):
             load_checkpoint(rewrite_manifest(path, tmp_path / "bad.bin", edit))
-    # the version is the int 2: not a float, a string or a bool equal to it, quoted as written
-    for value, shown in ((2.0, "2.0"), ("2", "'2'"), (True, "True"), (3, "3")):
-        with pytest.raises(CheckpointError, match=rf"format_version {shown} unsupported \(expected 2\)$"):
+    # the version is the int 3: not a float, a string or a bool equal to it, quoted as written
+    for value, shown in ((3.0, "3.0"), ("3", "'3'"), (True, "True"), (2, "2")):
+        with pytest.raises(CheckpointError, match=rf"format_version {shown} unsupported \(expected 3\)$"):
             load_checkpoint(rewrite_manifest(path, tmp_path / "bad.bin",
                                              lambda mf: mf.update(format_version=value)))
     tiny = param_count(m.config)
@@ -891,7 +898,7 @@ def test_checkpoint_version_and_manifest_errors(tmp_path):
         # a config past the size bound, refused by its count before anything is allocated
         r"manifest field 'config': model too large to build: .* at 'enc1.attn.q.w' of shape "
         r"\[1048576, 1048576\]$": lambda mf: mf["config"].update(d_model=2 ** 20),
-        r"manifest field 'config': .* at 'embed.w' of shape \[1099511627776, 8\]":
+        r"manifest field 'config': .* at 'embed.w' of shape \[8, 1099511627776\]":
             lambda mf: mf["config"].update(d_model=2 ** 40),
         # a config within the bound whose count is not the payload's
         rf"payload is {4 * tiny} bytes, manifest implies "
@@ -919,6 +926,22 @@ def test_checkpoint_version_and_manifest_errors(tmp_path):
         load_checkpoint(garbage)
 
 
+def test_the_checkpoint_version_is_pinned_with_the_layout_and_the_schema():
+    # a payload is read by param_layout's names and shapes and a manifest by
+    # its fields and the model config's: a change to any of them fails here
+    # until CHECKPOINT_VERSION and this pin move together, so that a file of
+    # the old layout or schema is refused by its version
+    layout = hashlib.sha256()
+    for name in ("tiny", "small", "base"):
+        for entry, shape, _ in param_layout(preset(name)):
+            layout.update(repr((entry, shape)).encode())
+    assert CHECKPOINT_VERSION == 3
+    assert layout.hexdigest() == "6bf05b9dc31425b269d0f5e61bc250344c9eed2e9ee63b955bac70dce854ee5d"
+    assert _MANIFEST_FIELDS == ("config", "format_version", "seed")
+    assert sorted(f.name for f in fields(ModelConfig)) == ["d_model", "horizon_len", "lookback_len", "n_heads",
+                                                           "n_levels", "patch_size"]
+
+
 def test_checkpoint_bytes_are_pinned(tmp_path):
     # a seeded tiny checkpoint in two pins (no BLAS call is involved): the
     # length prefix and manifest, which a format change re-pins, and the
@@ -927,7 +950,7 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     blob = (tmp_path / "ck.bin").read_bytes()
     n = 8 + struct.unpack("<Q", blob[:8])[0]
     manifest, payload = (hashlib.sha256(part).hexdigest() for part in (blob[:n], blob[n:]))
-    assert manifest == "32fe7113717a0df7ca5b07f2e8a7f4cb9a23738b5c8535415fc0d0198352eff1"
+    assert manifest == "5f19b13fb667b6e8a7d4d95b82f6c87042eb7663816e6af66b33c13922e304bc"
     assert payload == "f9f4930981ca9ceb096651e89349fa327b3291cccb488a55291d3b92a350666a"
 
 
