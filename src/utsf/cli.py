@@ -24,7 +24,8 @@ from . import data as D
 from . import tensor as T
 from . import training as TR
 from .errors import CheckpointError, ConfigError, IngestionError, NumericError, UsageError
-from .model import ModelConfig, UShapedTransformer, config_from_dict, config_to_dict, preset, valid_seed
+from .model import (ModelConfig, UShapedTransformer, _raise_mmap_threshold, config_from_dict, config_to_dict,
+                    preset, valid_seed)
 from .tensor import Tensor, finite_diff_check
 
 _RUN_KEYS = {"model", "sampler", "trainer", "registry", "seed"}
@@ -58,13 +59,12 @@ class RunConfig:
                 raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         seed = file_seed if seed_override is None else seed_override
         section = raw.get("sampler", {})
-        sampler = config_from_dict(D.SamplerConfig, section, "sampler")
-        # the run seed sets the jitter seed; a resolved config repeats it
-        if "seed" in section and sampler.seed != file_seed:
-            raise ConfigError(f"sampler seed {sampler.seed!r} differs from the run seed {file_seed!r}")
+        if isinstance(section, dict) and "seed" in section:
+            raise ConfigError("unknown sampler config keys: ['seed'] "
+                              "(the jitter seed is the run's top-level 'seed')")
         return cls(
             model=ModelConfig.from_dict(raw["model"]),
-            sampler=replace(sampler, seed=seed),
+            sampler=replace(config_from_dict(D.SamplerConfig, section, "sampler"), seed=seed),
             trainer=config_from_dict(TR.TrainerConfig, raw.get("trainer", {}), "trainer"),
             registry=registry,
             seed=seed,
@@ -74,7 +74,7 @@ class RunConfig:
     def resolved(self) -> dict:
         return {
             "model": config_to_dict(self.model),
-            "sampler": config_to_dict(self.sampler),
+            "sampler": {"stride": self.sampler.stride, "jitter": self.sampler.jitter},
             "trainer": config_to_dict(self.trainer),
             "registry": self.registry,
             "seed": self.seed,
@@ -187,23 +187,22 @@ def cmd_eval(args, cfg: RunConfig, out: Path) -> None:
     _log(body.getvalue().rstrip("\n"))
 
 
-def _forecast_request(args, cfg: RunConfig):
-    """One forward of the checkpoint's model over the last ``lookback_len``
-    values of channel ``--channel`` of ``--input`` (all of a shorter one),
-    normalized by their own statistics. Returns the normalized forecast row,
-    the attention maps, the length of the window used and the (mu, sigma)
-    that denormalize the forecast."""
+def _request(args, cfg: RunConfig):
+    """The checkpoint's model and its input: the last ``lookback_len`` values
+    of channel ``--channel`` of ``--input`` (all of a shorter one), normalized
+    by their own statistics. Returns the model, the model input, the length
+    of the window used and the (mu, sigma) that denormalize a forecast."""
     frame = D.load_csv_dataset(args.input, "input")
     if not 0 <= args.channel < frame.n_channels:
         raise ConfigError(f"--channel {args.channel} outside 0..{frame.n_channels - 1}")
     norm, mu, sigma = D.normalize_sample(frame.values[args.channel, -cfg.model.lookback_len:].reshape(1, -1))
     model, _ = TR.load_checkpoint(args.checkpoint, cfg.model)
-    pred, maps = model.forecast(Tensor(D.build_model_input(norm, cfg.model)))
-    return pred.data[0], maps, norm.shape[1], (mu, sigma)
+    return model, Tensor(D.build_model_input(norm, cfg.model)), norm.shape[1], (mu, sigma)
 
 
 def cmd_forecast(args, cfg: RunConfig, out: Path) -> None:
-    values, _, _, (mu, sigma) = _forecast_request(args, cfg)
+    model, x, _, (mu, sigma) = _request(args, cfg)
+    values = model.forecast(x).data[0]
     if args.denormalize:
         values = D.denormalize(values, mu, sigma)
         if not T.all_finite(values):
@@ -217,7 +216,8 @@ def cmd_attn_dump(args, cfg: RunConfig, out: Path) -> None:
     n = cfg.model.n_patches
     if n < 2:
         raise ConfigError(f"attn-dump's known-vs-padded report needs at least 2 tokens; this model has {n}")
-    _, maps, input_len, _ = _forecast_request(args, cfg)
+    model, x, input_len, _ = _request(args, cfg)
+    _, maps = model.backbone_forward(model.patch_embed(x))
     for m in maps:
         lines = [",".join(f"{w:.6g}" for w in row) for row in m.weights]
         _write(out / f"attn_{m.side}_L{m.level}.csv", "\n".join(lines) + "\n")
@@ -301,7 +301,7 @@ def run_gradient_suite(n_seeds: int = 3, log=print) -> bool:
         x = Tensor(rng.standard_normal((1, model.config.model_len)), dtype=np.float64)
 
         def loss_fn(_inputs):
-            pred, _ = model.reconstruct(x)
+            pred = model.reconstruct(x)
             return T.mean_all(T.mul(pred, pred))
 
         errors = finite_diff_check(loss_fn, dict(model.params.items()), max_entries=4, seed=seed)
@@ -372,16 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _raise_mmap_threshold() -> None:
-    """Allocate one 16 MiB block and drop it untouched: glibc then raises its
-    mmap threshold past it, so a batched forward reuses its large temporaries
-    from the heap instead of faulting them back in on every call."""
-    np.empty(16 << 20, np.uint8)
-
-
 def main(argv=None) -> int:
-    _raise_mmap_threshold()
+    _raise_mmap_threshold()  # before the model build, so a run's data arrays reuse the heap too
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:  # argparse exits 2 on usage errors; keep it callable

@@ -17,6 +17,7 @@ window, so row b of the output is what window b alone would give.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -267,6 +268,15 @@ def param_count(config: ModelConfig) -> int:
     return count
 
 
+@functools.cache
+def _raise_mmap_threshold() -> None:
+    """Allocate one 16 MiB block and drop it untouched, once per process:
+    glibc then raises its mmap threshold past it, so a batched forward reuses
+    its large temporaries from the heap instead of faulting them back in on
+    every call. Every model build calls it, as every forward needs it."""
+    np.empty(16 << 20, np.uint8)
+
+
 class UShapedTransformer:
     """The backbone plus reconstruction and forecast heads.
 
@@ -283,6 +293,7 @@ class UShapedTransformer:
     HEAD_PREFIX = "head."
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=T.DEFAULT_DTYPE, values=None):
+        _raise_mmap_threshold()
         self.config = config
         self.dtype = np.dtype(dtype)
         self.params = ParameterStore()
@@ -406,13 +417,11 @@ class UShapedTransformer:
 
     # -- end-to-end passes ---------------------------------------------------
 
-    def reconstruct(self, series: Tensor) -> tuple[Tensor, list[AttentionMap]]:
-        tokens, maps = self.backbone_forward(self.patch_embed(series))
-        return self.reconstruction_head(tokens), maps
+    def reconstruct(self, series: Tensor) -> Tensor:
+        return self.reconstruction_head(self.backbone_forward(self.patch_embed(series))[0])
 
-    def forecast(self, series: Tensor) -> tuple[Tensor, list[AttentionMap]]:
-        tokens, maps = self.backbone_forward(self.patch_embed(series))
-        return self.forecast_head(tokens), maps
+    def forecast(self, series: Tensor) -> Tensor:
+        return self.forecast_head(self.backbone_forward(self.patch_embed(series))[0])
 
 
 def patch_merge_naive(tokens: Tensor) -> Tensor:

@@ -296,8 +296,7 @@ def pretrain_epoch(model: UShapedTransformer, frames: dict, sampler: D.SamplerCo
 
     def step_loss(x, _):
         mask = D.zero_mask_patches(cfg.n_patches, MASK_RATIO, rng)
-        pred, _ = model.reconstruct(Tensor(D.mask_series(x, mask, cfg.patch_size)))
-        return _mse_loss(pred, Tensor(x))
+        return _mse_loss(model.reconstruct(Tensor(D.mask_series(x, mask, cfg.patch_size))), Tensor(x))
 
     return _draw_window_epoch("pretrain", step_loss, optimizer, frames, sampler,
                               cfg.model_len, 0, steps, rng, epoch, report)
@@ -314,8 +313,7 @@ def finetune_epoch(model: UShapedTransformer, frames: dict, sampler: D.SamplerCo
     cfg = model.config
 
     def step_loss(x, y):
-        pred, _ = model.forecast(Tensor(D.build_model_input(x, cfg)))
-        return _mse_loss(pred, Tensor(y))
+        return _mse_loss(model.forecast(Tensor(D.build_model_input(x, cfg))), Tensor(y))
 
     return _draw_window_epoch("finetune", step_loss, optimizer, frames, sampler,
                               cfg.lookback_len, cfg.horizon_len, steps, rng, epoch, report)
@@ -336,9 +334,7 @@ class ModelPredictor:
         self.model = model
 
     def __call__(self, input_norm: np.ndarray) -> np.ndarray:
-        x = D.build_model_input(input_norm, self.model.config)
-        pred, _ = self.model.forecast(Tensor(x))
-        return pred.data
+        return self.model.forecast(Tensor(D.build_model_input(input_norm, self.model.config))).data
 
 
 class BaselinePredictor:

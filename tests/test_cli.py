@@ -18,18 +18,18 @@ import numpy as np
 import pytest
 
 from utsf import cli, training
-from utsf.cli import RunConfig, _raise_mmap_threshold, build_parser, main
+from utsf.cli import RunConfig, build_parser, main
 from utsf.data import (SamplerConfig, load_csv_dataset, make_sine_frame, normalize_sample,
                        save_csv_dataset)
 from utsf.errors import CheckpointError, ConfigError, UsageError
-from utsf.model import ModelConfig, UShapedTransformer, preset, valid_seed
+from utsf.model import ModelConfig, UShapedTransformer, _raise_mmap_threshold, preset, valid_seed
 from utsf.training import LastValuePredictor, apply_checkpoint, evaluate, load_checkpoint, save_checkpoint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# a process's first ``main`` allocates one untouched 16 MiB block; take it
-# here, so that a test which traces one command's allocations sees that
-# command alone, whichever test runs first
+# a process's first ``main`` or model build allocates one untouched 16 MiB
+# block; take it here, so that a test which traces one command's allocations
+# sees that command alone, whichever test runs first
 _raise_mmap_threshold()
 
 
@@ -326,7 +326,22 @@ def test_resolved_config_bytes_are_pinned(workspace):
     assert run_cli("forecast", "--config", workspace / "run.json", "--out", workspace / "fc",
                    "--checkpoint", workspace / "ck.bin", "--input", workspace / "probe.csv") == 0
     digest = hashlib.sha256((workspace / "fc" / "resolved_config.json").read_bytes()).hexdigest()
-    assert digest == "7fd0ed31663e121341b107f988c14726641a929c3b5416bf3f10a1501e621bb7"
+    assert digest == "b92d0b122dcd675381d483720ed981f14274c96ea8cd224f21599c474a52df24"
+
+
+def test_every_resolved_config_loads_back_as_itself(workspace):
+    # what a command writes, RunConfig.load reads back to the same dict, so
+    # no key the reader refuses (a sampler seed among them) is ever written
+    save_checkpoint(UShapedTransformer(preset("tiny"), seed=0), workspace / "ck.bin")
+    request = ["--checkpoint", workspace / "ck.bin", "--input", workspace / "probe.csv"]
+    commands = {"pretrain": [], "finetune": ["--checkpoint", workspace / "ck.bin"],
+                "eval": ["--checkpoint", workspace / "ck.bin"], "forecast": request, "attn-dump": request}
+    for command, extra in commands.items():
+        out = workspace / command
+        assert run_cli(command, "--config", workspace / "run.json", "--out", out, "--seed", "4", *extra) == 0
+        written = json.loads((out / "resolved_config.json").read_text())
+        assert written["sampler"] == {"stride": 8, "jitter": True} and written["seed"] == 4, command
+        assert RunConfig.load(out / "resolved_config.json").resolved() == written, command
 
 
 def test_checkpoint_payload_of_the_wrong_size_exits_2_and_loads_nothing(workspace, capsys):
@@ -464,6 +479,28 @@ def test_a_fresh_cli_process_forwards_without_page_faults(tmp_path):
     assert max(faults[1:]) < 256, faults
 
 
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the mmap threshold is glibc's")
+def test_a_process_without_the_cli_forwards_without_page_faults():
+    # a script that builds a model and calls ModelPredictor itself, never
+    # cli.main: the build raises the mmap threshold, so each forward of 32
+    # small windows after the first reuses its temporaries (about 7,000
+    # faults a call otherwise)
+    count = ("import resource\n"
+             "import numpy as np\n"
+             "from utsf.model import UShapedTransformer, preset\n"
+             "from utsf.training import ModelPredictor\n"
+             "predict = ModelPredictor(UShapedTransformer(preset('small'), seed=0))\n"
+             "chunks = np.random.default_rng(0).standard_normal((4, 32, 512)).astype(np.float32)\n"
+             "for chunk in chunks:\n"
+             "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+             "    predict(chunk)\n"
+             "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    done = run_python("-c", count)
+    faults = list(map(int, done.stdout.split()))
+    assert len(faults) == 4, done.stderr
+    assert max(faults[1:]) < 256, faults
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_a_base_linear_fit_of_fewer_windows_than_features_stays_small():
     # 539 base windows against 3,073 features [x, 1]: the (L+1)-square
@@ -592,9 +629,10 @@ def test_config_errors_exit_2(workspace, capsys):
              # Adam's constants, even at the values they once defaulted to
              ({"trainer": {"beta1": 0.9}}, "beta1"), ({"trainer": {"beta2": 0.999}}, "beta2"),
              ({"trainer": {"eps": 1e-8}}, "eps"),
-             # a sampler seed equal to the run seed in value but not in type
-             ({"seed": 1, "sampler": {"seed": True}}, "seed"),
-             ({"seed": 1, "sampler": {"seed": 1.0}}, "seed"),
+             # the run seed is the jitter seed: a sampler seed is refused at any value
+             ({"seed": 1, "sampler": {"seed": 1}}, "unknown sampler config keys: ['seed']"),
+             ({"seed": 1, "sampler": {"seed": True}}, "unknown sampler config keys: ['seed']"),
+             ({"seed": 1, "sampler": {"seed": 1.0}}, "unknown sampler config keys: ['seed']"),
              # a model section without a preset names the keys it lacks
              ({"model": {}}, "['lookback_len', 'horizon_len', 'patch_size']"),
              ({"model": {"lookback_len": 32, "horizon_len": 32}}, "['patch_size']"),
@@ -815,25 +853,30 @@ def test_seed_override_changes_resolved_config(workspace):
 
 
 def test_seed_override_reaches_the_window_jitter(workspace, capsys):
-    # a resolved config repeats its seed as sampler.seed; --seed must still
-    # move the jitter, so both configs give one run
+    # a resolved config states its seed once, at the top level: rerun as it
+    # is, it repeats its run, and --seed moves the jitter with the rest
     cfg = workspace / "run.json"
     assert run_cli("pretrain", "--config", cfg, "--out", workspace / "s3", "--seed", "3") == 0
     shutil.copy(workspace / "s3" / "resolved_config.json", workspace / "resolved.json")
-    a, b = workspace / "a5", workspace / "b5"
-    assert run_cli("pretrain", "--config", cfg, "--out", a, "--seed", "5") == 0
-    assert run_cli("pretrain", "--config", workspace / "resolved.json", "--out", b, "--seed", "5") == 0
-    for name in ("checkpoint.bin", "loss.csv", "resolved_config.json"):
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
-    assert json.loads((b / "resolved_config.json").read_text())["sampler"]["seed"] == 5
+    assert json.loads((workspace / "resolved.json").read_text())["sampler"] == {"stride": 8, "jitter": True}
+    a5, b3, b5 = workspace / "a5", workspace / "b3", workspace / "b5"
+    assert run_cli("pretrain", "--config", cfg, "--out", a5, "--seed", "5") == 0
+    assert run_cli("pretrain", "--config", workspace / "resolved.json", "--out", b3) == 0
+    assert run_cli("pretrain", "--config", workspace / "resolved.json", "--out", b5, "--seed", "5") == 0
+    for want, got in ((workspace / "s3", b3), (a5, b5)):
+        for name in ("checkpoint.bin", "loss.csv", "resolved_config.json"):
+            assert (want / name).read_bytes() == (got / name).read_bytes(), (got, name)
+    assert (a5 / "loss.csv").read_bytes() != (b3 / "loss.csv").read_bytes()
 
-    # a sampler seed other than the file's own seed is refused, naming both
-    run = json.loads(cfg.read_text())
-    (workspace / "split.json").write_text(json.dumps({**run, "seed": 4, "sampler": {"seed": 7}}))
-    assert run_cli("pretrain", "--config", workspace / "split.json", "--out", workspace / "x") == 2
-    err = capsys.readouterr().err
-    assert "7" in err and "4" in err and "sampler" in err
-    assert not (workspace / "x" / "resolved_config.json").exists()
+    # a resolved config that repeats its seed as sampler.seed, as files
+    # written before the rule did, is refused naming the key and the run seed
+    run = json.loads((workspace / "resolved.json").read_text())
+    for sampler_seed in (3, 7):
+        (workspace / "old.json").write_text(json.dumps({**run, "sampler": {**run["sampler"], "seed": sampler_seed}}))
+        assert run_cli("pretrain", "--config", workspace / "old.json", "--out", workspace / "x") == 2
+        err = capsys.readouterr().err
+        assert "unknown sampler config keys: ['seed']" in err and "top-level 'seed'" in err, err
+        assert not (workspace / "x" / "resolved_config.json").exists()
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True])

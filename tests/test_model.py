@@ -409,12 +409,12 @@ def test_batch_rows_equal_single_window_passes(name):
     # split never mix windows
     m = UShapedTransformer(preset(name), seed=6)
     x = np.random.default_rng(7).standard_normal((3, m.config.model_len)).astype(np.float32)
-    recon, maps = m.reconstruct(Tensor(x))
-    fc, _ = m.forecast(Tensor(x))
+    recon, fc = m.reconstruct(Tensor(x)), m.forecast(Tensor(x))
+    _, maps = m.backbone_forward(m.patch_embed(Tensor(x)))
     assert recon.shape == (3, m.config.model_len) and fc.shape == (3, m.config.horizon_len)
     for b in range(3):
-        recon_b, maps_b = m.reconstruct(Tensor(x[b:b + 1]))
-        fc_b, _ = m.forecast(Tensor(x[b:b + 1]))
+        recon_b, fc_b = m.reconstruct(Tensor(x[b:b + 1])), m.forecast(Tensor(x[b:b + 1]))
+        _, maps_b = m.backbone_forward(m.patch_embed(Tensor(x[b:b + 1])))
         for got, want in ((recon.data[b], recon_b.data[0]), (fc.data[b], fc_b.data[0])):
             assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max(), b
         if b == 0:  # a batch reports its first window's maps
@@ -477,7 +477,7 @@ def test_forecast_head_gradients_pass_finite_differences():
     x = Tensor(np.random.default_rng(12).standard_normal((1, 64)), dtype=F64)
 
     def loss_fn(_):
-        pred, _m = m.forecast(x)
+        pred = m.forecast(x)
         return T.mean_all(T.mul(pred, pred))
 
     head = {n: t for n, t in m.params.items() if n.startswith("head.forecast")}

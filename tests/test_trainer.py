@@ -608,8 +608,7 @@ def test_model_predictor_matches_direct_forward():
     for channel in range(2):
         for start in range(lo, hi - 64 + 1, 64):
             x, y = make_window_sample(frame, channel, start, 32, 32)
-            pred, _ = m.forecast(Tensor(build_model_input(x, m.config)))
-            preds.append(pred.data)
+            preds.append(m.forecast(Tensor(build_model_input(x, m.config))).data)
             truths.append(y)
     for h in (8, 32):
         want = compute_metrics(np.concatenate(preds)[:, :h], np.concatenate(truths)[:, :h])
